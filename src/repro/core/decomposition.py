@@ -113,7 +113,7 @@ def canonical_decomposition(func: SetFunction) -> Decomposition:
     universe = func.universe
     full_value = func.value(universe)
     weights: Dict[Element, float] = {}
-    for element in universe:
+    for element in sorted(universe, key=repr):  # oracle calls in an order hashing cannot change
         weights[element] = func.value(universe - {element}) - full_value
     cost = AdditiveFunction(weights)
     monotone = SumFunction(func, cost)

@@ -161,7 +161,7 @@ def lazy_greedy(
 
     # Heap entries: (-benefit_bound, tie_breaker, element, iteration_computed).
     heap: List[Tuple[float, str, Element, int]] = []
-    for element in universe:
+    for element in sorted(universe, key=repr):  # oracle calls in an order hashing cannot change
         new_cost = best_cost.value(frozenset({element}))
         calls += 1
         heapq.heappush(heap, (-(current_cost - new_cost), repr(element), element, 0))

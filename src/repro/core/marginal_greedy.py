@@ -253,7 +253,7 @@ def lazy_marginal_greedy(
 
     # Heap entries: (-ratio, tie_breaker, element, gain, iteration_computed).
     heap: List[Tuple[float, str, Element, float, int]] = []
-    for element in universe:
+    for element in sorted(universe, key=repr):  # oracle calls in an order hashing cannot change
         cost = decomposition.element_cost(element)
         if cost < 0.0:
             continue

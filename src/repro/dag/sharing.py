@@ -8,8 +8,8 @@ queries — and it answers the two structural questions the algorithms need:
 
 * which equivalence nodes are *shareable* (can appear more than once in a
   single consolidated plan, so materializing them can pay off), and
-* which nodes are ancestors of a given node (used by the incremental
-  best-cost engine to invalidate only the affected part of the plan DP).
+* in which order nodes come below their consumers (used by the incremental
+  best-cost engine to propagate plan changes upward, inputs first).
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class BatchDag:
     query_roots: Dict[str, int]
     block_roots: Tuple[int, ...]
     config: DagConfig = field(default_factory=DagConfig)
-    _parents: Optional[Dict[int, FrozenSet[int]]] = field(default=None, repr=False)
-    _ancestors: Dict[int, FrozenSet[int]] = field(default_factory=dict, repr=False)
+    _rank: Dict[int, int] = field(default_factory=dict, repr=False)
     _shareable: Optional[Tuple[int, ...]] = field(default=None, repr=False)
     _structural: Optional[FrozenSet[int]] = field(default=None, repr=False)
     _scoped: Optional[FrozenSet[int]] = field(default=None, repr=False)
@@ -159,28 +158,24 @@ class BatchDag:
             )
         return self._scoped
 
-    def parents(self) -> Dict[int, FrozenSet[int]]:
-        if self._parents is None:
-            self._parents = self.memo.parents()
-        return self._parents
+    def rank(self, group_id: int) -> int:
+        """Height of a group above the leaves of this batch's active DAG.
 
-    def ancestors(self, group_id: int) -> FrozenSet[int]:
-        """All groups from which ``group_id`` is reachable (excluding itself)."""
-        cached = self._ancestors.get(group_id)
-        if cached is not None:
-            return cached
-        parents = self.parents()
-        seen: Set[int] = set()
-        stack: List[int] = list(parents.get(group_id, ()))
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(parents.get(current, ()))
-        result = frozenset(seen)
-        self._ancestors[group_id] = result
-        return result
+        Every input of a group ranks strictly below it, so visiting groups
+        by increasing rank is a topological order (inputs first) that does
+        not depend on hashing or on traversal order.
+        """
+        cached = self._rank.get(group_id)
+        if cached is None:
+            cached = self._rank[group_id] = 1 + max(
+                (
+                    self.rank(child)
+                    for mexpr in self.iter_mexprs(group_id)
+                    for child in mexpr_children(mexpr)
+                ),
+                default=-1,
+            )
+        return cached
 
     def shareable_nodes(self) -> Tuple[int, ...]:
         """Equivalence nodes worth considering for materialization.

@@ -8,7 +8,13 @@ twice with different selection constants) and for both database scales
   (no MQO), Greedy and MarginalGreedy  (Figures 4a and 4b),
 * the number of nodes each algorithm chose to materialize (the numbers on
   top of the bars in the paper's figures), and
-* the optimization time of each algorithm (Figure 4c).
+* the optimization time of each algorithm (Figure 4c), and
+* what that time buys (the Section 5 optimizations): per algorithm, lazy
+  and eager, how many ``bestCost`` calls it made, how many of them had to
+  build a plan table from nothing rather than update a remembered one, and
+  how many plan-DP entries were recomputed versus taken over — beside a
+  column checking that the incremental engine's answer equals the
+  from-scratch one.
 """
 
 from __future__ import annotations
@@ -23,7 +29,13 @@ from ..service.session import OptimizerSession
 from ..workloads.batches import COMPOSITE_BATCH_NAMES, composite_batch
 from .reporting import ResultTable
 
-__all__ = ["Experiment1Row", "Experiment1Results", "run_experiment1", "DEFAULT_STRATEGIES"]
+__all__ = [
+    "Experiment1Row",
+    "EfficiencyRow",
+    "Experiment1Results",
+    "run_experiment1",
+    "DEFAULT_STRATEGIES",
+]
 
 DEFAULT_STRATEGIES: Tuple[str, ...] = ("volcano", "greedy", "marginal-greedy")
 
@@ -48,11 +60,30 @@ class Experiment1Row:
         return 1.0 - self.estimated_cost_s / self.volcano_cost_s
 
 
+@dataclass(frozen=True)
+class EfficiencyRow:
+    """What one cold (batch, strategy, lazy/eager) run cost the ``bestCost`` oracle."""
+
+    batch: str
+    strategy: str
+    lazy: bool
+    optimization_time_s: float
+    best_cost_calls: int
+    result_cache_hits: int
+    full_evaluations: int
+    incremental_evaluations: int
+    dp_entries_recomputed: int
+    dp_entries_reused: int
+    #: The from-scratch engine chose the same nodes at the same total cost.
+    matches_full: bool
+
+
 @dataclass
 class Experiment1Results:
     """All measurements plus the figure-by-figure views."""
 
     rows: List[Experiment1Row] = field(default_factory=list)
+    efficiency: List[EfficiencyRow] = field(default_factory=list)
 
     def _scale_rows(self, scale_factor: float) -> List[Experiment1Row]:
         return [r for r in self.rows if r.scale_factor == scale_factor]
@@ -107,6 +138,47 @@ class Experiment1Results:
         table.notes = "Optimization (CPU) time of the materialization-selection phase."
         return table
 
+    def efficiency_table(self) -> ResultTable:
+        """The Section 5 optimizations at work: oracle calls and DP entries."""
+        table = ResultTable(
+            "Efficiency of bestCost — cold runs, incremental engine",
+            [
+                "batch",
+                "strategy",
+                "variant",
+                "opt time (s)",
+                "bestCost calls",
+                "cached",
+                "full",
+                "incremental",
+                "DP recomputed",
+                "DP reused",
+                "= from scratch",
+            ],
+        )
+        for row in self.efficiency:
+            table.add_row(
+                row.batch,
+                row.strategy,
+                "lazy" if row.lazy else "eager",
+                row.optimization_time_s,
+                row.best_cost_calls,
+                row.result_cache_hits,
+                row.full_evaluations,
+                row.incremental_evaluations,
+                row.dp_entries_recomputed,
+                row.dp_entries_reused,
+                "yes" if row.matches_full else "NO",
+            )
+        table.notes = (
+            "Of the bestCost calls, 'cached' were answered from the result cache, "
+            "'full' built a plan table from nothing and 'incremental' updated a "
+            "remembered one; DP entries are (group, sort order) plan-table entries. "
+            "'= from scratch': BestCostEngine(incremental=False) picks the same "
+            "nodes at the same total cost."
+        )
+        return table
+
     def tables(self) -> List[ResultTable]:
         result = []
         if self._scale_rows(1.0):
@@ -115,6 +187,8 @@ class Experiment1Results:
             result.append(self.figure_4b())
         if self.rows:
             result.append(self.figure_4c())
+        if self.efficiency:
+            result.append(self.efficiency_table())
         return result
 
     def _find(self, batch: str, scale: float, strategy: str) -> Optional[Experiment1Row]:
@@ -145,9 +219,9 @@ def run_experiment1(
         verbose: print each measurement as it is produced.
     """
     results = Experiment1Results()
+    cost_model = CostModel(cost_parameters if cost_parameters is not None else CostParameters())
     for scale in scale_factors:
         catalog = tpcd_catalog(scale)
-        cost_model = CostModel(cost_parameters if cost_parameters is not None else CostParameters())
         # One serving session per strategy: the composite batches BQ1 ⊂ BQ2 ⊂ …
         # overlap heavily, so each batch only pays for its new queries, while
         # the reported optimization times stay per-strategy (a shared session
@@ -174,4 +248,41 @@ def run_experiment1(
                         f"cost={row.estimated_cost_s:10.1f}s mat={row.materialized_nodes:3d} "
                         f"opt={row.optimization_time_s:6.2f}s"
                     )
+    # The efficiency table: every selecting strategy, lazy and eager, each in
+    # a fresh session (cold caches) at the smallest scale.
+    catalog = tpcd_catalog(min(scale_factors))
+    for index in range(1, max_batches + 1):
+        batch = composite_batch(index)
+        for strategy in strategies:
+            if strategy == "volcano":
+                continue
+            for variant in (True, False):
+                results.efficiency.append(
+                    _measure_efficiency(catalog, cost_model, batch, strategy, variant)
+                )
     return results
+
+
+def _measure_efficiency(catalog, cost_model, batch, strategy: str, lazy: bool) -> EfficiencyRow:
+    session = OptimizerSession(catalog, cost_model)
+    result = session.optimize(batch, strategy=strategy, lazy=lazy)
+    counters = session.obs.registry.snapshot()["counters"]
+    reference = OptimizerSession(catalog, cost_model, incremental=False).optimize(
+        batch, strategy=strategy, lazy=lazy
+    )
+    return EfficiencyRow(
+        batch=batch.name,
+        strategy=strategy,
+        lazy=lazy,
+        optimization_time_s=result.optimization_time,
+        best_cost_calls=result.oracle_calls,
+        result_cache_hits=counters["optimizer_result_cache_hits"],
+        full_evaluations=counters["optimizer_full_evaluations"],
+        incremental_evaluations=counters["optimizer_incremental_evaluations"],
+        dp_entries_recomputed=counters["optimizer_dp_entries_recomputed"],
+        dp_entries_reused=counters["optimizer_dp_entries_reused"],
+        matches_full=(
+            reference.materialized == result.materialized
+            and reference.total_cost == result.total_cost
+        ),
+    )

@@ -2,11 +2,14 @@
 
 Section 5.1 of the paper recalls the incremental cost-update optimization of
 Roy et al.: when the greedy loop evaluates ``bestCost(X ∪ {x})`` after
-having evaluated ``bestCost(X)``, only the plan-DP entries of ``x`` and its
-ancestors in the DAG can change.  :class:`BestCostEngine` implements exactly
-that: it keeps the DP tables of recently evaluated materialization sets and,
-for a new set ``S``, extends the table of the best cached subset of ``S`` by
-invalidating only the affected ancestor cone.
+having evaluated ``bestCost(X)``, only the plan-DP entries of ``x`` and of
+those ancestors whose best plan changes need to be recomputed.
+:class:`BestCostEngine` keeps the plan table of the empty set for its whole
+life and, next to every memoized result, the entries in which that set's
+table differs from it.  A new set starts from the remembered table closest
+to it — fewest candidates added *or removed* — and
+:meth:`~repro.optimizer.volcano.VolcanoOptimizer.best_cost` propagates the
+difference upward, stopping wherever a recomputed plan equals the old one.
 
 The engine is deliberately oblivious to which algorithm drives it — the
 Greedy and MarginalGreedy loops simply call it through a
@@ -20,39 +23,34 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
-from ..algebra.properties import ANY_ORDER
 from ..cost.model import CostModel
-from ..dag.sharing import BatchDag, MaterializationChoice
-from .volcano import BestCostResult, PlanCache, VolcanoOptimizer, normalize_materialized
+from ..dag.sharing import BatchDag
+from .volcano import BestCostResult, PlanTable, VolcanoOptimizer, split_candidate
 
 __all__ = ["BestCostEngine", "EngineStatistics"]
 
 
-def _candidate_group(element) -> int:
-    """The group id affected by a materialization candidate."""
-    if isinstance(element, MaterializationChoice):
-        return element.group
-    return int(element)
-
-
 @dataclass
 class EngineStatistics:
-    """Counters describing how the engine answered its queries."""
+    """Counters describing how the engine answered its queries.
+
+    ``full_evaluations`` started from an empty plan table,
+    ``incremental_evaluations`` from a remembered one; of the latter's
+    entries ``invalidated_entries`` were re-derived.  ``dp_entries_recomputed``
+    counts every entry derived (either way) and ``dp_entries_reused`` the
+    entries of the evaluated tables that were taken over as they were.
+    """
 
     evaluations: int = 0
     result_cache_hits: int = 0
     incremental_evaluations: int = 0
     full_evaluations: int = 0
     invalidated_entries: int = 0
+    dp_entries_recomputed: int = 0
+    dp_entries_reused: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "evaluations": self.evaluations,
-            "result_cache_hits": self.result_cache_hits,
-            "incremental_evaluations": self.incremental_evaluations,
-            "full_evaluations": self.full_evaluations,
-            "invalidated_entries": self.invalidated_entries,
-        }
+        return dict(vars(self))
 
 
 class BestCostEngine:
@@ -61,10 +59,11 @@ class BestCostEngine:
     Args:
         dag: the combined batch DAG.
         cost_model: the cost model (defaults to the paper's parameters).
-        incremental: enable the ancestor-cone incremental re-optimization.
-        max_cached_states: how many materialization sets keep their full DP
-            table around for incremental extension.
-        max_cached_results: how many ``BestCostResult`` objects to memoize.
+        incremental: start every evaluation from the closest remembered plan
+            table; ``False`` derives every table from scratch (the reference
+            the differential tests compare against).
+        max_cached_results: how many ``BestCostResult`` objects (and, with
+            them, plan tables) to memoize.
     """
 
     def __init__(
@@ -73,13 +72,11 @@ class BestCostEngine:
         cost_model: Optional[CostModel] = None,
         *,
         incremental: bool = True,
-        max_cached_states: int = 8,
         max_cached_results: int = 256,
     ):
         self.dag = dag
         self.optimizer = VolcanoOptimizer(dag, cost_model)
         self.incremental = incremental
-        self.max_cached_states = max_cached_states
         self.max_cached_results = max_cached_results
         self.statistics = EngineStatistics()
         # The engine's DP entries are keyed (group id, sort order) and remain
@@ -90,8 +87,10 @@ class BestCostEngine:
         # add groups/derivations outside it).  This is what lets a persistent
         # OptimizerSession keep engines — and their caches — alive across
         # arbitrarily many batches with no invalidation protocol.
-        self._states: "OrderedDict[FrozenSet[int], PlanCache]" = OrderedDict()
-        self._results: "OrderedDict[FrozenSet[int], BestCostResult]" = OrderedDict()
+        self._empty: Optional[PlanTable] = None
+        self._results: "OrderedDict[FrozenSet, Tuple[BestCostResult, Optional[PlanTable]]]" = (
+            OrderedDict()
+        )
 
     # ------------------------------------------------------------------ API
 
@@ -103,12 +102,8 @@ class BestCostEngine:
         if cached is not None:
             self.statistics.result_cache_hits += 1
             self._results.move_to_end(key)
-            return cached
-
-        cache = self._seed_cache(key)
-        result = self.optimizer.best_cost(key, cache=cache)
-        self._remember(key, cache, result)
-        return result
+            return cached[0]
+        return self._derive(key)
 
     def cost(self, materialized: Iterable) -> float:
         """``bestCost(Q, S)`` as a plain number (what the greedy loops consume)."""
@@ -131,54 +126,45 @@ class BestCostEngine:
         ``bestCost`` evaluation instead of one per node.  Sorted candidates
         additionally pay the sort needed to store the result in their order.
         """
-        self.evaluate(frozenset())  # ensure the ∅ DP table exists
-        cache = self._states.get(frozenset(), {})
-        model = self.optimizer.cost_model
-        costs: Dict = {}
-        for element in universe:
-            gid = _candidate_group(element)
-            order = element.order if isinstance(element, MaterializationChoice) else ANY_ORDER
-            group = self.dag.memo.get(gid)
-            compute = self.optimizer._compute_without_reuse(gid, {}, cache)
-            compute = self.optimizer._enforce(compute, order)
-            costs[element] = compute.cost + model.materialize(group.rows, group.row_width)
-        return costs
+        self.evaluate(frozenset())  # the decomposition's bc(∅) query; builds ∅'s table
+        table = self._empty if self.incremental else PlanTable()
+        return {
+            element: self.optimizer.materialization_plan(*split_candidate(element), table).cost
+            for element in universe
+        }
 
     # ------------------------------------------------------------- internals
 
-    def _seed_cache(self, target: FrozenSet[int]) -> PlanCache:
-        if not self.incremental or not self._states:
-            self.statistics.full_evaluations += 1
-            return {}
-        best_base: Optional[FrozenSet[int]] = None
-        for base in self._states:
-            if base <= target:
-                if best_base is None or len(target - base) < len(target - best_base):
-                    best_base = base
-        if best_base is None:
-            self.statistics.full_evaluations += 1
-            return {}
-        diff = target - best_base
-        cache = dict(self._states[best_base])
-        affected: set = set()
-        for element in diff:
-            gid = _candidate_group(element)
-            affected.add(gid)
-            affected.update(self.dag.ancestors(gid))
-        before = len(cache)
-        for key in list(cache):
-            if key[0] in affected:
-                del cache[key]
-        self.statistics.invalidated_entries += before - len(cache)
-        self.statistics.incremental_evaluations += 1
-        return cache
-
-    def _remember(self, key: FrozenSet[int], cache: PlanCache, result: BestCostResult) -> None:
-        self._states[key] = cache
-        self._states.move_to_end(key)
-        while len(self._states) > self.max_cached_states:
-            self._states.popitem(last=False)
-        self._results[key] = result
-        self._results.move_to_end(key)
+    def _derive(self, key: FrozenSet) -> BestCostResult:
+        """Answer a result-cache miss with one ``best_cost`` call."""
+        table = self._start_table(key)
+        result = self.optimizer.best_cost(key, cache=table)
+        statistics = self.statistics
+        statistics.invalidated_entries += table.invalidated
+        statistics.dp_entries_recomputed += table.recomputed
+        statistics.dp_entries_reused += table.size() - table.recomputed
+        self._results[key] = (result, table if self.incremental else None)
         while len(self._results) > self.max_cached_results:
             self._results.popitem(last=False)
+        return result
+
+    def _start_table(self, key: FrozenSet) -> PlanTable:
+        """The plan table ``best_cost`` should move to ``key``."""
+        if not self.incremental:
+            self.statistics.full_evaluations += 1
+            return PlanTable()
+        if self._empty is None:
+            if not key:
+                self.statistics.full_evaluations += 1
+                self._empty = PlanTable()
+                return self._empty
+            self._derive(frozenset())  # every other table is held against ∅'s
+        base, distance = self._empty, len(key)
+        for other, (_, table) in reversed(self._results.items()):
+            difference = len(key ^ other)
+            if difference < distance:
+                base, distance = table, difference
+                if distance == 1:
+                    break
+        self.statistics.incremental_evaluations += 1
+        return base.fork()

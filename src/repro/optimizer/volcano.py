@@ -18,18 +18,27 @@ The plan DP is a classical Volcano physical optimization over
 implemented by the operators of the paper's rule set (relation scan, indexed
 selection, merge join, block/index nested-loop join, external sort and
 sort-based aggregation), and a sort enforcer bridges order mismatches.
+
+Only one thing about a DP state depends on ``S``: whether its own group can
+be read back from disk.  Everything else — which states feed an operator,
+what the operator itself costs, which order it delivers — is worked out once
+per optimizer (:class:`_Alternative`), so evaluating a state is a few
+additions and a ``min``, and moving a :class:`PlanTable` from one ``S`` to
+another (:meth:`VolcanoOptimizer.best_cost` with ``cache=``) recomputes the
+states of the toggled groups and then only those consumers, in topological
+order, whose inputs' best plans really changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..algebra.expressions import (
     ColumnRef,
     Comparison,
     ComparisonOp,
-    Predicate,
     conjuncts,
     conjunction,
 )
@@ -47,28 +56,39 @@ from ..dag.memo import (
 from ..dag.sharing import BatchDag, MaterializationChoice
 from .plan import PhysicalOp, PhysicalPlan
 
-__all__ = ["BestCostResult", "VolcanoOptimizer", "PlanCache", "normalize_materialized"]
+__all__ = [
+    "BestCostResult",
+    "VolcanoOptimizer",
+    "PlanTable",
+    "normalize_materialized",
+    "split_candidate",
+]
 
-#: The per-evaluation DP table: (group id, required order) -> best plan.
-PlanCache = Dict[Tuple[int, SortOrder], PhysicalPlan]
 
-#: A materialization candidate as accepted by the public API: either a bare
-#: group id (stored unsorted) or an explicit :class:`MaterializationChoice`.
-Candidate = "int | MaterializationChoice"
+def split_candidate(element) -> Tuple[int, SortOrder]:
+    """(group id, stored order) of a bare group id or a :class:`MaterializationChoice`."""
+    if isinstance(element, MaterializationChoice):
+        return element.group, element.order
+    return int(element), ANY_ORDER
 
 
 def normalize_materialized(materialized: Iterable) -> Dict[int, Tuple[SortOrder, ...]]:
-    """Normalize a mixed set of candidates to ``{group id: stored orders}``."""
+    """Normalize a mixed set of candidates to ``{group id: stored orders}``.
+
+    The orders of one group are sorted (unsorted first): equal-cost reads of
+    the same node tie-break by position, and a set's iteration order must
+    not pick the plan.
+    """
     stored: Dict[int, List[SortOrder]] = {}
     for element in materialized:
-        if isinstance(element, MaterializationChoice):
-            gid, order = element.group, element.order
-        else:
-            gid, order = int(element), SortOrder()
+        gid, order = split_candidate(element)
         orders = stored.setdefault(gid, [])
         if order not in orders:
             orders.append(order)
-    return {gid: tuple(orders) for gid, orders in stored.items()}
+    return {
+        gid: tuple(sorted(orders, key=lambda o: (bool(o), str(o))))
+        for gid, orders in stored.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -90,6 +110,117 @@ class BestCostResult:
         return self.query_plans[name].cost
 
 
+class PlanTable:
+    """The plan-DP entries of one materialization set: state -> best plan.
+
+    Entries live in two layers: ``own`` belongs to this table and shadows
+    ``shared``, which every table forked (directly or not) from the same
+    first table reads and none writes.  The first :meth:`fork` of a table
+    moves its entries into the shared layer, so a fork copies only what its
+    source holds *on top of* the table they both descend from, and a table
+    moved to another set by :meth:`VolcanoOptimizer.best_cost` keeps in
+    ``own`` just the entries that differ from that first table.
+
+    ``stored`` is the (normalized) set the entries are valid for;
+    ``recomputed`` / ``invalidated`` count the entries derived, and the
+    existing entries re-derived, since the table was created.
+    """
+
+    __slots__ = ("stored", "shared", "own", "recomputed", "invalidated")
+
+    def __init__(self, stored: Optional[Dict[int, Tuple[SortOrder, ...]]] = None):
+        self.stored = stored if stored is not None else {}
+        self.shared: Dict[_State, PhysicalPlan] = {}
+        self.own: Dict[_State, PhysicalPlan] = {}
+        self.recomputed = 0
+        self.invalidated = 0
+
+    def size(self) -> int:
+        """How many states have an entry."""
+        shared = self.shared
+        return len(shared) + sum(1 for state in self.own if state not in shared)
+
+    def fork(self) -> "PlanTable":
+        """A table that starts with this one's entries and shares their storage."""
+        if not self.shared:
+            self.shared, self.own = self.own, {}
+        table = PlanTable(self.stored)
+        table.shared = self.shared
+        table.own = dict(self.own)
+        return table
+
+
+class _Alternative:
+    """One physical implementation of one multi-expression, costed once.
+
+    ``local`` is the operator's own cost, ``order`` the sort order it
+    delivers (``None``: that of its first input), ``sort`` what a sort
+    enforcer on top of it costs and ``fields`` the remaining
+    :class:`PhysicalPlan` arguments.  ``inputs`` are the DP states whose best
+    plans become the children; with ``passes_order`` the operator is also
+    offered over its input sorted the way its own consumer asked.
+    """
+
+    __slots__ = ("op", "inputs", "local", "order", "sort", "passes_order", "fields")
+
+    def __init__(self, op, inputs, local, order, sort, passes_order=False, **fields):
+        self.op = op
+        self.inputs: Tuple[Tuple[int, SortOrder], ...] = inputs
+        self.local: float = local
+        self.order: Optional[SortOrder] = order
+        self.sort: float = sort
+        self.passes_order = passes_order
+        self.fields = fields
+
+
+class _GroupCosts:
+    """What is fixed about one group: its size, its sort / read-back / write
+    costs and its :class:`_Alternative` list in candidate order."""
+
+    __slots__ = ("rows", "width", "sort", "read", "write", "alternatives")
+
+    def __init__(self, group: Group, model: CostModel):
+        self.rows, self.width = group.rows, group.row_width
+        self.sort = model.sort(self.rows, self.width)
+        self.read = model.read_materialized(self.rows, self.width)
+        self.write = model.materialize(self.rows, self.width)
+        self.alternatives: List[_Alternative] = []
+
+
+class _State:
+    """One DP state ``(group, required order)`` — the key of a :class:`PlanTable`.
+
+    ``candidates`` are ``(alternative, input states, fits)`` in candidate
+    order, ``fits`` telling whether the alternative delivers the required
+    order (``None``: that depends on its first input's plan), and
+    ``position`` sorts every state after all of its inputs.  States refer to
+    their inputs only, never upward: an optimizer nobody holds any more is
+    freed at once, without waiting for the cycle collector.
+    """
+
+    __slots__ = ("gid", "required", "group", "position", "candidates")
+
+    def __init__(self, gid: int, required: SortOrder, group: _GroupCosts, position):
+        self.gid = gid
+        self.required = required
+        self.group = group
+        self.position: Tuple[int, int] = position
+        self.candidates: List[Tuple[_Alternative, Tuple[_State, ...], Optional[bool]]] = []
+
+
+def _sort_over(plan: PhysicalPlan, order: SortOrder, local: float) -> PhysicalPlan:
+    return PhysicalPlan(
+        op=PhysicalOp.SORT,
+        group=plan.group,
+        cost=plan.cost + local,
+        local_cost=local,
+        rows=plan.rows,
+        width=plan.width,
+        order=order,
+        children=(plan,),
+    )
+
+
 class VolcanoOptimizer:
     """The plan-extraction DP over a :class:`~repro.dag.sharing.BatchDag`."""
 
@@ -98,49 +229,45 @@ class VolcanoOptimizer:
         self.memo = dag.memo
         self.catalog = dag.catalog
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self._selectivity_cache: Dict[Tuple[str, Predicate], float] = {}
+        # Everything below is independent of the materialized set and grows
+        # to at most one entry per group / DP state of the batch's scope.
+        self._groups: Dict[int, _GroupCosts] = {}
+        self._states: Dict[Tuple[int, SortOrder], _State] = {}
+        self._states_of: Dict[int, List[_State]] = {}
+        self._consumers: Dict[_State, List[_State]] = {}
 
     # ------------------------------------------------------------------ API
 
     def best_cost(
         self,
         materialized: Iterable = (),
-        cache: Optional[PlanCache] = None,
+        cache: Optional[PlanTable] = None,
     ) -> BestCostResult:
         """Evaluate ``bestCost(Q, S)`` for the batch with materialized set ``S``.
 
         ``materialized`` may mix bare group ids (stored unsorted) and
         :class:`MaterializationChoice` objects (stored with a sort order).
+        ``cache`` may hold the DP of any other set; it is moved to ``S`` by
+        change propagation and is valid for ``S`` afterwards.
         """
         original = frozenset(materialized)
         stored = normalize_materialized(original)
-        plan_cache: PlanCache = cache if cache is not None else {}
+        table = cache if cache is not None else PlanTable(stored)
+        if table.stored != stored:
+            self._propagate(table, stored)
         query_plans: Dict[str, PhysicalPlan] = {}
         use_cost = 0.0
         for name, root in self.dag.query_roots.items():
-            plan = self._optimize(root, ANY_ORDER, stored, plan_cache)
+            plan = self._entry(self._state(root, ANY_ORDER), table)
             query_plans[name] = plan
             use_cost += plan.cost
         overhead = 0.0
         materialization_plans: Dict[int, PhysicalPlan] = {}
         for gid in sorted(stored):
-            group = self.memo.get(gid)
             for stored_order in stored[gid]:
-                compute = self._enforce(
-                    self._compute_without_reuse(gid, stored, plan_cache), stored_order
-                )
-                write = self.cost_model.materialize(group.rows, group.row_width)
-                materialization_plans[gid] = PhysicalPlan(
-                    op=PhysicalOp.MATERIALIZE,
-                    group=gid,
-                    cost=compute.cost + write,
-                    local_cost=write,
-                    rows=group.rows,
-                    width=group.row_width,
-                    order=stored_order,
-                    children=(compute,),
-                )
-                overhead += compute.cost + write
+                plan = self.materialization_plan(gid, stored_order, table)
+                materialization_plans[gid] = plan
+                overhead += plan.cost
         return BestCostResult(
             materialized=original,
             query_plans=query_plans,
@@ -149,161 +276,235 @@ class VolcanoOptimizer:
             overhead_cost=overhead,
         )
 
+    def materialization_plan(
+        self, group_id: int, stored_order: SortOrder, table: PlanTable
+    ) -> PhysicalPlan:
+        """Compute a node (it may not read itself), sort it as stored, write it."""
+        compute = self._compute(self._state(group_id, ANY_ORDER), table, reads=False)
+        if not compute.order.satisfies(stored_order):
+            compute = _sort_over(
+                compute, stored_order, self.cost_model.sort(compute.rows, compute.width)
+            )
+        costs = self._group(group_id)
+        return PhysicalPlan(
+            op=PhysicalOp.MATERIALIZE,
+            group=group_id,
+            cost=compute.cost + costs.write,
+            local_cost=costs.write,
+            rows=costs.rows,
+            width=costs.width,
+            order=stored_order,
+            children=(compute,),
+        )
+
     def optimize_group(
         self, group_id: int, materialized: Iterable = (), order: SortOrder = ANY_ORDER
     ) -> PhysicalPlan:
         """Best plan for one equivalence node (public, mostly for tests/examples)."""
-        return self._optimize(group_id, order, normalize_materialized(materialized), {})
+        table = PlanTable(normalize_materialized(materialized))
+        return self._entry(self._state(group_id, order), table)
 
     def optimize_query(self, name: str, materialized: Iterable = ()) -> PhysicalPlan:
         return self.optimize_group(self.dag.query_roots[name], materialized)
 
     # --------------------------------------------------------------- plan DP
 
-    def _optimize(
-        self,
-        group_id: int,
-        order: SortOrder,
-        mat: Mapping[int, Tuple[SortOrder, ...]],
-        cache: PlanCache,
-    ) -> PhysicalPlan:
-        key = (group_id, order)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        group = self.memo.get(group_id)
-        candidates: List[PhysicalPlan] = []
-        for stored_order in mat.get(group_id, ()):
-            read_cost = self.cost_model.read_materialized(group.rows, group.row_width)
-            reuse = PhysicalPlan(
+    def _entry(self, state: _State, table: PlanTable) -> PhysicalPlan:
+        """The table's plan for a state, derived (recursively) when missing."""
+        plan = table.own.get(state) or table.shared.get(state)
+        if plan is None:
+            plan = table.own[state] = self._compute(state, table)
+            table.recomputed += 1
+        return plan
+
+    def _compute(self, state: _State, table: PlanTable, reads: bool = True) -> PhysicalPlan:
+        """The cheapest plan for a state given the table's plans for its inputs."""
+        required = state.required
+        group = state.group
+        own, shared = table.own, table.shared
+        # The first cheapest candidate wins, reads of the node's stored
+        # copies first: ``choice`` is a stored order or one of the candidates.
+        choice = None
+        best = inner = 0.0
+        presorted = True
+        if reads:
+            for stored_order in table.stored.get(state.gid, ()):
+                fits = stored_order.satisfies(required)
+                cost = group.read if fits else group.read + group.sort
+                if choice is None or cost < best:
+                    choice, best, inner, presorted = stored_order, cost, group.read, fits
+        for candidate in state.candidates:
+            alternative, inputs, fits = candidate
+            if inputs:
+                first = own.get(inputs[0]) or shared.get(inputs[0]) or self._entry(inputs[0], table)
+                cost = first.cost
+                for other in inputs[1:]:
+                    cost += (own.get(other) or shared.get(other) or self._entry(other, table)).cost
+                cost += alternative.local
+                if fits is None:
+                    fits = first.order.satisfies(required)
+            else:
+                cost = alternative.local
+            total = cost if fits else cost + alternative.sort
+            if choice is None or total < best:
+                choice, best, inner, presorted = candidate, total, cost, fits
+        if choice is None:
+            raise RuntimeError(f"group G{state.gid} has no implementable alternative")
+        if isinstance(choice, SortOrder):
+            sort = group.sort
+            plan = PhysicalPlan(
                 op=PhysicalOp.READ_MATERIALIZED,
-                group=group_id,
-                cost=read_cost,
-                local_cost=read_cost,
+                group=state.gid,
+                cost=inner,
+                local_cost=inner,
                 rows=group.rows,
-                width=group.row_width,
-                order=stored_order,
+                width=group.width,
+                order=choice,
             )
-            candidates.append(self._enforce(reuse, order))
-        for mexpr in self.dag.iter_mexprs(group_id):
-            candidates.extend(self._implement(mexpr, group, order, mat, cache))
-        if not candidates:
-            raise RuntimeError(f"group G{group_id} has no implementable alternative")
-        best = min(candidates, key=lambda p: p.cost)
-        cache[key] = best
-        return best
+        else:
+            alternative, inputs, _ = choice
+            sort = alternative.sort
+            children = tuple(own.get(child) or shared.get(child) for child in inputs)
+            plan = PhysicalPlan(
+                op=alternative.op,
+                group=state.gid,
+                cost=inner,
+                local_cost=alternative.local,
+                order=alternative.order if alternative.order is not None else children[0].order,
+                children=children,
+                **alternative.fields,
+            )
+        return plan if presorted else _sort_over(plan, required, sort)
 
-    def _compute_without_reuse(
-        self, group_id: int, mat: Mapping[int, Tuple[SortOrder, ...]], cache: PlanCache
-    ) -> PhysicalPlan:
-        """Best plan to *compute* a materialized node (it may not read itself)."""
-        group = self.memo.get(group_id)
-        candidates: List[PhysicalPlan] = []
-        for mexpr in self.dag.iter_mexprs(group_id):
-            candidates.extend(self._implement(mexpr, group, ANY_ORDER, mat, cache))
-        if not candidates:
-            raise RuntimeError(f"group G{group_id} has no implementable alternative")
-        return min(candidates, key=lambda p: p.cost)
+    def _propagate(self, table: PlanTable, stored: Dict[int, Tuple[SortOrder, ...]]) -> None:
+        """Move ``table`` to the materialized set ``stored`` (paper §5.1).
 
-    # ----------------------------------------------------------- enforcement
+        The states of every group whose stored copies differ are recomputed;
+        from there a state is revisited only when the plan of one of its
+        inputs changed, inputs before consumers, and the walk stops wherever
+        the recomputed plan equals the old one.  The comparison is on the
+        whole plan, not its cost: the executor runs these trees, so a plan
+        that now reads a materialization at the same cost still has to reach
+        its consumers.
+        """
+        before = table.stored
+        table.stored = stored
+        queue: List[Tuple[Tuple[int, int], _State]] = []
+        queued = set()
+        for gid in sorted(before.keys() | stored.keys()):
+            if before.get(gid) != stored.get(gid):
+                for state in self._states_of.get(gid, ()):
+                    queued.add(state)
+                    heapq.heappush(queue, (state.position, state))
+        own, shared = table.own, table.shared
+        while queue:
+            _, state = heapq.heappop(queue)
+            old = own.get(state) or shared.get(state)
+            if old is None:
+                continue  # a state this table never needed
+            plan = self._compute(state, table)
+            table.recomputed += 1
+            table.invalidated += 1
+            if plan == old:
+                continue
+            if shared.get(state) == plan:
+                del own[state]  # back to what the first table holds
+            else:
+                own[state] = plan
+            for consumer in self._consumers.get(state, ()):
+                if consumer not in queued:
+                    queued.add(consumer)
+                    heapq.heappush(queue, (consumer.position, consumer))
 
-    def _enforce(self, plan: PhysicalPlan, order: SortOrder) -> PhysicalPlan:
-        if plan.order.satisfies(order):
-            return plan
-        local = self.cost_model.sort(plan.rows, plan.width)
-        return PhysicalPlan(
-            op=PhysicalOp.SORT,
-            group=plan.group,
-            cost=plan.cost + local,
-            local_cost=local,
-            rows=plan.rows,
-            width=plan.width,
-            order=order,
-            children=(plan,),
-        )
+    # ------------------------------------- what does not depend on the set
 
-    # -------------------------------------------------------- implementations
+    def _state(self, gid: int, required: SortOrder) -> _State:
+        state = self._states.get((gid, required))
+        if state is None:
+            group = self._group(gid)
+            # Consumers rank strictly above their inputs, so (rank, age) is a
+            # topological order that does not depend on hashing.
+            state = _State(gid, required, group, (self.dag.rank(gid), len(self._states)))
+            self._states[gid, required] = state
+            self._states_of.setdefault(gid, []).append(state)
+            for alternative in group.alternatives:
+                if alternative.order is None:
+                    fits = None if required else True
+                else:
+                    fits = alternative.order.satisfies(required)
+                inputs = tuple(self._state(*source) for source in alternative.inputs)
+                state.candidates.append((alternative, inputs, fits))
+                if alternative.passes_order and required:
+                    ordered = (self._state(inputs[0].gid, required),)
+                    state.candidates.append((alternative, ordered, None))
+            for source in dict.fromkeys(s for _, inputs, _ in state.candidates for s in inputs):
+                self._consumers.setdefault(source, []).append(state)
+        return state
 
-    def _implement(
-        self,
-        mexpr: MExpr,
-        group: Group,
-        order: SortOrder,
-        mat: Mapping[int, Tuple[SortOrder, ...]],
-        cache: PlanCache,
-    ) -> List[PhysicalPlan]:
+    def _group(self, group_id: int) -> _GroupCosts:
+        costs = self._groups.get(group_id)
+        if costs is None:
+            group = self.memo.get(group_id)
+            costs = self._groups[group_id] = _GroupCosts(group, self.cost_model)
+            for mexpr in self.dag.iter_mexprs(group_id):
+                costs.alternatives.extend(self._implement(mexpr, costs))
+        return costs
+
+    def _implement(self, mexpr: MExpr, costs: _GroupCosts) -> List[_Alternative]:
         if isinstance(mexpr, ScanMExpr):
-            return self._implement_scan(mexpr, group, order)
+            return self._implement_scan(mexpr, costs)
         if isinstance(mexpr, SelectMExpr):
-            return self._implement_select(mexpr, group, order, mat, cache)
+            return self._implement_select(mexpr, costs)
         if isinstance(mexpr, JoinMExpr):
-            return self._implement_join(mexpr, group, order, mat, cache)
+            return self._implement_join(mexpr, costs)
         if isinstance(mexpr, AggregateMExpr):
-            return self._implement_aggregate(mexpr, group, order, mat, cache)
+            return self._implement_aggregate(mexpr, costs)
         raise TypeError(f"unknown multi-expression type: {type(mexpr).__name__}")
 
-    def _implement_scan(
-        self, mexpr: ScanMExpr, group: Group, order: SortOrder
-    ) -> List[PhysicalPlan]:
-        local = self.cost_model.table_scan(group.rows, group.row_width)
+    def _implement_scan(self, mexpr: ScanMExpr, costs: _GroupCosts) -> List[_Alternative]:
         clustered = self.catalog.clustered_index(mexpr.table)
         scan_order = SortOrder()
         if clustered is not None:
             scan_order = SortOrder(
                 tuple(ColumnRef(c, mexpr.alias) for c in clustered.columns)
             )
-        plan = PhysicalPlan(
-            op=PhysicalOp.TABLE_SCAN,
-            group=group.id,
-            cost=local,
-            local_cost=local,
-            rows=group.rows,
-            width=group.row_width,
-            order=scan_order,
-            table=mexpr.table,
-            alias=mexpr.alias,
-        )
-        return [self._enforce(plan, order)]
+        return [
+            _Alternative(
+                PhysicalOp.TABLE_SCAN,
+                (),
+                self.cost_model.table_scan(costs.rows, costs.width),
+                scan_order,
+                costs.sort,
+                rows=costs.rows,
+                width=costs.width,
+                table=mexpr.table,
+                alias=mexpr.alias,
+            )
+        ]
 
-    def _implement_select(
-        self,
-        mexpr: SelectMExpr,
-        group: Group,
-        order: SortOrder,
-        mat: Mapping[int, Tuple[SortOrder, ...]],
-        cache: PlanCache,
-    ) -> List[PhysicalPlan]:
+    def _implement_select(self, mexpr: SelectMExpr, costs: _GroupCosts) -> List[_Alternative]:
         child_group = self.memo.get(mexpr.child)
-        candidates: List[PhysicalPlan] = []
-
-        def filter_over(child_plan: PhysicalPlan) -> PhysicalPlan:
-            local = self.cost_model.filter(child_group.rows, child_group.row_width)
-            return PhysicalPlan(
-                op=PhysicalOp.FILTER,
-                group=group.id,
-                cost=child_plan.cost + local,
-                local_cost=local,
-                rows=group.rows,
-                width=group.row_width,
-                order=child_plan.order,
-                children=(child_plan,),
+        alternatives = [
+            _Alternative(
+                PhysicalOp.FILTER,
+                ((mexpr.child, ANY_ORDER),),
+                self.cost_model.filter(child_group.rows, child_group.row_width),
+                None,
+                costs.sort,
+                passes_order=True,
+                rows=costs.rows,
+                width=costs.width,
                 predicate=mexpr.predicate,
             )
-
-        child_any = self._optimize(mexpr.child, ANY_ORDER, mat, cache)
-        candidates.append(self._enforce(filter_over(child_any), order))
-        if order:
-            child_ordered = self._optimize(mexpr.child, order, mat, cache)
-            candidates.append(self._enforce(filter_over(child_ordered), order))
-
-        indexed = self._indexed_selection(mexpr, child_group, group)
+        ]
+        indexed = self._indexed_selection(mexpr, child_group, costs)
         if indexed is not None:
-            candidates.append(self._enforce(indexed, order))
-        return candidates
+            alternatives.append(indexed)
+        return alternatives
 
     def _indexed_selection(
-        self, mexpr: SelectMExpr, child_group: Group, group: Group
-    ) -> Optional[PhysicalPlan]:
+        self, mexpr: SelectMExpr, child_group: Group, costs: _GroupCosts
+    ) -> Optional[_Alternative]:
         """Clustered-index selection directly on a base relation, if applicable."""
         if not child_group.is_relation:
             return None
@@ -322,124 +523,101 @@ class VolcanoOptimizer:
         ]
         if not index_conjuncts:
             return None
-        selectivity = self._table_selectivity(table, alias, conjunction(index_conjuncts))
+        estimator = SelectivityEstimator(CatalogResolver(self.catalog, {alias: table}))
+        selectivity = estimator.selectivity(conjunction(index_conjuncts))
         stats = self.catalog.table_statistics(table)
-        local = self.cost_model.indexed_selection(
-            stats.row_count, child_group.row_width, selectivity
-        )
-        index_order = SortOrder(tuple(ColumnRef(c, alias) for c in clustered.columns))
-        return PhysicalPlan(
-            op=PhysicalOp.INDEX_SCAN,
-            group=group.id,
-            cost=local,
-            local_cost=local,
-            rows=group.rows,
-            width=group.row_width,
-            order=index_order,
+        return _Alternative(
+            PhysicalOp.INDEX_SCAN,
+            (),
+            self.cost_model.indexed_selection(
+                stats.row_count, child_group.row_width, selectivity
+            ),
+            SortOrder(tuple(ColumnRef(c, alias) for c in clustered.columns)),
+            costs.sort,
+            rows=costs.rows,
+            width=costs.width,
             table=table,
             alias=alias,
             predicate=mexpr.predicate,
         )
 
-    def _table_selectivity(self, table: str, alias: str, predicate: Predicate) -> float:
-        key = (table, predicate)
-        cached = self._selectivity_cache.get(key)
-        if cached is not None:
-            return cached
-        estimator = SelectivityEstimator(CatalogResolver(self.catalog, {alias: table}))
-        value = estimator.selectivity(predicate)
-        self._selectivity_cache[key] = value
-        return value
-
-    def _implement_join(
-        self,
-        mexpr: JoinMExpr,
-        group: Group,
-        order: SortOrder,
-        mat: Mapping[int, Tuple[SortOrder, ...]],
-        cache: PlanCache,
-    ) -> List[PhysicalPlan]:
+    def _implement_join(self, mexpr: JoinMExpr, costs: _GroupCosts) -> List[_Alternative]:
+        model = self.cost_model
         left_group = self.memo.get(mexpr.left)
         right_group = self.memo.get(mexpr.right)
-        candidates: List[PhysicalPlan] = []
+        left_any = (mexpr.left, ANY_ORDER)
+        right_any = (mexpr.right, ANY_ORDER)
         left_keys, right_keys = self._equijoin_keys(mexpr)
+        common = dict(rows=costs.rows, width=costs.width, predicate=mexpr.predicate)
+        alternatives: List[_Alternative] = []
 
         # Merge join (requires both inputs sorted on the join keys).
         if left_keys:
             left_order = SortOrder(tuple(left_keys))
             right_order = SortOrder(tuple(right_keys))
-            left_plan = self._optimize(mexpr.left, left_order, mat, cache)
-            right_plan = self._optimize(mexpr.right, right_order, mat, cache)
-            local = self.cost_model.merge_join(
+            local = model.merge_join(
                 left_group.rows,
                 left_group.row_width,
                 right_group.rows,
                 right_group.row_width,
-                group.rows,
+                costs.rows,
             )
-            plan = PhysicalPlan(
-                op=PhysicalOp.MERGE_JOIN,
-                group=group.id,
-                cost=left_plan.cost + right_plan.cost + local,
-                local_cost=local,
-                rows=group.rows,
-                width=group.row_width,
-                order=left_order,
-                children=(left_plan, right_plan),
-                predicate=mexpr.predicate,
+            alternatives.append(
+                _Alternative(
+                    PhysicalOp.MERGE_JOIN,
+                    ((mexpr.left, left_order), (mexpr.right, right_order)),
+                    local,
+                    left_order,
+                    costs.sort,
+                    **common,
+                )
             )
-            candidates.append(self._enforce(plan, order))
 
         # Block nested-loop join, both operand orders.
-        left_any = self._optimize(mexpr.left, ANY_ORDER, mat, cache)
-        right_any = self._optimize(mexpr.right, ANY_ORDER, mat, cache)
-        for outer_plan, inner_plan, outer_group, inner_group in (
+        for outer, inner, outer_group, inner_group in (
             (left_any, right_any, left_group, right_group),
             (right_any, left_any, right_group, left_group),
         ):
-            local = self.cost_model.nested_loop_join(
+            local = model.nested_loop_join(
                 outer_group.rows,
                 outer_group.row_width,
                 inner_group.rows,
                 inner_group.row_width,
                 inner_is_stored=inner_group.is_relation,
             )
-            plan = PhysicalPlan(
-                op=PhysicalOp.NESTED_LOOP_JOIN,
-                group=group.id,
-                cost=outer_plan.cost + inner_plan.cost + local,
-                local_cost=local,
-                rows=group.rows,
-                width=group.row_width,
-                order=outer_plan.order,
-                children=(outer_plan, inner_plan),
-                predicate=mexpr.predicate,
+            alternatives.append(
+                _Alternative(
+                    PhysicalOp.NESTED_LOOP_JOIN, (outer, inner), local, None, costs.sort, **common
+                )
             )
-            candidates.append(self._enforce(plan, order))
 
         # Index nested-loop join: probe a clustered index on a base-relation inner.
         if left_keys:
-            sides = (
-                (left_any, left_group, right_group, mexpr.right, right_keys),
-                (right_any, right_group, left_group, mexpr.left, left_keys),
-            )
-            for outer_plan, outer_group, inner_group, inner_id, inner_keys in sides:
-                plan = self._index_nl_join(
-                    mexpr, group, outer_plan, outer_group, inner_group, inner_keys
-                )
-                if plan is not None:
-                    candidates.append(self._enforce(plan, order))
-        return candidates
+            for outer, outer_group, inner_group, inner_keys in (
+                (left_any, left_group, right_group, right_keys),
+                (right_any, right_group, left_group, left_keys),
+            ):
+                probe = self._index_probe(outer_group, inner_group, inner_keys)
+                if probe is not None:
+                    local, table = probe
+                    alternatives.append(
+                        _Alternative(
+                            PhysicalOp.INDEX_NL_JOIN,
+                            (outer,),
+                            local,
+                            None,
+                            costs.sort,
+                            table=table,
+                            alias=inner_group.signature.alias,
+                            **common,
+                        )
+                    )
+        return alternatives
 
-    def _index_nl_join(
-        self,
-        mexpr: JoinMExpr,
-        group: Group,
-        outer_plan: PhysicalPlan,
-        outer_group: Group,
-        inner_group: Group,
-        inner_keys: List[ColumnRef],
-    ) -> Optional[PhysicalPlan]:
+    def _index_probe(
+        self, outer_group: Group, inner_group: Group, inner_keys: List[ColumnRef]
+    ) -> Optional[Tuple[float, str]]:
+        """(cost, table) of probing the inner's clustered index per outer row."""
         if not inner_group.is_relation or not inner_keys:
             return None
         table = inner_group.signature.table
@@ -453,19 +631,7 @@ class VolcanoOptimizer:
         local = self.cost_model.index_nested_loop_join(
             outer_group.rows, stats.row_count, inner_group.row_width, distinct
         )
-        return PhysicalPlan(
-            op=PhysicalOp.INDEX_NL_JOIN,
-            group=group.id,
-            cost=outer_plan.cost + local,
-            local_cost=local,
-            rows=group.rows,
-            width=group.row_width,
-            order=outer_plan.order,
-            children=(outer_plan,),
-            predicate=mexpr.predicate,
-            table=table,
-            alias=inner_group.signature.alias,
-        )
+        return local, table
 
     def _equijoin_keys(
         self, mexpr: JoinMExpr
@@ -490,42 +656,34 @@ class VolcanoOptimizer:
         return left_keys, right_keys
 
     def _implement_aggregate(
-        self,
-        mexpr: AggregateMExpr,
-        group: Group,
-        order: SortOrder,
-        mat: Mapping[int, Tuple[SortOrder, ...]],
-        cache: PlanCache,
-    ) -> List[PhysicalPlan]:
+        self, mexpr: AggregateMExpr, costs: _GroupCosts
+    ) -> List[_Alternative]:
+        model = self.cost_model
         child_group = self.memo.get(mexpr.child)
         if not mexpr.group_by:
-            child_any = self._optimize(mexpr.child, ANY_ORDER, mat, cache)
-            local = self.cost_model.scalar_aggregate(child_group.rows, child_group.row_width)
-            plan = PhysicalPlan(
-                op=PhysicalOp.SCALAR_AGGREGATE,
-                group=group.id,
-                cost=child_any.cost + local,
-                local_cost=local,
-                rows=1.0,
-                width=group.row_width,
-                order=SortOrder(),
-                children=(child_any,),
+            return [
+                _Alternative(
+                    PhysicalOp.SCALAR_AGGREGATE,
+                    ((mexpr.child, ANY_ORDER),),
+                    model.scalar_aggregate(child_group.rows, child_group.row_width),
+                    SortOrder(),
+                    model.sort(1.0, costs.width),
+                    rows=1.0,
+                    width=costs.width,
+                    aggregates=mexpr.aggregates,
+                )
+            ]
+        group_order = SortOrder(tuple(mexpr.group_by))
+        return [
+            _Alternative(
+                PhysicalOp.SORT_AGGREGATE,
+                ((mexpr.child, group_order),),
+                model.sort_aggregate(child_group.rows, child_group.row_width),
+                group_order,
+                costs.sort,
+                rows=costs.rows,
+                width=costs.width,
+                group_by=mexpr.group_by,
                 aggregates=mexpr.aggregates,
             )
-            return [self._enforce(plan, order)]
-        group_order = SortOrder(tuple(mexpr.group_by))
-        child_sorted = self._optimize(mexpr.child, group_order, mat, cache)
-        local = self.cost_model.sort_aggregate(child_group.rows, child_group.row_width)
-        plan = PhysicalPlan(
-            op=PhysicalOp.SORT_AGGREGATE,
-            group=group.id,
-            cost=child_sorted.cost + local,
-            local_cost=local,
-            rows=group.rows,
-            width=group.row_width,
-            order=group_order,
-            children=(child_sorted,),
-            group_by=mexpr.group_by,
-            aggregates=mexpr.aggregates,
-        )
-        return [self._enforce(plan, order)]
+        ]

@@ -561,7 +561,7 @@ class OptimizerSession:
                     self.statistics.reoptimizations += 1
                     tracer.event("adaptive.reoptimize")
                 with tracer.span("optimize.best_cost", strategy=strategy_name):
-                    result = run_strategy(
+                    result = self._run_strategy_locked(
                         prepared.dag,
                         prepared.engine,
                         batch_name=batch.name,
@@ -570,7 +570,6 @@ class OptimizerSession:
                         cardinality=cardinality,
                         decomposition=decomposition,
                     )
-                self.statistics.strategies_run += 1
                 self._results[result_key] = result
                 while len(self._results) > self.max_cached_results:
                     self._results.popitem(last=False)
@@ -609,7 +608,7 @@ class OptimizerSession:
                 engine = BestCostEngine(
                     prepared.dag, self.cost_model, incremental=self.incremental
                 )
-                result = run_strategy(
+                result = self._run_strategy_locked(
                     prepared.dag,
                     engine,
                     batch_name=batch.name,
@@ -618,9 +617,22 @@ class OptimizerSession:
                     cardinality=cardinality,
                     decomposition=decomposition,
                 )
-                self.statistics.strategies_run += 1
                 results[result.strategy] = result
         return results
+
+    def _run_strategy_locked(self, dag: BatchDag, engine: BestCostEngine, **knobs) -> MQOResult:
+        """Run one strategy and publish what it cost the ``bestCost`` oracle.
+
+        The engine's counters stay per engine; what this run added to them
+        goes into the registry as ``optimizer_*`` series, so oracle calls and
+        DP entries recomputed/reused are exported with everything else.
+        """
+        before = engine.statistics.as_dict()
+        result = run_strategy(dag, engine, **knobs)
+        for name, value in engine.statistics.as_dict().items():
+            self.obs.counter("optimizer_" + name).inc(value - before[name])
+        self.statistics.strategies_run += 1
+        return result
 
     # ---------------------------------------------------------------- execute
 

@@ -8,7 +8,7 @@ from repro.algebra.logical import QueryBatch
 from repro.catalog.tpcd import tpcd_catalog
 from repro.dag.build import DagBuilder, DagConfig
 from repro.dag.fingerprint import RelationSignature, SPJSignature
-from repro.dag.memo import JoinMExpr, SelectMExpr
+from repro.dag.memo import JoinMExpr, SelectMExpr, mexpr_children
 from repro.dag.sharing import MaterializationChoice, build_batch_dag
 
 
@@ -122,14 +122,16 @@ class TestSharing:
         dag = build_batch_dag(batch, catalog)
         assert dag.shareable_nodes() == ()
 
-    def test_ancestors(self, catalog):
+    def test_rank_orders_inputs_before_consumers(self, catalog):
         batch = QueryBatch("b", (three_way("A", 19950101), three_way("B", 19960101)))
         dag = build_batch_dag(batch, catalog)
-        for gid in dag.shareable_nodes():
-            ancestors = dag.ancestors(gid)
-            assert gid not in ancestors
-            # Every shareable node is below at least one query root.
-            assert ancestors & set(dag.roots) or gid in dag.roots
+        for gid in dag.scoped_groups():
+            inputs = [c for m in dag.iter_mexprs(gid) for c in mexpr_children(m)]
+            assert all(dag.rank(child) < dag.rank(gid) for child in inputs)
+            assert inputs or dag.rank(gid) == 0
+        # Every shareable node is below at least one query root.
+        top = max(dag.rank(root) for root in dag.roots)
+        assert all(dag.rank(gid) <= top for gid in dag.shareable_nodes())
 
     def test_interesting_and_preferred_orders(self, catalog):
         batch = QueryBatch("b", (three_way("A", 19950101), three_way("B", 19960101)))

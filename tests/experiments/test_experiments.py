@@ -90,6 +90,24 @@ class TestExperiment1:
         for row in results.rows:
             assert 0.0 <= row.improvement < 1.0
 
+    def test_efficiency_table(self, results):
+        variants = {(row.strategy, row.lazy) for row in results.efficiency}
+        assert variants == {
+            (strategy, lazy)
+            for strategy in ("greedy", "marginal-greedy")
+            for lazy in (True, False)
+        }
+        for row in results.efficiency:
+            assert row.matches_full
+            assert row.full_evaluations == 1
+            assert row.best_cost_calls == (
+                row.result_cache_hits + row.full_evaluations + row.incremental_evaluations
+            )
+            assert row.dp_entries_reused > row.dp_entries_recomputed > 0
+        table = results.efficiency_table()
+        assert results.tables()[-1].title == table.title
+        assert all(cells[-1] == "yes" for cells in table.rows)
+
 
 class TestExperiment2:
     @pytest.fixture(scope="class")

@@ -111,6 +111,25 @@ class TestSessionHousekeeping:
         session.optimize(composite_batch(2), strategy="volcano")
         assert len(session._batches) == 1
 
+    def test_oracle_work_is_published_in_the_registry(self, catalog):
+        session = OptimizerSession(catalog)
+        batch = composite_batch(1)
+        result = session.optimize(batch)
+
+        def published():
+            counters = session.obs.registry.snapshot()["counters"]
+            return {k: v for k, v in counters.items() if k.startswith("optimizer_")}
+
+        first = published()
+        assert first["optimizer_evaluations"] == result.oracle_calls
+        assert first["optimizer_full_evaluations"] == 1
+        assert first["optimizer_dp_entries_reused"] > first["optimizer_dp_entries_recomputed"] > 0
+        session.optimize(batch)  # a result-cache hit asks the oracle nothing
+        assert published() == first
+        session.compare(batch, ("greedy",))  # a fresh engine's whole work
+        assert published()["optimizer_full_evaluations"] == 2
+        assert "optimizer_dp_entries_reused" in session.obs.registry.render_prometheus()
+
     def test_accepts_plain_query_sequences(self, catalog):
         from repro.workloads.tpcd_queries import batched_queries
 
