@@ -131,11 +131,6 @@ class Group:
         aliases: the source aliases contributing to this group's result
             (used to split join predicates between operands).
         expanded: whether join reordering has already been applied.
-        derived: the group was manufactured by the subsumption pass (a
-            common-subexpression or relaxed ``p1 ∨ p2`` group) rather than
-            built from a submitted query.  The pass never pairs two derived
-            groups with each other — relaxing relaxations compounds the
-            memo quadratically without adding sharing for any real query.
     """
 
     id: int
@@ -145,7 +140,6 @@ class Group:
     row_width: float = 0.0
     aliases: FrozenSet[str] = frozenset()
     expanded: bool = False
-    derived: bool = False
     _mexpr_set: Set[MExpr] = field(default_factory=set, repr=False)
 
     @property
@@ -174,7 +168,8 @@ class Memo:
     comparison induced them.  A derivation is only a valid alternative for
     a batch whose own (structural) DAG contains both groups of at least one
     inducing pair; this is what lets many batches share one memo while each
-    batch is optimized exactly as if its DAG had been built fresh.
+    batch is optimized exactly as if its DAG had been built fresh — and why
+    the subsumption pass only ever compares the groups of one batch.
     """
 
     _uid_counter = itertools.count(1)

@@ -348,11 +348,13 @@ def build_batch_dag(
     """Build the combined DAG for a batch (normalize, expand, apply subsumption)."""
     builder = DagBuilder(catalog, config)
     builder.add_batch(batch)
-    builder.finalize()
-    return BatchDag(
+    dag = BatchDag(
         memo=builder.memo,
         catalog=catalog,
         query_roots=dict(builder.query_roots),
         block_roots=tuple(builder.block_roots),
         config=builder.config,
     )
+    # In a fresh memo the structural closure of the roots is every group.
+    builder.finalize(dag.structural_groups())
+    return dag

@@ -147,6 +147,7 @@ class SessionStatistics(StatisticsView):
     queries_reused = metric_field()
     result_cache_hits = metric_field()
     subsumption_runs = metric_field()
+    subsumption_pairs = metric_field()
     strategies_run = metric_field()
     batches_executed = metric_field()
     queries_executed = metric_field()
@@ -462,9 +463,11 @@ class OptimizerSession:
 
         Queries already known to the memo (from this or any earlier batch)
         are recognized through their semantic fingerprints and add nothing;
-        only genuinely new queries expand the memo, followed by one
-        (idempotent) subsumption pass.  A batch prepared before is returned
-        straight from the LRU cache with all engine caches warm.
+        only genuinely new queries expand the memo.  A batch prepared before
+        is returned straight from the LRU cache with all engine caches warm;
+        any other batch — new queries or a new combination of known ones —
+        gets its scoped DAG, one subsumption pass over that DAG's own
+        structural groups and a fresh engine.
         """
         batch = _as_batch(batch)
         with self._lock:
@@ -473,7 +476,6 @@ class OptimizerSession:
     def _prepare_locked(self, batch: QueryBatch) -> PreparedBatch:
         tracer = self.obs.tracer
         memo = self._builder.memo
-        version_before = memo.version
         roots: Dict[str, int] = {}
         blocks: list = []
         reused = 0
@@ -490,13 +492,6 @@ class OptimizerSession:
         self.statistics.queries_interned += new
         self.statistics.queries_reused += reused
 
-        if memo.version != version_before:
-            # Only genuinely new structure triggers the subsumption pass
-            # (which is idempotent over everything already derived).
-            with tracer.span("optimize.subsume"):
-                self._builder.finalize()
-            self.statistics.subsumption_runs += 1
-
         key: BatchKey = (tuple(sorted(roots.items())), tuple(sorted(blocks)))
         prepared = self._batches.get(key)
         if prepared is not None:
@@ -511,6 +506,13 @@ class OptimizerSession:
             block_roots=tuple(blocks),
             config=self.dag_config,
         )
+        # Every batch not prepared before runs the pass over its own groups:
+        # a new combination of known queries holds pairs no pass has seen.
+        with tracer.span("optimize.subsume") as span:
+            outcome = self._builder.finalize(dag.structural_groups())
+            span.set(**outcome._asdict())
+        self.statistics.subsumption_runs += 1
+        self.statistics.subsumption_pairs += outcome.pairs
         engine = BestCostEngine(dag, self.cost_model, incremental=self.incremental)
         prepared = PreparedBatch(
             key=key, dag=dag, engine=engine, new_queries=new, reused_queries=reused

@@ -39,11 +39,14 @@ class TestInternQuery:
     def test_version_tracks_all_mutations(self, catalog):
         builder = DagBuilder(catalog)
         assert builder.memo.version == 0
-        builder.intern_query(batched_queries(1)[0])
+        q3a, q3b = batched_queries(1)
+        root_a, _ = builder.intern_query(q3a)
+        root_b, _ = builder.intern_query(q3b)
         grown = builder.memo.version
         assert grown > 0
-        builder.finalize()
-        assert builder.memo.version >= grown
+        outcome = builder.finalize(builder.memo.reachable_from((root_a, root_b)))
+        assert outcome.derivations_added > 0
+        assert builder.memo.version > grown
 
 
 class TestDerivationScoping:
@@ -65,18 +68,18 @@ class TestDerivationScoping:
     def test_cross_batch_derivations_inactive_for_single_batch(self, catalog):
         q3a, q3b = batched_queries(1)
         builder = DagBuilder(catalog)
-        # Serve q3a alone, then q3b alone: the subsumption pass relates the
-        # two queries' groups across batches.
+        # Serve q3a alone, then q3b alone: each pass relates only its own
+        # batch's groups, so nothing connects the two queries yet.
         dag_a = self._dag_for(builder, [q3a])
-        builder.finalize()
+        builder.finalize(dag_a.structural_groups())
         dag_b = self._dag_for(builder, [q3b])
-        builder.finalize()
+        builder.finalize(dag_b.structural_groups())
 
         # A fresh single-query build has no cross-query derivations, so the
         # scoped view of the shared memo must not show any either.
         fresh = DagBuilder(catalog)
         fresh_dag = self._dag_for(fresh, [q3a])
-        fresh.finalize()
+        fresh.finalize(fresh_dag.structural_groups())
         scoped = {
             gid: len(dag_a.iter_mexprs(gid)) for gid in sorted(dag_a.scoped_groups())
         }
@@ -86,22 +89,28 @@ class TestDerivationScoping:
         assert sum(scoped.values()) == sum(fresh_counts.values())
         assert len(dag_a.scoped_groups()) == len(fresh_dag.scoped_groups())
 
-        # But a batch containing both queries activates the derivations.
+        # But a batch containing both queries derives and activates them —
+        # and the single-query views stay what they were.
         dag_both = self._dag_for(builder, [q3a, q3b])
+        assert builder.finalize(dag_both.structural_groups()).derivations_added > 0
         both_mexprs = sum(len(dag_both.iter_mexprs(g)) for g in dag_both.scoped_groups())
         assert both_mexprs > sum(scoped.values())
+        again = self._dag_for(builder, [q3a])
+        assert {
+            gid: len(again.iter_mexprs(gid)) for gid in sorted(again.scoped_groups())
+        } == scoped
 
     def test_summary_is_scoped_to_the_batch(self, catalog):
         q3a, q3b = batched_queries(1)
         builder = DagBuilder(catalog)
         dag_a = self._dag_for(builder, [q3a])
-        builder.finalize()
-        self._dag_for(builder, [q3b])
-        builder.finalize()
+        builder.finalize(dag_a.structural_groups())
+        dag_both = self._dag_for(builder, [q3a, q3b])
+        builder.finalize(dag_both.structural_groups())
 
         fresh = DagBuilder(catalog)
         fresh_dag = self._dag_for(fresh, [q3a])
-        fresh.finalize()
+        fresh.finalize(fresh_dag.structural_groups())
         summary = dict(dag_a.summary())
         fresh_summary = dict(fresh_dag.summary())
         assert summary == fresh_summary
