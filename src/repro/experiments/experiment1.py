@@ -74,6 +74,7 @@ class EfficiencyRow:
     incremental_evaluations: int
     dp_entries_recomputed: int
     dp_entries_reused: int
+    plans_extracted: int
     #: The from-scratch engine chose the same nodes at the same total cost.
     matches_full: bool
 
@@ -153,6 +154,7 @@ class Experiment1Results:
                 "incremental",
                 "DP recomputed",
                 "DP reused",
+                "trees",
                 "= from scratch",
             ],
         )
@@ -168,12 +170,14 @@ class Experiment1Results:
                 row.incremental_evaluations,
                 row.dp_entries_recomputed,
                 row.dp_entries_reused,
+                row.plans_extracted,
                 "yes" if row.matches_full else "NO",
             )
         table.notes = (
             "Of the bestCost calls, 'cached' were answered from the result cache, "
             "'full' built a plan table from nothing and 'incremental' updated a "
-            "remembered one; DP entries are (group, sort order) plan-table entries. "
+            "remembered one; DP entries are (group, sort order) plan-table entries and "
+            "'trees' the sets whose plan trees were extracted from them. "
             "'= from scratch': BestCostEngine(incremental=False) picks the same "
             "nodes at the same total cost."
         )
@@ -281,6 +285,7 @@ def _measure_efficiency(catalog, cost_model, batch, strategy: str, lazy: bool) -
         incremental_evaluations=counters["optimizer_incremental_evaluations"],
         dp_entries_recomputed=counters["optimizer_dp_entries_recomputed"],
         dp_entries_reused=counters["optimizer_dp_entries_reused"],
+        plans_extracted=counters["optimizer_plans_extracted"],
         matches_full=(
             reference.materialized == result.materialized
             and reference.total_cost == result.total_cost

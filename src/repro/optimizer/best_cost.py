@@ -9,7 +9,9 @@ life and, next to every memoized result, the entries in which that set's
 table differs from it.  A new set starts from the remembered table closest
 to it — fewest candidates added *or removed* — and
 :meth:`~repro.optimizer.volcano.VolcanoOptimizer.best_cost` propagates the
-difference upward, stopping wherever a recomputed plan equals the old one.
+difference upward, stopping wherever a recomputed entry costs and delivers
+what the old one did.  Tables hold costs; a result builds its plan trees from
+its table the first time they are read (``plans_extracted``).
 
 The engine is deliberately oblivious to which algorithm drives it — the
 Greedy and MarginalGreedy loops simply call it through a
@@ -39,6 +41,7 @@ class EngineStatistics:
     entries ``invalidated_entries`` were re-derived.  ``dp_entries_recomputed``
     counts every entry derived (either way) and ``dp_entries_reused`` the
     entries of the evaluated tables that were taken over as they were.
+    ``plans_extracted`` counts the results whose plan trees were read.
     """
 
     evaluations: int = 0
@@ -48,6 +51,7 @@ class EngineStatistics:
     invalidated_entries: int = 0
     dp_entries_recomputed: int = 0
     dp_entries_reused: int = 0
+    plans_extracted: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(vars(self))
@@ -78,7 +82,7 @@ class BestCostEngine:
         self.optimizer = VolcanoOptimizer(dag, cost_model)
         self.incremental = incremental
         self.max_cached_results = max_cached_results
-        self.statistics = EngineStatistics()
+        self._statistics = EngineStatistics()
         # The engine's DP entries are keyed (group id, sort order) and remain
         # valid even when a shared memo grows after engine creation: group
         # ids are append-only, the plan DP only explores this batch's active
@@ -94,13 +98,19 @@ class BestCostEngine:
 
     # ------------------------------------------------------------------ API
 
+    @property
+    def statistics(self) -> EngineStatistics:
+        """The engine's counters (trees are extracted by results, after ``evaluate``)."""
+        self._statistics.plans_extracted = self.optimizer.plans_extracted
+        return self._statistics
+
     def evaluate(self, materialized: Iterable) -> BestCostResult:
         """Return the full :class:`BestCostResult` for a materialization set."""
         key = frozenset(materialized)
-        self.statistics.evaluations += 1
+        self._statistics.evaluations += 1
         cached = self._results.get(key)
         if cached is not None:
-            self.statistics.result_cache_hits += 1
+            self._statistics.result_cache_hits += 1
             self._results.move_to_end(key)
             return cached[0]
         return self._derive(key)
@@ -129,7 +139,7 @@ class BestCostEngine:
         self.evaluate(frozenset())  # the decomposition's bc(∅) query; builds ∅'s table
         table = self._empty if self.incremental else PlanTable()
         return {
-            element: self.optimizer.materialization_plan(*split_candidate(element), table).cost
+            element: self.optimizer.materialization_cost(*split_candidate(element), table)
             for element in universe
         }
 
@@ -139,7 +149,7 @@ class BestCostEngine:
         """Answer a result-cache miss with one ``best_cost`` call."""
         table = self._start_table(key)
         result = self.optimizer.best_cost(key, cache=table)
-        statistics = self.statistics
+        statistics = self._statistics
         statistics.invalidated_entries += table.invalidated
         statistics.dp_entries_recomputed += table.recomputed
         statistics.dp_entries_reused += table.size() - table.recomputed
@@ -151,11 +161,11 @@ class BestCostEngine:
     def _start_table(self, key: FrozenSet) -> PlanTable:
         """The plan table ``best_cost`` should move to ``key``."""
         if not self.incremental:
-            self.statistics.full_evaluations += 1
+            self._statistics.full_evaluations += 1
             return PlanTable()
         if self._empty is None:
             if not key:
-                self.statistics.full_evaluations += 1
+                self._statistics.full_evaluations += 1
                 self._empty = PlanTable()
                 return self._empty
             self._derive(frozenset())  # every other table is held against ∅'s
@@ -166,5 +176,5 @@ class BestCostEngine:
                 base, distance = table, difference
                 if distance == 1:
                     break
-        self.statistics.incremental_evaluations += 1
+        self._statistics.incremental_evaluations += 1
         return base.fork()

@@ -1,9 +1,10 @@
-"""Physical plans produced by the plan-extraction DP.
+"""Physical plans extracted from the plan DP's tables.
 
 A :class:`PhysicalPlan` is an immutable tree of physical operators with
-costs, cardinalities and delivered sort orders attached.  The MQO layer
-mostly cares about ``plan.cost``, but the examples and the execution engine
-consume the full tree (``pretty()`` renders it, the executor interprets it).
+costs, cardinalities and delivered sort orders attached.  The DP itself and
+the MQO strategies work on costs alone; a tree is built only for a set
+somebody reads as trees — the examples and the execution engine
+(``pretty()`` renders it, the executor interprets it).
 """
 
 from __future__ import annotations

@@ -22,17 +22,19 @@ sort-based aggregation), and a sort enforcer bridges order mismatches.
 Only one thing about a DP state depends on ``S``: whether its own group can
 be read back from disk.  Everything else — which states feed an operator,
 what the operator itself costs, which order it delivers — is worked out once
-per optimizer (:class:`_Alternative`), so evaluating a state is a few
-additions and a ``min``, and moving a :class:`PlanTable` from one ``S`` to
+per optimizer (:class:`_Alternative`, sort orders interned to ints with
+``satisfies`` as a table), and the DP is over costs: evaluating a state is a
+few additions and a ``min``, and moving a :class:`PlanTable` from one ``S`` to
 another (:meth:`VolcanoOptimizer.best_cost` with ``cache=``) recomputes the
 states of the toggled groups and then only those consumers, in topological
-order, whose inputs' best plans really changed.
+order, whose inputs' cost or delivered order really changed.  Plan trees are
+built from the winning candidates (:meth:`VolcanoOptimizer.extract`), once
+per set somebody reads as trees.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..algebra.expressions import (
@@ -91,15 +93,34 @@ def normalize_materialized(materialized: Iterable) -> Dict[int, Tuple[SortOrder,
     }
 
 
-@dataclass(frozen=True)
 class BestCostResult:
-    """The outcome of one ``bestCost(Q, S)`` evaluation."""
+    """The outcome of one ``bestCost(Q, S)`` evaluation.
 
-    materialized: FrozenSet
-    query_plans: Mapping[str, PhysicalPlan]
-    materialization_plans: Mapping[int, PhysicalPlan]
-    use_cost: float
-    overhead_cost: float
+    The plan trees are extracted from the evaluation's table when first read;
+    from then on the result holds neither table nor optimizer.  Results
+    compare by value, trees included.
+    """
+
+    def __init__(self, materialized: FrozenSet, use_cost: float, overhead_cost: float, source):
+        self.materialized = materialized
+        self.use_cost = use_cost
+        self.overhead_cost = overhead_cost
+        self._source: Optional[Tuple[VolcanoOptimizer, PlanTable]] = source
+        self._plans: Optional[Tuple[Dict[str, PhysicalPlan], Dict[int, PhysicalPlan]]] = None
+
+    def _extracted(self):
+        if self._plans is None:
+            optimizer, table = self._source
+            self._plans, self._source = optimizer.extract(self.materialized, table), None
+        return self._plans
+
+    @property
+    def query_plans(self) -> Mapping[str, PhysicalPlan]:
+        return self._extracted()[0]
+
+    @property
+    def materialization_plans(self) -> Mapping[int, PhysicalPlan]:
+        return self._extracted()[1]
 
     @property
     def total_cost(self) -> float:
@@ -109,9 +130,19 @@ class BestCostResult:
     def query_cost(self, name: str) -> float:
         return self.query_plans[name].cost
 
+    def __eq__(self, other):
+        if not isinstance(other, BestCostResult):
+            return NotImplemented
+        mine = (self.materialized, self.use_cost, self.overhead_cost, self._extracted())
+        return mine == (other.materialized, other.use_cost, other.overhead_cost, other._extracted())
+
 
 class PlanTable:
-    """The plan-DP entries of one materialization set: state -> best plan.
+    """The plan-DP entries of one materialization set: state -> ``(cost,
+    delivered order id, choice, presorted)``, ``choice`` being the winning
+    candidate of the state (or the stored :class:`SortOrder` read back) and
+    ``cost`` including the sort enforcer a choice that is not ``presorted``
+    needs.  An entry names the input *states* of its choice, not their plans.
 
     Entries live in two layers: ``own`` belongs to this table and shadows
     ``shared``, which every table forked (directly or not) from the same
@@ -130,8 +161,8 @@ class PlanTable:
 
     def __init__(self, stored: Optional[Dict[int, Tuple[SortOrder, ...]]] = None):
         self.stored = stored if stored is not None else {}
-        self.shared: Dict[_State, PhysicalPlan] = {}
-        self.own: Dict[_State, PhysicalPlan] = {}
+        self.shared: Dict[_State, _Entry] = {}
+        self.own: Dict[_State, _Entry] = {}
         self.recomputed = 0
         self.invalidated = 0
 
@@ -153,21 +184,22 @@ class PlanTable:
 class _Alternative:
     """One physical implementation of one multi-expression, costed once.
 
-    ``local`` is the operator's own cost, ``order`` the sort order it
-    delivers (``None``: that of its first input), ``sort`` what a sort
+    ``local`` is the operator's own cost, ``order`` the id of the sort order
+    it delivers (``None``: that of its first input), ``sort`` what a sort
     enforcer on top of it costs and ``fields`` the remaining
-    :class:`PhysicalPlan` arguments.  ``inputs`` are the DP states whose best
-    plans become the children; with ``passes_order`` the operator is also
-    offered over its input sorted the way its own consumer asked.
+    :class:`PhysicalPlan` arguments.  ``inputs`` are the ``(group id, order
+    id)`` DP states whose best plans become the children; with
+    ``passes_order`` the operator is also offered over its input sorted the
+    way its own consumer asked.
     """
 
     __slots__ = ("op", "inputs", "local", "order", "sort", "passes_order", "fields")
 
     def __init__(self, op, inputs, local, order, sort, passes_order=False, **fields):
         self.op = op
-        self.inputs: Tuple[Tuple[int, SortOrder], ...] = inputs
+        self.inputs: Tuple[Tuple[int, int], ...] = inputs
         self.local: float = local
-        self.order: Optional[SortOrder] = order
+        self.order: Optional[int] = order
         self.sort: float = sort
         self.passes_order = passes_order
         self.fields = fields
@@ -188,7 +220,7 @@ class _GroupCosts:
 
 
 class _State:
-    """One DP state ``(group, required order)`` — the key of a :class:`PlanTable`.
+    """One DP state ``(group, required order id)`` — the key of a :class:`PlanTable`.
 
     ``candidates`` are ``(alternative, input states, fits)`` in candidate
     order, ``fits`` telling whether the alternative delivers the required
@@ -200,12 +232,19 @@ class _State:
 
     __slots__ = ("gid", "required", "group", "position", "candidates")
 
-    def __init__(self, gid: int, required: SortOrder, group: _GroupCosts, position):
+    def __init__(self, gid: int, required: int, group: _GroupCosts, position):
         self.gid = gid
         self.required = required
         self.group = group
         self.position: Tuple[int, int] = position
         self.candidates: List[Tuple[_Alternative, Tuple[_State, ...], Optional[bool]]] = []
+
+
+#: ``(cost, delivered order id, choice, presorted)``, see :class:`PlanTable`.
+_Entry = Tuple[float, int, object, bool]
+_Built = Dict[_State, PhysicalPlan]
+#: The id every optimizer interns :data:`ANY_ORDER` to.
+_ANY = 0
 
 
 def _sort_over(plan: PhysicalPlan, order: SortOrder, local: float) -> PhysicalPlan:
@@ -229,12 +268,17 @@ class VolcanoOptimizer:
         self.memo = dag.memo
         self.catalog = dag.catalog
         self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.plans_extracted = 0  # sets whose trees :meth:`extract` built
         # Everything below is independent of the materialized set and grows
-        # to at most one entry per group / DP state of the batch's scope.
+        # to at most one entry per group / DP state / pair of sort orders of
+        # the batch's scope.
         self._groups: Dict[int, _GroupCosts] = {}
-        self._states: Dict[Tuple[int, SortOrder], _State] = {}
+        self._states: Dict[Tuple[int, int], _State] = {}
         self._states_of: Dict[int, List[_State]] = {}
         self._consumers: Dict[_State, List[_State]] = {}
+        self._orders: List[SortOrder] = [ANY_ORDER]
+        self._order_ids: Dict[SortOrder, int] = {ANY_ORDER: _ANY}
+        self._satisfied: Dict[Tuple[int, int], bool] = {(_ANY, _ANY): True}
 
     # ------------------------------------------------------------------ API
 
@@ -255,37 +299,48 @@ class VolcanoOptimizer:
         table = cache if cache is not None else PlanTable(stored)
         if table.stored != stored:
             self._propagate(table, stored)
-        query_plans: Dict[str, PhysicalPlan] = {}
         use_cost = 0.0
-        for name, root in self.dag.query_roots.items():
-            plan = self._entry(self._state(root, ANY_ORDER), table)
-            query_plans[name] = plan
-            use_cost += plan.cost
+        for root in self.dag.query_roots.values():
+            use_cost += self._entry(self._state(root, _ANY), table)[0]
         overhead = 0.0
-        materialization_plans: Dict[int, PhysicalPlan] = {}
         for gid in sorted(stored):
             for stored_order in stored[gid]:
-                plan = self.materialization_plan(gid, stored_order, table)
-                materialization_plans[gid] = plan
-                overhead += plan.cost
-        return BestCostResult(
-            materialized=original,
-            query_plans=query_plans,
-            materialization_plans=materialization_plans,
-            use_cost=use_cost,
-            overhead_cost=overhead,
-        )
+                overhead += self.materialization_cost(gid, stored_order, table)
+        return BestCostResult(original, use_cost, overhead, (self, table))
+
+    def extract(self, materialized: FrozenSet, table: PlanTable):
+        """The ``(query plans, materialization plans)`` of ``bestCost(Q, S)``, from
+        the table ``S`` was evaluated on (a fork is moved back if it has moved on)."""
+        stored = normalize_materialized(materialized)
+        if table.stored != stored:
+            table = table.fork()
+            self._propagate(table, stored)
+        self.plans_extracted += 1
+        built: _Built = {}  # one walk: a state several plans share is one subtree
+        query_plans = {
+            name: self._plan(self._state(root, _ANY), table, built)
+            for name, root in self.dag.query_roots.items()
+        }
+        materialization_plans = {
+            gid: self.materialization_plan(gid, stored_order, table, built)
+            for gid in sorted(stored)
+            for stored_order in stored[gid]
+        }
+        return query_plans, materialization_plans
+
+    def materialization_cost(self, group_id: int, stored_order: SortOrder, table: PlanTable):
+        """What :meth:`materialization_plan`'s tree costs."""
+        state, entry = self._materialization(group_id, stored_order, table)
+        return entry[0] + state.group.write
 
     def materialization_plan(
-        self, group_id: int, stored_order: SortOrder, table: PlanTable
+        self, group_id: int, stored_order: SortOrder, table: PlanTable, built: _Built
     ) -> PhysicalPlan:
-        """Compute a node (it may not read itself), sort it as stored, write it."""
-        compute = self._compute(self._state(group_id, ANY_ORDER), table, reads=False)
-        if not compute.order.satisfies(stored_order):
-            compute = _sort_over(
-                compute, stored_order, self.cost_model.sort(compute.rows, compute.width)
-            )
-        costs = self._group(group_id)
+        """Compute a node (it may not read itself), sort it as stored, write it;
+        ``built`` holds the subtrees of the walk this tree belongs to (or ``{}``)."""
+        state, entry = self._materialization(group_id, stored_order, table)
+        compute = self._tree(state, entry, stored_order, table, built)
+        costs = state.group
         return PhysicalPlan(
             op=PhysicalOp.MATERIALIZE,
             group=group_id,
@@ -302,90 +357,75 @@ class VolcanoOptimizer:
     ) -> PhysicalPlan:
         """Best plan for one equivalence node (public, mostly for tests/examples)."""
         table = PlanTable(normalize_materialized(materialized))
-        return self._entry(self._state(group_id, order), table)
+        return self._plan(self._state(group_id, self._order_id(order)), table, {})
 
     def optimize_query(self, name: str, materialized: Iterable = ()) -> PhysicalPlan:
         return self.optimize_group(self.dag.query_roots[name], materialized)
 
     # --------------------------------------------------------------- plan DP
 
-    def _entry(self, state: _State, table: PlanTable) -> PhysicalPlan:
-        """The table's plan for a state, derived (recursively) when missing."""
-        plan = table.own.get(state) or table.shared.get(state)
-        if plan is None:
-            plan = table.own[state] = self._compute(state, table)
+    def _entry(self, state: _State, table: PlanTable) -> _Entry:
+        """The table's entry for a state, derived (recursively) when missing."""
+        entry = table.own.get(state) or table.shared.get(state)
+        if entry is None:
+            entry = table.own[state] = self._compute(state, table)
             table.recomputed += 1
-        return plan
+        return entry
 
-    def _compute(self, state: _State, table: PlanTable, reads: bool = True) -> PhysicalPlan:
-        """The cheapest plan for a state given the table's plans for its inputs."""
+    def _compute(self, state: _State, table: PlanTable, reads: bool = True) -> _Entry:
+        """The cheapest entry for a state given the table's entries for its inputs."""
         required = state.required
         group = state.group
-        own, shared = table.own, table.shared
+        own, shared, satisfied = table.own, table.shared, self._satisfied
         # The first cheapest candidate wins, reads of the node's stored
         # copies first: ``choice`` is a stored order or one of the candidates.
-        choice = None
-        best = inner = 0.0
-        presorted = True
+        choice, best, order, presorted = None, 0.0, _ANY, True
         if reads:
             for stored_order in table.stored.get(state.gid, ()):
-                fits = stored_order.satisfies(required)
+                have = self._order_id(stored_order)
+                fits = satisfied[have, required]
                 cost = group.read if fits else group.read + group.sort
                 if choice is None or cost < best:
-                    choice, best, inner, presorted = stored_order, cost, group.read, fits
+                    choice, best, order, presorted = stored_order, cost, have, fits
         for candidate in state.candidates:
             alternative, inputs, fits = candidate
+            have = alternative.order
             if inputs:
                 first = own.get(inputs[0]) or shared.get(inputs[0]) or self._entry(inputs[0], table)
-                cost = first.cost
+                cost = first[0]
                 for other in inputs[1:]:
-                    cost += (own.get(other) or shared.get(other) or self._entry(other, table)).cost
+                    cost += (own.get(other) or shared.get(other) or self._entry(other, table))[0]
                 cost += alternative.local
-                if fits is None:
-                    fits = first.order.satisfies(required)
+                if have is None:
+                    have = first[1]
+                    if fits is None:
+                        fits = satisfied[have, required]
             else:
                 cost = alternative.local
             total = cost if fits else cost + alternative.sort
             if choice is None or total < best:
-                choice, best, inner, presorted = candidate, total, cost, fits
+                choice, best, order, presorted = candidate, total, have, fits
         if choice is None:
             raise RuntimeError(f"group G{state.gid} has no implementable alternative")
-        if isinstance(choice, SortOrder):
-            sort = group.sort
-            plan = PhysicalPlan(
-                op=PhysicalOp.READ_MATERIALIZED,
-                group=state.gid,
-                cost=inner,
-                local_cost=inner,
-                rows=group.rows,
-                width=group.width,
-                order=choice,
-            )
-        else:
-            alternative, inputs, _ = choice
-            sort = alternative.sort
-            children = tuple(own.get(child) or shared.get(child) for child in inputs)
-            plan = PhysicalPlan(
-                op=alternative.op,
-                group=state.gid,
-                cost=inner,
-                local_cost=alternative.local,
-                order=alternative.order if alternative.order is not None else children[0].order,
-                children=children,
-                **alternative.fields,
-            )
-        return plan if presorted else _sort_over(plan, required, sort)
+        return best, order if presorted else required, choice, presorted
+
+    def _materialization(self, group_id: int, stored_order: SortOrder, table: PlanTable):
+        """``(state, entry)`` computing a node without reading it, sorted as stored."""
+        state = self._state(group_id, _ANY)
+        cost, order, choice, _ = self._compute(state, table, reads=False)
+        if self._satisfied[order, self._order_id(stored_order)]:
+            return state, (cost, order, choice, True)
+        return state, (cost + choice[0].sort, order, choice, False)
 
     def _propagate(self, table: PlanTable, stored: Dict[int, Tuple[SortOrder, ...]]) -> None:
         """Move ``table`` to the materialized set ``stored`` (paper §5.1).
 
         The states of every group whose stored copies differ are recomputed;
-        from there a state is revisited only when the plan of one of its
-        inputs changed, inputs before consumers, and the walk stops wherever
-        the recomputed plan equals the old one.  The comparison is on the
-        whole plan, not its cost: the executor runs these trees, so a plan
-        that now reads a materialization at the same cost still has to reach
-        its consumers.
+        from there a state is revisited only when the cost or the delivered
+        order of one of its inputs changed, inputs before consumers.  Nothing
+        else about an input reaches a consumer's entry, which names input
+        states, not plans: a state that now reads a materialization at the
+        same cost and in the same order gets its new entry and the walk stops.
         """
         before = table.stored
         table.stored = stored
@@ -402,23 +442,83 @@ class VolcanoOptimizer:
             old = own.get(state) or shared.get(state)
             if old is None:
                 continue  # a state this table never needed
-            plan = self._compute(state, table)
+            entry = self._compute(state, table)
             table.recomputed += 1
             table.invalidated += 1
-            if plan == old:
+            if entry == old:
                 continue
-            if shared.get(state) == plan:
+            if shared.get(state) == entry:
                 del own[state]  # back to what the first table holds
             else:
-                own[state] = plan
-            for consumer in self._consumers.get(state, ()):
-                if consumer not in queued:
-                    queued.add(consumer)
-                    heapq.heappush(queue, (consumer.position, consumer))
+                own[state] = entry
+            if entry[0] != old[0] or entry[1] != old[1]:
+                for consumer in self._consumers.get(state, ()):
+                    if consumer not in queued:
+                        queued.add(consumer)
+                        heapq.heappush(queue, (consumer.position, consumer))
+
+    # ------------------------------------------------------- plan extraction
+
+    def _plan(self, state: _State, table: PlanTable, built: _Built) -> PhysicalPlan:
+        """The plan tree of the table's entry for a state, built once per walk."""
+        plan = built.get(state)
+        if plan is None:
+            entry, required = self._entry(state, table), self._orders[state.required]
+            plan = built[state] = self._tree(state, entry, required, table, built)
+        return plan
+
+    def _tree(
+        self, state: _State, entry: _Entry, required: SortOrder, table: PlanTable, built: _Built
+    ) -> PhysicalPlan:
+        """The tree an entry stands for, its costs summed the way ``_compute`` did."""
+        _, _, choice, presorted = entry
+        group = state.group
+        if isinstance(choice, SortOrder):
+            sort = group.sort
+            plan = PhysicalPlan(
+                op=PhysicalOp.READ_MATERIALIZED,
+                group=state.gid,
+                cost=group.read,
+                local_cost=group.read,
+                rows=group.rows,
+                width=group.width,
+                order=choice,
+            )
+        else:
+            alternative, inputs, _ = choice
+            sort = alternative.sort
+            children = tuple(self._plan(child, table, built) for child in inputs)
+            cost = alternative.local
+            if children:
+                cost = children[0].cost
+                for child in children[1:]:
+                    cost += child.cost
+                cost += alternative.local
+            delivers = alternative.order
+            plan = PhysicalPlan(
+                op=alternative.op,
+                group=state.gid,
+                cost=cost,
+                local_cost=alternative.local,
+                order=children[0].order if delivers is None else self._orders[delivers],
+                children=children,
+                **alternative.fields,
+            )
+        return plan if presorted else _sort_over(plan, required, sort)
 
     # ------------------------------------- what does not depend on the set
 
-    def _state(self, gid: int, required: SortOrder) -> _State:
+    def _order_id(self, order: SortOrder) -> int:
+        ident = self._order_ids.get(order)
+        if ident is None:
+            ident = self._order_ids[order] = len(self._orders)
+            self._orders.append(order)
+            for other, known in enumerate(self._orders):
+                self._satisfied[ident, other] = order.satisfies(known)
+                self._satisfied[other, ident] = known.satisfies(order)
+        return ident
+
+    def _state(self, gid: int, required: int) -> _State:
         state = self._states.get((gid, required))
         if state is None:
             group = self._group(gid)
@@ -431,7 +531,7 @@ class VolcanoOptimizer:
                 if alternative.order is None:
                     fits = None if required else True
                 else:
-                    fits = alternative.order.satisfies(required)
+                    fits = self._satisfied[alternative.order, required]
                 inputs = tuple(self._state(*source) for source in alternative.inputs)
                 state.candidates.append((alternative, inputs, fits))
                 if alternative.passes_order and required:
@@ -473,7 +573,7 @@ class VolcanoOptimizer:
                 PhysicalOp.TABLE_SCAN,
                 (),
                 self.cost_model.table_scan(costs.rows, costs.width),
-                scan_order,
+                self._order_id(scan_order),
                 costs.sort,
                 rows=costs.rows,
                 width=costs.width,
@@ -487,7 +587,7 @@ class VolcanoOptimizer:
         alternatives = [
             _Alternative(
                 PhysicalOp.FILTER,
-                ((mexpr.child, ANY_ORDER),),
+                ((mexpr.child, _ANY),),
                 self.cost_model.filter(child_group.rows, child_group.row_width),
                 None,
                 costs.sort,
@@ -532,7 +632,7 @@ class VolcanoOptimizer:
             self.cost_model.indexed_selection(
                 stats.row_count, child_group.row_width, selectivity
             ),
-            SortOrder(tuple(ColumnRef(c, alias) for c in clustered.columns)),
+            self._order_id(SortOrder(tuple(ColumnRef(c, alias) for c in clustered.columns))),
             costs.sort,
             rows=costs.rows,
             width=costs.width,
@@ -545,16 +645,16 @@ class VolcanoOptimizer:
         model = self.cost_model
         left_group = self.memo.get(mexpr.left)
         right_group = self.memo.get(mexpr.right)
-        left_any = (mexpr.left, ANY_ORDER)
-        right_any = (mexpr.right, ANY_ORDER)
+        left_any = (mexpr.left, _ANY)
+        right_any = (mexpr.right, _ANY)
         left_keys, right_keys = self._equijoin_keys(mexpr)
         common = dict(rows=costs.rows, width=costs.width, predicate=mexpr.predicate)
         alternatives: List[_Alternative] = []
 
         # Merge join (requires both inputs sorted on the join keys).
         if left_keys:
-            left_order = SortOrder(tuple(left_keys))
-            right_order = SortOrder(tuple(right_keys))
+            left_order = self._order_id(SortOrder(tuple(left_keys)))
+            right_order = self._order_id(SortOrder(tuple(right_keys)))
             local = model.merge_join(
                 left_group.rows,
                 left_group.row_width,
@@ -664,16 +764,16 @@ class VolcanoOptimizer:
             return [
                 _Alternative(
                     PhysicalOp.SCALAR_AGGREGATE,
-                    ((mexpr.child, ANY_ORDER),),
+                    ((mexpr.child, _ANY),),
                     model.scalar_aggregate(child_group.rows, child_group.row_width),
-                    SortOrder(),
+                    _ANY,
                     model.sort(1.0, costs.width),
                     rows=1.0,
                     width=costs.width,
                     aggregates=mexpr.aggregates,
                 )
             ]
-        group_order = SortOrder(tuple(mexpr.group_by))
+        group_order = self._order_id(SortOrder(tuple(mexpr.group_by)))
         return [
             _Alternative(
                 PhysicalOp.SORT_AGGREGATE,

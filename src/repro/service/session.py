@@ -562,7 +562,8 @@ class OptimizerSession:
                     # strategy against the corrected statistics.
                     self.statistics.reoptimizations += 1
                     tracer.event("adaptive.reoptimize")
-                with tracer.span("optimize.best_cost", strategy=strategy_name):
+                with tracer.span("optimize.best_cost", strategy=strategy_name) as span:
+                    extracted = prepared.engine.statistics.plans_extracted
                     result = self._run_strategy_locked(
                         prepared.dag,
                         prepared.engine,
@@ -572,6 +573,7 @@ class OptimizerSession:
                         cardinality=cardinality,
                         decomposition=decomposition,
                     )
+                    span.set(extracted=prepared.engine.statistics.plans_extracted - extracted)
                 self._results[result_key] = result
                 while len(self._results) > self.max_cached_results:
                     self._results.popitem(last=False)
