@@ -6,8 +6,9 @@ operators: one Python list per column instead of one dict per row.  The
 row-dict representation of the interpreter (:mod:`repro.execution.executor`)
 remains the API of record — every batch converts **losslessly** to and from
 it through :meth:`to_rows` / :meth:`from_rows`, and those conversions happen
-only at the boundaries (query outputs, materialization-cache fills, the
-observer hooks), which is the "late materialization" half of the design.
+only at the boundaries (query outputs; a row backend reading an entry the
+materialization cache holds as a batch, or the reverse), which is the "late
+materialization" half of the design.
 
 Semantics mirror the row world exactly:
 

@@ -6,8 +6,9 @@
 loop, ``fill_listener`` and ``observer`` hooks — is shared code.  Internally
 every operator consumes and produces :class:`~repro.execution.columnar
 .batch.ColumnBatch` objects; rows exist only at the boundaries (the late
-materialization step), where :meth:`ColumnBatch.to_rows` reproduces the row
-executor's output bit for bit.
+materialization step of a *query* plan — a materialization stays a batch in
+the store and goes to ``fill_listener`` as one), where
+:meth:`ColumnBatch.to_rows` reproduces the row executor's output bit for bit.
 
 Two things make this fast where the interpreter is slow:
 
@@ -72,50 +73,22 @@ def _extend(needed: Needed, refs) -> Needed:
     return needed | frozenset(refs)
 
 
-class _ColumnarStore(dict):
-    """The materialized-results store plus a rows→batch memo.
-
-    ``execute_result`` stores materializations as *row lists* (that is the
-    contract ``fill_listener`` and the cache layer see), but the batches they
-    came from are worth keeping: a ``READ_MATERIALIZED`` of the same group
-    can then reuse the columns instead of re-transposing the rows.  The memo
-    keys by ``id(rows)`` and keeps the rows referenced so the ids stay valid.
-    """
-
-    __slots__ = ("batches",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.batches: Dict[int, Tuple[object, ColumnBatch]] = {}
-
-    def remember(self, rows: List[Row], batch: ColumnBatch) -> None:
-        self.batches[id(rows)] = (rows, batch)
-
-    def recall(self, rows: object) -> Optional[ColumnBatch]:
-        entry = self.batches.get(id(rows))
-        return entry[1] if entry is not None else None
-
-
 class ColumnarExecutor(Executor):
     """Vectorized drop-in for :class:`~repro.execution.executor.Executor`."""
 
     #: Hint for callers holding cached batches (the session's matcache path):
-    #: this backend can consume ``ColumnBatch`` store values directly.
+    #: this backend consumes ``ColumnBatch`` store values directly and hands
+    #: its materializations out as batches (``fill_listener`` / ``observer``).
     prefers_batches = True
 
     # ------------------------------------------------------------- overrides
 
-    def _make_store(self, materialized: Optional[Mapping[int, List[Row]]]) -> Dict:
-        return _ColumnarStore(materialized if materialized is not None else {})
-
     def _run(self, plan: PhysicalPlan, store: Mapping[int, List[Row]]) -> List[Row]:
-        batch = self._vector(plan, store, None)
-        rows = batch.to_rows()
-        if isinstance(store, _ColumnarStore):
-            # If these rows get stored as a materialization, a later
-            # READ_MATERIALIZED can serve the batch without re-transposing.
-            store.remember(rows, batch)
-        return rows
+        return self._vector(plan, store, None).to_rows()
+
+    def _materialize(self, plan: PhysicalPlan, store: Mapping[int, List[Row]]) -> ColumnBatch:
+        # No late materialization for a result only plans read back.
+        return self._vector(plan, store, None)
 
     # ------------------------------------------------------------- dispatch
 
@@ -494,15 +467,11 @@ class ColumnarExecutor(Executor):
     ) -> ColumnBatch:
         if plan.group not in store:
             raise ExecutionError(f"materialized result for G{plan.group} is not available")
-        stored = store[plan.group]
-        if isinstance(stored, ColumnBatch):
-            batch = stored
-        else:
-            batch = store.recall(stored) if isinstance(store, _ColumnarStore) else None
-            if batch is None:
-                batch = ColumnBatch.from_rows(stored)
-                if isinstance(store, _ColumnarStore):
-                    store.remember(stored, batch)
+        batch = store[plan.group]
+        if not isinstance(batch, ColumnBatch):
+            # Rows handed in by the caller: transposed once per call (the
+            # store is this call's own dict).
+            batch = store[plan.group] = ColumnBatch.from_rows(batch)
         if needed is not None:
             batch = batch.select(_prune_names(list(batch.columns), needed))
         return batch

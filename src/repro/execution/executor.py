@@ -71,10 +71,8 @@ class Executor:
     def _make_store(self, materialized: Optional[Mapping[int, List[Row]]]) -> Dict:
         """The mutable materialized-results store one execution call works on.
 
-        A hook so backends can attach per-call state to the store (the
-        columnar executor keeps a rows→ColumnBatch memo alongside it, so a
-        materialization computed as vectors is not re-transposed by every
-        plan that reads it).
+        A hook so backends can attach per-call state to the store (the SQL
+        executor keeps the temp tables it loaded stored results into).
         """
         return dict(materialized if materialized is not None else {})
 
@@ -98,13 +96,14 @@ class Executor:
                 corresponding materialization plans are *not* re-executed.
             fill_listener: called as ``fill_listener(gid, plan, rows)`` for
                 every materialization actually computed by this call, so a
-                cache can be populated with the freshly produced rows.
+                cache can be populated with the freshly produced rows (in
+                the backend's stored form, see :meth:`_materialize`).
             queries: restrict row production to these query names (all when
                 ``None``); materializations always run — they are the shared
                 state the restriction is meant to avoid recomputing later.
             observer: instrumentation hook called as ``observer(plan, rows,
-                elapsed_seconds)`` for every materialization and query plan
-                this call actually *executed* (cache hits are not observed —
+                elapsed_seconds)`` for every materialization (same stored
+                form) and query plan this call actually *executed* (cache hits are not observed —
                 nothing was measured).  The hook only fires after a plan ran
                 successfully; an operator error propagates before the failed
                 plan is observed.  Callers aggregating observations across a
@@ -123,7 +122,7 @@ class Executor:
             for gid, plan in list(pending.items()):
                 needed = set(plan.uses_materialized())
                 if needed <= set(store):
-                    rows = self._timed_run(plan, store, observer)
+                    rows = self._timed_run(self._materialize, plan, store, observer)
                     store[gid] = rows
                     del pending[gid]
                     progressed = True
@@ -135,24 +134,30 @@ class Executor:
                 )
         wanted = None if queries is None else set(queries)
         return {
-            name: self._timed_run(plan, store, observer)
+            name: self._timed_run(self._run, plan, store, observer)
             for name, plan in result.query_plans.items()
             if wanted is None or name in wanted
         }
 
+    @staticmethod
     def _timed_run(
-        self,
+        run: Callable,
         plan: PhysicalPlan,
         store: Mapping[int, List[Row]],
         observer: Optional[Callable[[PhysicalPlan, List[Row], float], None]],
     ) -> List[Row]:
         """Run one top-level plan, reporting (rows, wall seconds) on success."""
         if observer is None:
-            return self._run(plan, store)
+            return run(plan, store)
         started = time.perf_counter()
-        rows = self._run(plan, store)
+        rows = run(plan, store)
         observer(plan, rows, time.perf_counter() - started)
         return rows
+
+    def _materialize(self, plan: PhysicalPlan, store: Mapping[int, List[Row]]):
+        """A materialization plan's result in the form this backend stores
+        and re-reads it: rows here, a ``ColumnBatch`` in the columnar one."""
+        return self._run(plan, store)
 
     # ------------------------------------------------------------- operators
 

@@ -11,7 +11,17 @@ results keyed by the memo's **semantic fingerprint**
 never by memo group id, which is interning-order dependent — so one cache
 serves every batch of a session, and would even survive a session rebuild.
 
-The cache does byte-size accounting (a deterministic per-row estimate),
+An entry is stored in **one representation** — the frozen row dicts a row
+backend :meth:`~MaterializationCache.put`, or the
+:class:`~repro.execution.columnar.batch.ColumnBatch` the columnar backend
+:meth:`~MaterializationCache.put_batch` (and the disk tier faults in) — and
+the other view is derived when a reader asks for it: ``get`` always hands
+out fresh row dicts, ``get_batch`` the shared batch (transposed once per
+row-filled entry).  Hit, miss and fault accounting is one code path
+(``_hit_locked``), so backends can be mixed freely on one cache.
+
+The cache does byte-size accounting (a deterministic per-row estimate,
+computed once per entry at fill and identical for both representations),
 policy-driven admission and eviction, and token-based invalidation: the
 session stamps every fill with the database's
 :attr:`~repro.execution.data.Database.version`, and a fill whose token no
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..adaptive.policy import CachePolicy, CostLRUPolicy
@@ -38,7 +49,13 @@ from ..analysis.sanitizer import sanitize_lock
 from ..dag.fingerprint import Signature, canonical_key
 from ..obs import Observability, StatisticsView, metric_field
 
-__all__ = ["CacheStatistics", "MaterializationCache", "cache_key", "estimate_rows_bytes"]
+__all__ = [
+    "CacheStatistics",
+    "MaterializationCache",
+    "cache_key",
+    "estimate_batch_bytes",
+    "estimate_rows_bytes",
+]
 
 Row = Dict[str, object]
 
@@ -82,6 +99,34 @@ def estimate_rows_bytes(rows: Iterable[Row]) -> int:
     return total
 
 
+#: Value types whose accounted size does not depend on the value.
+_FIXED_BYTES = {type(None): 1, bool: 1, int: 8, float: 8}
+
+
+def estimate_batch_bytes(batch) -> int:
+    """Exactly ``estimate_rows_bytes(batch.to_rows())``, sized per column.
+
+    A column whose present values share one plain type is sized without
+    visiting them one by one (fixed-width types by count, strings by one
+    join + encode); anything else falls back to the per-value walk.
+    """
+    total = 64 * batch.length
+    for name, values in batch.columns.items():
+        mask = batch.masks.get(name)
+        if mask is not None:
+            values = list(compress(values, mask))  # an absent cell is no key
+        total += len(name.encode("utf-8")) * len(values)
+        kinds = set(map(type, values))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in _FIXED_BYTES:
+            total += _FIXED_BYTES[kind] * len(values)
+        elif kind is str:
+            total += len("".join(values).encode("utf-8"))
+        else:
+            total += sum(map(_value_bytes, values))
+    return total
+
+
 class CacheStatistics(StatisticsView):
     """Counters describing how the cache served its traffic.
 
@@ -104,15 +149,18 @@ class CacheStatistics(StatisticsView):
 
 @dataclass
 class _Entry:
-    rows: Tuple[Row, ...]
+    """One cached result: frozen ``rows`` or a ``batch``, whichever the
+    filler produced.  A row-filled entry memoizes its columnar view in
+    ``batch`` on the first :meth:`~MaterializationCache.get_batch`; entries
+    are immutable once stored — a refill builds a new ``_Entry`` — so the
+    memo can never go stale.  ``bytes`` is computed once, at fill."""
+
+    rows: Optional[Tuple[Row, ...]]
+    batch: Optional[object]
     bytes: int
     cost: float
     hits: int = 0
     last_used: int = 0
-    #: Lazily-memoized columnar view of ``rows`` (see :meth:`get_batch`).
-    #: Entries are immutable once stored — a refill builds a new ``_Entry``
-    #: — so the memo can never go stale.
-    batch: Optional[object] = None
 
 
 class MaterializationCache:
@@ -234,18 +282,11 @@ class MaterializationCache:
     def get(self, key: CacheKey) -> Optional[List[Row]]:
         """The cached rows for a key (a fresh copy), or None on a miss."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._hit_locked(key)
             if entry is None:
-                self.statistics.misses += 1
-                if self._tracer.enabled:
-                    self._tracer.event("matcache.miss", key=key[0][:16], order=key[1])
                 return None
-            self._clock += 1
-            entry.hits += 1
-            entry.last_used = self._clock
-            self.statistics.hits += 1
-            if self._tracer.enabled:
-                self._tracer.event("matcache.hit", key=key[0][:16], order=key[1])
+            if entry.rows is None:
+                return entry.batch.to_rows()
             return [dict(row) for row in entry.rows]
 
     def get_batch(self, key: CacheKey):
@@ -254,37 +295,59 @@ class MaterializationCache:
 
         Hit/miss/fault accounting is exactly :meth:`get`'s — a session may
         freely mix backends against one cache without skewing any counter.
-        The batch is transposed once per entry and memoized; callers get a
-        shared, immutable-by-convention view (the columnar executor never
-        mutates received columns, and converts to fresh row dicts at its
-        boundary), so warm columnar reads skip both the row-copy and the
-        rows→columns transpose.
+        Callers get a shared, immutable-by-convention view (the columnar
+        executor never mutates received columns, and converts to fresh row
+        dicts at its boundary); a row-filled entry is transposed once and
+        memoized, a batch-filled or faulted one is served as stored.
         """
-        from ..execution.columnar.batch import ColumnBatch  # lazy: row path never pays
-
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._hit_locked(key)
             if entry is None:
-                # Delegate to get() so subclass tiers (disk fault-in) and
-                # their statistics behave identically for both access paths.
-                rows = self.get(key)
-                if rows is None:
-                    return None
-                entry = self._entries.get(key)
-                if entry is None:
-                    # Faulted from disk but too large to promote: serve a
-                    # one-shot batch straight from the decoded rows.
-                    return ColumnBatch.from_rows(rows)
-            else:
-                self._clock += 1
-                entry.hits += 1
-                entry.last_used = self._clock
-                self.statistics.hits += 1
-                if self._tracer.enabled:
-                    self._tracer.event("matcache.hit", key=key[0][:16], order=key[1])
+                return None
             if entry.batch is None:
+                from ..execution.columnar.batch import ColumnBatch  # lazy: row path never pays
+
                 entry.batch = ColumnBatch.from_rows(entry.rows)
             return entry.batch
+
+    def _hit_locked(self, key: CacheKey) -> Optional[_Entry]:
+        """The entry serving ``key``, with the hit / miss / fault counted.
+
+        A hot-tier miss asks :meth:`_fault_locked` for the entry; a faulted
+        entry is promoted as it is (no admission, no fill count, the size it
+        was filled at) unless it no longer fits the hot tier, in which case
+        it is served this once from disk.
+        """
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._clock += 1
+            entry.hits += 1
+            entry.last_used = self._clock
+            self.statistics.hits += 1
+            if self._tracer.enabled:
+                self._tracer.event("matcache.hit", key=key[0][:16], order=key[1])
+            return entry
+        entry = self._fault_locked(key)
+        if entry is None:
+            self.statistics.misses += 1
+            if self._tracer.enabled:
+                self._tracer.event("matcache.miss", key=key[0][:16], order=key[1])
+            return None
+        # A fault is still a hit of the (two-level) cache.
+        self._clock += 1
+        self.statistics.hits += 1
+        if entry.bytes <= self.max_bytes:
+            self._store_locked(key, entry)
+        return entry
+
+    def _fault_locked(self, key: CacheKey) -> Optional[_Entry]:
+        """Hook: an entry for ``key`` from a tier below the hot one.
+
+        The memory tier has none; the disk tier
+        (:class:`~repro.storage.spill.SpillingMaterializationCache`) decodes
+        the key's spill file into the entry to promote.
+        """
+        return None
 
     def put(
         self,
@@ -307,25 +370,42 @@ class MaterializationCache:
         # row dicts in place, so a concurrent writer can mutate `rows`
         # between the freeze above and the accounting — sizing `rows` could
         # store a byte count that disagrees with the rows actually kept.
-        size = estimate_rows_bytes(frozen)
+        return self._fill(key, frozen, None, estimate_rows_bytes(frozen), cost, token)
+
+    def put_batch(
+        self,
+        key: CacheKey,
+        batch,
+        *,
+        cost: float = 0.0,
+        token: Optional[Hashable] = None,
+    ) -> bool:
+        """:meth:`put` for a backend that computed a ``ColumnBatch``.
+
+        Same checks and counters; the batch is kept as handed in (shared and
+        immutable by convention, like what :meth:`get_batch` returns) and
+        accounted at exactly the size :meth:`put` would give its rows.
+        """
+        return self._fill(key, None, batch, estimate_batch_bytes(batch), cost, token)
+
+    def _fill(self, key: CacheKey, rows, batch, size: int, cost: float, token) -> bool:
+        """Admit and store one entry (rows *or* batch), sized by the caller
+        outside the lock."""
         with self._lock:
+            why = None
             if token is not None and self._token is not None and token != self._token:
-                self.statistics.rejected_fills += 1
-                if self._tracer.enabled:
-                    self._tracer.event("matcache.fill_rejected", key=key[0][:16], why="stale_token")
-                return False
-            if size > self.max_bytes:
-                self.statistics.rejected_fills += 1
-                if self._tracer.enabled:
-                    self._tracer.event("matcache.fill_rejected", key=key[0][:16], why="oversized")
-                return False
-            if not self.policy.admit(key, size, cost):
-                self.statistics.rejected_fills += 1
+                why = "stale_token"
+            elif size > self.max_bytes:
+                why = "oversized"
+            elif not self.policy.admit(key, size, cost):
+                why = "policy"
                 self.statistics.policy_rejections += 1
+            if why is not None:
+                self.statistics.rejected_fills += 1
                 if self._tracer.enabled:
-                    self._tracer.event("matcache.fill_rejected", key=key[0][:16], why="policy")
+                    self._tracer.event("matcache.fill_rejected", key=key[0][:16], why=why)
                 return False
-            self._store_locked(key, frozen, size, cost)
+            self._store_locked(key, _Entry(rows, batch, size, max(cost, 0.0)))
             self.statistics.fills += 1
             if self._tracer.enabled:
                 self._tracer.event(
@@ -343,23 +423,19 @@ class MaterializationCache:
         fresh rows.
         """
 
-    def _store_locked(
-        self, key: CacheKey, frozen: Tuple[Row, ...], size: int, cost: float
-    ) -> None:
-        """Insert an already-frozen, already-admitted entry and rebalance.
+    def _store_locked(self, key: CacheKey, entry: _Entry) -> None:
+        """Insert an already-admitted entry and rebalance.
 
-        Shared by :meth:`put` and the disk tier's fault-in promotion (which
-        must not re-run admission or count a fill).  Called with the lock
-        held.
+        Shared by the fills and fault-in promotion (which must not re-run
+        admission or count a fill).  Called with the lock held.
         """
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= old.bytes
         self._clock += 1
-        self._entries[key] = _Entry(
-            rows=frozen, bytes=size, cost=max(cost, 0.0), last_used=self._clock
-        )
-        self._bytes += size
+        entry.last_used = self._clock
+        self._entries[key] = entry
+        self._bytes += entry.bytes
         self._evict_locked(protect=key)
 
     # --------------------------------------------------------------- eviction

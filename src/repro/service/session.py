@@ -64,7 +64,12 @@ from ..obs import Observability, StatisticsView, metric_field
 from ..optimizer.best_cost import BestCostEngine
 from ..optimizer.plan import PhysicalOp
 from ..core.mqo import MQOResult, run_strategy
-from .matcache import MaterializationCache, cache_key, estimate_rows_bytes
+from .matcache import (
+    MaterializationCache,
+    cache_key,
+    estimate_batch_bytes,
+    estimate_rows_bytes,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage builds on us)
     from ..storage.spill import SpillConfig
@@ -760,14 +765,13 @@ class OptimizerSession:
 
         started = time.perf_counter()
         plan = result.plan
-        # A batch-preferring backend (columnar) receives cache hits as
-        # ColumnBatch values — same hit/miss accounting, but warm reads skip
-        # the row-copy and the rows→columns transpose entirely.
-        fetch = (
-            self.matcache.get_batch
-            if getattr(executor, "prefers_batches", False)
-            else self.matcache.get
-        )
+        # A batch-preferring backend (columnar) exchanges ColumnBatch values
+        # with the cache in both directions — same accounting, but neither a
+        # warm read nor a fill copies rows or transposes.
+        if getattr(executor, "prefers_batches", False):
+            fetch, store = self.matcache.get_batch, self.matcache.put_batch
+        else:
+            fetch, store = self.matcache.get, self.matcache.put
         hits: Dict[int, object] = {}
         keys = {
             gid: cache_key(memo.signature_of(gid), mat_plan.order)
@@ -780,9 +784,9 @@ class OptimizerSession:
 
         fills = [0]
 
-        def publish(gid: int, mat_plan, rows: List[Row]) -> None:
+        def publish(gid: int, mat_plan, rows) -> None:
             fills[0] += 1
-            self.matcache.put(keys[gid], rows, cost=mat_plan.cost, token=token)
+            store(keys[gid], rows, cost=mat_plan.cost, token=token)
 
         # Runtime feedback: buffer observations outside the stats store and
         # absorb them only after the whole batch executed — an operator error
@@ -794,7 +798,9 @@ class OptimizerSession:
         trace_on = tracer.enabled
         if feedback_on or trace_on:
 
-            def observer(node_plan, node_rows: List[Row], node_elapsed: float) -> None:
+            def observer(node_plan, node_rows, node_elapsed: float) -> None:
+                # `node_rows` is a ColumnBatch for a materialization the
+                # columnar backend computed, a row list otherwise.
                 if feedback_on:
                     # A plan whose root merely re-reads a cached materialization
                     # measured a cache read, not the cost of producing the node:
@@ -806,13 +812,11 @@ class OptimizerSession:
                         if node_plan.op is PhysicalOp.READ_MATERIALIZED
                         else node_elapsed
                     )
+                    sized = (
+                        estimate_rows_bytes if isinstance(node_rows, list) else estimate_batch_bytes
+                    )
                     observations.append(
-                        (
-                            node_plan.group,
-                            len(node_rows),
-                            estimate_rows_bytes(node_rows),
-                            measured,
-                        )
+                        (node_plan.group, len(node_rows), sized(node_rows), measured)
                     )
                 if trace_on:
                     # The executor times each plan node; file it as a proper

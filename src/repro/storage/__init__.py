@@ -35,7 +35,6 @@ from .codec import (
     encode_rows,
     encode_value,
     read_spill_batch,
-    read_spill_file,
     read_spill_header,
     wire_token,
     write_spill_file,
@@ -59,7 +58,6 @@ __all__ = [
     "encode_rows",
     "encode_value",
     "read_spill_batch",
-    "read_spill_file",
     "read_spill_header",
     "wire_token",
     "write_spill_file",

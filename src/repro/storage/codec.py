@@ -14,33 +14,34 @@ executor produces exactly —
   lists), nested to any depth, and
 * ``dict`` rows with string keys.
 
-A decoded row set compares ``==`` to what was encoded and therefore has the
-identical :func:`~repro.service.matcache.estimate_rows_bytes` accounting —
-the property tests assert both.
-
-Two payload layouts share that contract.  **Format 1** encodes the row set
-as one tagged list of dict rows.  **Format 2** is columnar: per-column
-type-tagged vectors (packed int64/float64 fast paths, a generic tagged
-fallback, an explicit presence bitmap for heterogeneous rows), written by
-``write_spill_file(..., layout="columnar")`` and decoded straight into a
-:class:`~repro.execution.columnar.batch.ColumnBatch` by
-:func:`read_spill_batch` — so the vectorized backend faults spilled entries
-back in without a rows→columns round trip.  Readers accept both formats
-regardless of which layout they prefer, so old files always keep decoding.
+There is **one on-disk layout**: :func:`write_spill_file` always writes
+**format 2**, the columnar payload of :func:`encode_batch` — per-column
+vectors, bulk-packed when a column is all int64, all float or all ``str``
+(one ``struct`` call or one UTF-8 blob per column), tagged value by value
+otherwise, with an explicit presence bitmap for heterogeneous rows — and
+:func:`read_spill_batch` decodes it straight into the
+:class:`~repro.execution.columnar.batch.ColumnBatch` the cache keeps; rows
+are converted at the edge.  **Format 1** (one tagged list of dict rows, what
+releases before the columnar layout wrote) is still *read*, through the
+value codec that generic columns and feedback snapshots use anyway, so an
+old spill directory keeps being served.  Either way a decoded row set
+compares ``==`` to what was encoded and has the identical
+:func:`~repro.service.matcache.estimate_rows_bytes` accounting — the
+property tests assert both.
 
 A spill **file** wraps one encoded payload with everything needed to trust
 it after a crash: a magic line, a JSON header (format, cache key,
-data-version token, recompute cost, row count, payload length) and a
-SHA-256 checksum of the payload.  :func:`read_spill_file` /
-:func:`read_spill_batch` verify all of it; truncated, bit-flipped or
+data-version token, recompute cost, row count, payload length, and the
+byte size the cache accounted the entry at, so a fault adopts it instead of
+re-walking every value) and a SHA-256 checksum of the payload.
+:func:`read_spill_batch` verifies all of it; truncated, bit-flipped or
 mis-keyed files raise :class:`SpillFormatError`, which the cache layer
 turns into a clean miss (never a crash, never stale rows).
 
 The module uses only the standard library and imports nothing from
 :mod:`repro.service` (the ``ColumnBatch`` container is pulled from
-:mod:`repro.execution` lazily, and only on the columnar paths), so the
-feedback store and the cache tier can both build on it without import
-cycles.
+:mod:`repro.execution` lazily), so the feedback store and the cache tier
+can both build on it without import cycles.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import io
 import json
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -66,7 +68,6 @@ __all__ = [
     "encode_rows",
     "encode_value",
     "read_spill_batch",
-    "read_spill_file",
     "read_spill_header",
     "wire_token",
     "write_spill_file",
@@ -75,9 +76,10 @@ __all__ = [
 Row = Dict[str, object]
 
 #: Format 1: the original row layout (one encoded list of dict rows).
+#: Read, never written.
 SPILL_FORMAT = 1
 #: Format 2: the columnar layout (per-column type-tagged vectors, see
-#: :func:`encode_batch`).  Readers accept both; writers pick per file.
+#: :func:`encode_batch`) — what every spill file is written as.
 SPILL_FORMAT_COLUMNAR = 2
 
 _KNOWN_FORMATS = (SPILL_FORMAT, SPILL_FORMAT_COLUMNAR)
@@ -295,25 +297,30 @@ def decode_rows(payload: bytes) -> List[Row]:
 #             True must never come back as 1) in int64 range;
 #       b"d"  packed float64, row_count × 8 bytes IEEE-754 big-endian —
 #             used when every value is a plain float;
+#       b"u"  packed strings: row_count × 4 bytes big-endian unsigned, each
+#             string's length in *code points*, then blob_len and the UTF-8
+#             encoding of the concatenated strings — used when every value
+#             is a plain str (decoded once, then sliced);
 #       b"g"  generic: row_count recursively tagged values (the format-1
 #             value codec), which covers None, bool, big ints, strings,
 #             bytes, containers — everything, exactly.
 #
 # Absent cells (presence bit clear) hold None in the value vector, matching
-# the in-memory ColumnBatch invariant, and force the generic vector tag.
+# the in-memory ColumnBatch invariant (so a masked column is never packed).
 
 _COL_PACKED_INT = b"q"
 _COL_PACKED_FLOAT = b"d"  # column-tag namespace, distinct from the value tags
+_COL_PACKED_STR = b"u"
 _COL_GENERIC = b"g"
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+_UINT32_MAX = (1 << 32) - 1
 
 
 def _column_batch_cls():
-    # Imported lazily: the storage layer must stay importable (and the row
-    # spill path free) without pulling the execution package in at import
-    # time.
+    # Imported lazily: the storage layer must stay importable without
+    # pulling the execution package in at import time.
     from ..execution.columnar.batch import ColumnBatch
 
     return ColumnBatch
@@ -335,12 +342,72 @@ def _unpack_bitmap(buf: memoryview, pos: int, count: int) -> Tuple[List[bool], i
     return bits, pos + length
 
 
+def _encode_vector(out: io.BytesIO, values: Sequence[object]) -> None:
+    """One column's values: a bulk-packed vector when they share a plain
+    type the packing is exact for, else one tagged value each."""
+    kinds = set(map(type, values))
+    if kinds == {int} and _INT64_MIN <= min(values) and max(values) <= _INT64_MAX:
+        out.write(_COL_PACKED_INT)
+        out.write(struct.pack(f">{len(values)}q", *values))
+    elif kinds == {float}:
+        out.write(_COL_PACKED_FLOAT)
+        out.write(struct.pack(f">{len(values)}d", *values))
+    elif kinds == {str} and max(map(len, values)) <= _UINT32_MAX:
+        blob = "".join(values).encode("utf-8")
+        out.write(_COL_PACKED_STR)
+        out.write(struct.pack(f">{len(values)}I", *map(len, values)))
+        _write_uvarint(out, len(blob))
+        out.write(blob)
+    else:
+        out.write(_COL_GENERIC)
+        for value in values:
+            _encode_value(out, value)
+
+
+def _decode_vector(buf: memoryview, pos: int, n: int) -> Tuple[List[object], int]:
+    if pos >= len(buf):
+        raise SpillFormatError("truncated column vector")
+    tag = bytes(buf[pos : pos + 1])
+    pos += 1
+    if tag in (_COL_PACKED_INT, _COL_PACKED_FLOAT):
+        # Bounds first: a forged row count must fail here, not inside struct.
+        end = pos + 8 * n
+        if end > len(buf):
+            raise SpillFormatError("truncated packed column")
+        code = "q" if tag == _COL_PACKED_INT else "d"
+        return list(struct.unpack_from(f">{n}{code}", buf, pos)), end
+    if tag == _COL_PACKED_STR:
+        end = pos + 4 * n
+        if end > len(buf):
+            raise SpillFormatError("truncated packed string lengths")
+        lengths = struct.unpack_from(f">{n}I", buf, pos)
+        blob_bytes, pos = _read_uvarint(buf, end)
+        end = pos + blob_bytes
+        if end > len(buf):
+            raise SpillFormatError("truncated packed string blob")
+        try:
+            text = str(buf[pos:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise SpillFormatError(f"corrupt UTF-8 string blob: {exc}") from None
+        offsets = list(accumulate(lengths, initial=0))
+        if offsets[-1] != len(text):
+            raise SpillFormatError("packed string lengths disagree with their blob")
+        return [text[a:b] for a, b in zip(offsets, offsets[1:])], end
+    if tag == _COL_GENERIC:
+        values = []
+        for _ in range(n):
+            value, pos = _decode_value(buf, pos)
+            values.append(value)
+        return values, pos
+    raise SpillFormatError(f"unknown column vector tag {tag!r}")
+
+
 def encode_batch(batch) -> bytes:
     """Encode a :class:`~repro.execution.columnar.batch.ColumnBatch` (format 2).
 
     ``decode_batch(encode_batch(b))`` reproduces columns, masks and row
     count exactly, so ``.to_rows()`` of the decoded batch equals the rows
-    that were spilled — same bit-identity contract as :func:`encode_rows`.
+    that were spilled, bit for bit.
     """
     out = io.BytesIO()
     n = batch.length
@@ -353,25 +420,10 @@ def encode_batch(batch) -> bytes:
         mask = batch.masks.get(name)
         if mask is None or all(mask):
             out.write(b"\x00")
-            mask = None
         else:
             out.write(b"\x01")
             out.write(_pack_bitmap(mask))
-        if mask is None and n and all(
-            type(value) is int and _INT64_MIN <= value <= _INT64_MAX
-            for value in values
-        ):
-            out.write(_COL_PACKED_INT)
-            for value in values:
-                out.write(value.to_bytes(8, "big", signed=True))
-        elif mask is None and n and all(type(value) is float for value in values):
-            out.write(_COL_PACKED_FLOAT)
-            for value in values:
-                out.write(_DOUBLE.pack(value))
-        else:
-            out.write(_COL_GENERIC)
-            for value in values:
-                _encode_value(out, value)
+        _encode_vector(out, values)
     return out.getvalue()
 
 
@@ -399,41 +451,11 @@ def decode_batch(payload: bytes):
             raise SpillFormatError("truncated presence marker")
         presence = buf[pos]
         pos += 1
-        mask: Optional[List[bool]] = None
         if presence == 1:
-            mask, pos = _unpack_bitmap(buf, pos, n)
+            masks[name], pos = _unpack_bitmap(buf, pos, n)
         elif presence != 0:
             raise SpillFormatError(f"unknown presence marker {presence!r}")
-        if pos >= len(buf):
-            raise SpillFormatError("truncated column vector")
-        tag = bytes(buf[pos : pos + 1])
-        pos += 1
-        values: List[object]
-        if tag == _COL_PACKED_INT:
-            end = pos + 8 * n
-            if end > len(buf):
-                raise SpillFormatError("truncated packed int column")
-            values = [
-                int.from_bytes(buf[i : i + 8], "big", signed=True)
-                for i in range(pos, end, 8)
-            ]
-            pos = end
-        elif tag == _COL_PACKED_FLOAT:
-            end = pos + 8 * n
-            if end > len(buf):
-                raise SpillFormatError("truncated packed float column")
-            values = [_DOUBLE.unpack_from(buf, i)[0] for i in range(pos, end, 8)]
-            pos = end
-        elif tag == _COL_GENERIC:
-            values = []
-            for _ in range(n):
-                value, pos = _decode_value(buf, pos)
-                values.append(value)
-        else:
-            raise SpillFormatError(f"unknown column vector tag {tag!r}")
-        columns[name] = values
-        if mask is not None:
-            masks[name] = mask
+        columns[name], pos = _decode_vector(buf, pos, n)
     if pos != len(buf):
         raise SpillFormatError(f"{len(buf) - pos} trailing bytes after columns")
     return ColumnBatch(columns, n, masks)
@@ -486,48 +508,44 @@ class SpillHeader:
     row_count: int
     payload_bytes: int
     checksum: str
-    #: Payload layout: :data:`SPILL_FORMAT` (rows) or
+    #: Payload layout: :data:`SPILL_FORMAT` (rows, old files only) or
     #: :data:`SPILL_FORMAT_COLUMNAR` (per-column vectors).
     format: int = SPILL_FORMAT
+    #: The byte size the cache accounted the entry at when it was filled
+    #: (``None``: the writer did not record one).
+    accounted_bytes: Optional[int] = None
 
 
 def write_spill_file(
     target: BinaryIO,
     *,
     key: Tuple[str, str],
-    rows: Sequence[Row],
+    rows,
     token: object,
     cost: float,
-    layout: str = "rows",
+    accounted_bytes: Optional[int] = None,
 ) -> int:
-    """Write one complete spill file to ``target``; returns bytes written.
+    """Write one complete (format-2) spill file to ``target``; returns bytes written.
 
-    ``layout`` picks the payload encoding: ``"rows"`` writes the original
-    format-1 row payload, ``"columnar"`` the format-2 per-column vectors
-    (both decode back to the identical rows).  The caller owns atomicity
-    (write to a temp file, then ``os.replace``): this function only defines
-    the layout.
+    ``rows`` is the entry's ``ColumnBatch``, or a sequence of dict rows
+    that is transposed into one here.  ``accounted_bytes`` is the size the
+    cache keeps the entry's books at; a reader adopts it on fault-in.  The
+    caller owns atomicity (write to a temp file, then ``os.replace``): this
+    function only defines the layout.
     """
-    if layout == "rows":
-        spill_format = SPILL_FORMAT
-        payload = encode_rows(rows)
-        row_count = len(rows)
-    elif layout == "columnar":
-        spill_format = SPILL_FORMAT_COLUMNAR
-        batch = rows if hasattr(rows, "to_rows") else _column_batch_cls().from_rows(rows)
-        payload = encode_batch(batch)
-        row_count = batch.length
-    else:
-        raise ValueError(f"unknown spill layout {layout!r} (want 'rows' or 'columnar')")
+    batch = rows if hasattr(rows, "to_rows") else _column_batch_cls().from_rows(rows)
+    payload = encode_batch(batch)
     header = {
-        "format": spill_format,
+        "format": SPILL_FORMAT_COLUMNAR,
         "key": list(key),
         "token": _json_token(token),
         "cost": float(cost),
-        "rows": row_count,
+        "rows": batch.length,
         "payload_bytes": len(payload),
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
+    if accounted_bytes is not None:
+        header["accounted_bytes"] = int(accounted_bytes)
     header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     target.write(MAGIC)
     target.write(header_line)
@@ -549,6 +567,9 @@ def _parse_header(line: bytes) -> SpillHeader:
         or not all(isinstance(part, str) for part in key)
     ):
         raise SpillFormatError(f"malformed spill key {key!r}")
+    accounted = raw.get("accounted_bytes")
+    if accounted is not None and (type(accounted) is not int or accounted < 0):
+        raise SpillFormatError(f"malformed accounted_bytes {accounted!r}")
     try:
         return SpillHeader(
             key=(key[0], key[1]),
@@ -558,6 +579,7 @@ def _parse_header(line: bytes) -> SpillHeader:
             payload_bytes=int(raw["payload_bytes"]),
             checksum=str(raw["sha256"]),
             format=int(raw["format"]),
+            accounted_bytes=accounted,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpillFormatError(f"malformed spill header: {exc}") from None
@@ -594,39 +616,14 @@ def _read_verified_payload(source: BinaryIO) -> Tuple[SpillHeader, bytes]:
     return header, payload
 
 
-def read_spill_file(source: BinaryIO) -> Tuple[SpillHeader, List[Row]]:
-    """Read, verify and decode one spill file into rows (any known format).
-
-    Raises :class:`SpillFormatError` on any inconsistency: bad magic,
-    truncated header or payload, checksum mismatch, undecodable payload, or
-    a row count that disagrees with the header.  Format-2 (columnar) files
-    are decoded through :func:`decode_batch` and materialized to rows, so
-    callers never care which layout a file was written with.
-    """
-    header, payload = _read_verified_payload(source)
-    if header.format == SPILL_FORMAT_COLUMNAR:
-        batch = decode_batch(payload)
-        if batch.length != header.row_count:
-            raise SpillFormatError(
-                f"row count mismatch: header says {header.row_count}, "
-                f"payload has {batch.length}"
-            )
-        return header, batch.to_rows()
-    rows = decode_rows(payload)
-    if len(rows) != header.row_count:
-        raise SpillFormatError(
-            f"row count mismatch: header says {header.row_count}, payload has {len(rows)}"
-        )
-    return header, rows
-
-
 def read_spill_batch(source: BinaryIO):
     """Read, verify and decode one spill file into a ``ColumnBatch``.
 
-    The columnar twin of :func:`read_spill_file`: format-2 payloads decode
-    straight into their batch (no rows→columns round trip); format-1 files
-    are decoded as rows and transposed, so old files keep working on the
-    columnar path too.  Returns ``(header, batch)``.
+    Raises :class:`SpillFormatError` on any inconsistency: bad magic,
+    truncated header or payload, checksum mismatch, undecodable payload, or
+    a row count that disagrees with the header.  Format-2 payloads decode
+    straight into their batch; a format-1 file (an older release's) is
+    decoded as rows and transposed.  Returns ``(header, batch)``.
     """
     header, payload = _read_verified_payload(source)
     if header.format == SPILL_FORMAT_COLUMNAR:
@@ -639,3 +636,4 @@ def read_spill_batch(source: BinaryIO):
             f"payload has {batch.length}"
         )
     return header, batch
+

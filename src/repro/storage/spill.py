@@ -9,10 +9,14 @@ under the **same** keys and invalidation rules:
 * a victim the hot tier evicts is **spilled** to a per-entry file in
   ``spill_dir`` (atomically: temp file + ``os.replace``), named by a stable
   hash of its ``cache_key(signature, order)`` and stamped with the
-  data-version token it was filled under;
-* a :meth:`get` that misses the hot tier **faults** the entry back in from
-  disk — verifying the file's checksum, key and token first — and promotes
-  it, so hot working sets migrate back to RAM on their own;
+  data-version token it was filled under and the byte size it is accounted
+  at.  There is one layout: the codec's columnar format 2, written from the
+  entry's ``ColumnBatch`` (a row-filled entry is transposed at this edge);
+* a ``get`` / ``get_batch`` that misses the hot tier **faults** the entry
+  back in from disk — verifying the file's checksum, key and token first —
+  and promotes it *as the decoded batch*, at the size in its header, so hot
+  working sets migrate back to RAM on their own without a row round trip
+  or a second walk over every value;
 * a token change (data changed) or :meth:`invalidate` drops **both** tiers;
   a spill file whose stored token no longer matches the cache's is deleted
   on contact and served as a clean miss — exactly how the memory tier
@@ -40,7 +44,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..analysis.sanitizer import record_io
 from ..obs import Observability, metric_field
@@ -48,14 +52,12 @@ from ..service.matcache import (
     CacheKey,
     CacheStatistics,
     MaterializationCache,
-    Row,
     _Entry,
-    estimate_rows_bytes,
+    estimate_batch_bytes,
 )
 from .codec import (
     SpillError,
     read_spill_batch,
-    read_spill_file,
     read_spill_header,
     wire_token,
     write_spill_file,
@@ -93,10 +95,6 @@ class SpillConfig:
     max_entries: int = 256
     max_disk_bytes: int = 1024 * 1024 * 1024
     max_disk_entries: int = 8192
-    #: On-disk payload layout for *newly written* spill files: ``"rows"``
-    #: (format 1) or ``"columnar"`` (format 2).  Reading accepts both
-    #: regardless, so the knob can be flipped over a live spill directory.
-    layout: str = "rows"
 
 
 @dataclass
@@ -123,11 +121,6 @@ class SpillingMaterializationCache(MaterializationCache):
             the base class.
         max_disk_bytes / max_disk_entries: budget of the warm (disk) tier;
             the least recently spilled-or-faulted file is deleted first.
-        layout: payload layout for newly written spill files — ``"rows"``
-            (format 1, the default) or ``"columnar"`` (format 2, decodes
-            straight into :class:`~repro.execution.columnar.batch
-            .ColumnBatch` on fault-in).  Reads accept both formats either
-            way, so existing directories keep working across the switch.
 
     The public behaviour contract of the base class holds: a ``get`` is
     either the exact rows most recently validly ``put`` for that key, or a
@@ -153,7 +146,6 @@ class SpillingMaterializationCache(MaterializationCache):
         policy=None,
         max_disk_bytes: int = SpillConfig.max_disk_bytes,
         max_disk_entries: int = SpillConfig.max_disk_entries,
-        layout: str = SpillConfig.layout,
         obs: Optional[Observability] = None,
     ):
         super().__init__(
@@ -163,9 +155,6 @@ class SpillingMaterializationCache(MaterializationCache):
             raise ValueError("max_disk_bytes must be positive")
         if max_disk_entries < 1:
             raise ValueError("max_disk_entries must be positive")
-        if layout not in ("rows", "columnar"):
-            raise ValueError(f"unknown spill layout {layout!r} (want 'rows' or 'columnar')")
-        self.layout = layout
         # Widen the view over the same registry/labels: the inherited fields
         # stay the very counters the base view created.
         self.statistics: SpillStatistics = SpillStatistics(
@@ -198,7 +187,6 @@ class SpillingMaterializationCache(MaterializationCache):
             policy=policy,
             max_disk_bytes=config.max_disk_bytes,
             max_disk_entries=config.max_disk_entries,
-            layout=config.layout,
             obs=obs,
         )
 
@@ -265,60 +253,26 @@ class SpillingMaterializationCache(MaterializationCache):
                 self.statistics.invalidations += 1
             return dropped + disk_dropped
 
-    # ------------------------------------------------------------------ get/put
-
-    def get(self, key: CacheKey) -> Optional[List[Row]]:
-        """Hot-tier hit, else fault the entry in from disk, else miss."""
-        with self._lock:
-            if key in self._entries:
-                return super().get(key)
-            faulted = self._fault_locked(key)
-            if faulted is None:
-                return super().get(key)  # records the miss
-            rows, cost, batch = faulted
-            self.statistics.faults += 1
-            if self._tracer.enabled:
-                self._tracer.event("matcache.fault", key=key[0][:16], order=key[1])
-            # A fault is still a hit of the (two-level) cache.
-            self._clock += 1
-            self.statistics.hits += 1
-            frozen = tuple(rows)  # decoded rows are fresh, never shared
-            self._promote_locked(key, frozen, cost)
-            if batch is not None:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    # Seed the columnar memo with the decoded batch so a
-                    # get_batch() on the promoted entry skips the transpose.
-                    entry.batch = batch
-            return [dict(row) for row in rows]
+    # ---------------------------------------------------------------------- put
 
     def _on_put_locked(self, key: CacheKey) -> None:
         # Any disk copy predates this fill and is now outdated; it must
         # never be faulted back in after the hot entry is evicted (a failed
-        # re-spill would otherwise resurrect it).  Running inside put()'s
+        # re-spill would otherwise resurrect it).  Running inside the fill's
         # critical section keeps the fill and the drop atomic while the
-        # expensive row freeze stays outside the lock, as in the base class.
+        # expensive freeze and sizing stay outside the lock, as in the base
+        # class.
         self._drop_disk_locked(key)
-
-    def _promote_locked(self, key: CacheKey, frozen: Tuple[Row, ...], cost: float) -> None:
-        """Move a faulted entry into the hot tier (no admission, no fill count).
-
-        The disk copy stays: :meth:`_on_evict_locked` skips the rewrite when
-        an entry whose rows are unchanged is evicted again, making
-        hot/warm exchange of a larger-than-RAM working set cheap.
-        """
-        size = estimate_rows_bytes(frozen)
-        if size > self.max_bytes:
-            return  # served from disk, too large to promote
-        self._store_locked(key, frozen, size, cost)
 
     # --------------------------------------------------------------- spilling
 
     def _on_evict_locked(self, key: CacheKey, entry: _Entry) -> None:
         existing = self._disk.get(key)
         if existing is not None:
-            # put() drops disk copies it outdates, so an existing file holds
-            # exactly these rows (it was the fault-in source): keep it.
+            # A fill drops the disk copy it outdates, so an existing file
+            # holds exactly these rows (it was the fault-in source): keeping
+            # it makes hot/warm exchange of a larger-than-RAM working set
+            # cheap.
             self._disk.move_to_end(key)
             return
         path = self.spill_dir / _spill_filename(key)
@@ -334,16 +288,10 @@ class SpillingMaterializationCache(MaterializationCache):
             written = write_spill_file(
                 handle,
                 key=key,
-                # A memoized columnar view (a batch-preferring backend read
-                # this entry) spills without re-transposing the rows.
-                rows=(
-                    entry.batch
-                    if self.layout == "columnar" and entry.batch is not None
-                    else entry.rows
-                ),
+                rows=entry.batch if entry.batch is not None else entry.rows,
                 token=wire_token(self._token),
                 cost=entry.cost,
-                layout=self.layout,
+                accounted_bytes=entry.bytes,
             )
             handle.flush()
             handle.close()
@@ -408,9 +356,7 @@ class SpillingMaterializationCache(MaterializationCache):
 
     # --------------------------------------------------------------- faulting
 
-    def _fault_locked(
-        self, key: CacheKey
-    ) -> Optional[Tuple[List[Row], float, Optional[object]]]:
+    def _fault_locked(self, key: CacheKey) -> Optional[_Entry]:
         disk = self._disk.get(key)
         if disk is None:
             return None
@@ -429,18 +375,10 @@ class SpillingMaterializationCache(MaterializationCache):
             self.statistics.stale_files_dropped += 1
             self._drop_disk_locked(key)
             return None
-        batch = None
         record_io("spill.read", obs=self.obs, key=key[0][:16])
         try:
             with open(disk.path, "rb") as handle:
-                if self.layout == "columnar":
-                    # Decode straight into columns (format-2 files skip the
-                    # rows→columns transpose; old format-1 files still work);
-                    # the row view is materialized once for the hot tier.
-                    header, batch = read_spill_batch(handle)
-                    rows = batch.to_rows()
-                else:
-                    header, rows = read_spill_file(handle)
+                header, batch = read_spill_batch(handle)
         except (OSError, SpillError):
             self.statistics.corrupt_files_dropped += 1
             self._drop_disk_locked(key)
@@ -458,7 +396,13 @@ class SpillingMaterializationCache(MaterializationCache):
             self._drop_disk_locked(key)
             return None
         self._disk.move_to_end(key)
-        return rows, header.cost, batch
+        self.statistics.faults += 1
+        if self._tracer.enabled:
+            self._tracer.event("matcache.fault", key=key[0][:16], order=key[1])
+        size = header.accounted_bytes
+        if size is None:  # written before the header carried it
+            size = estimate_batch_bytes(batch)
+        return _Entry(None, batch, size, max(header.cost, 0.0))
 
     def _drop_disk_locked(self, key: CacheKey) -> None:
         entry = self._disk.pop(key, None)

@@ -23,6 +23,7 @@ from repro.algebra.logical import QueryBatch
 from repro.catalog.tpcd import tpcd_catalog
 from repro.execution import ColumnarExecutor, Executor, tiny_tpcd_database
 from repro.service import OptimizerSession
+from repro.service.matcache import MaterializationCache
 from repro.workloads.synthetic import (
     random_star_batch,
     star_schema_catalog,
@@ -129,24 +130,43 @@ class TestColdAndWarmCacheParity:
     """
 
     @pytest.mark.parametrize("strategy", ["greedy", "share-all"])
-    def test_star_traffic_cold_then_warm(self, star_catalog, star_db, strategy):
+    @pytest.mark.parametrize("mixed_first", ["columnar", "row"])
+    def test_star_traffic_cold_then_warm(self, star_catalog, star_db, strategy, mixed_first):
+        """Besides one session per backend, a third "mixed" configuration
+        alternates a row and a columnar session over *one* cache, so batch
+        fills are read as rows and row fills as batches: same rows, same
+        counters, same byte books."""
         sessions = {
             backend: OptimizerSession(star_catalog, executor=backend, database=star_db)
             for backend in ("row", "columnar")
         }
-        for seed in (3, 3, 4):  # cold, warm repeat, overlapping batch
+        shared = MaterializationCache()
+        mixed_order = [mixed_first, "row" if mixed_first == "columnar" else "columnar"]
+        mixed = [
+            OptimizerSession(star_catalog, executor=backend, database=star_db, matcache=shared)
+            for backend in mixed_order
+        ]
+        for step, seed in enumerate((3, 3, 4)):  # cold, warm repeat, overlapping batch
             batch = random_star_batch(3, seed=seed, n_dimensions=4)
             outputs = {}
             for backend, session in sessions.items():
                 result = session.optimize(batch, strategy=strategy)
                 outputs[backend] = session.execute_plans(result)
-            row_run, col_run = outputs["row"], outputs["columnar"]
-            assert col_run.rows == row_run.rows
-            assert col_run.cache_hits == row_run.cache_hits
-            assert col_run.materializations == row_run.materializations
+            turn = mixed[step % 2]
+            outputs["mixed"] = turn.execute_plans(turn.optimize(batch, strategy=strategy))
+            row_run = outputs["row"]
+            for other in (outputs["columnar"], outputs["mixed"]):
+                assert other.rows == row_run.rows
+                assert other.cache_hits == row_run.cache_hits
+                assert other.materializations == row_run.materializations
         row_stats = sessions["row"].matcache.statistics.as_dict()
-        col_stats = sessions["columnar"].matcache.statistics.as_dict()
-        assert col_stats == row_stats
+        assert sessions["columnar"].matcache.statistics.as_dict() == row_stats
+        assert shared.statistics.as_dict() == row_stats
+        assert (
+            shared.current_bytes
+            == sessions["columnar"].matcache.current_bytes
+            == sessions["row"].matcache.current_bytes
+        )
 
     def test_tpcd_traffic_cold_then_warm(self):
         catalog = tpcd_catalog(1.0)

@@ -6,18 +6,24 @@ The invariants under test:
   fills, hits, evictions and invalidations happened, a hit is exactly the
   row set most recently (and validly) ``put`` for that key,
 * byte-size accounting stays consistent with the entries actually stored,
-  and never exceeds the configured capacity, and
-* a fill stamped with an outdated data-version token is rejected.
+  and never exceeds the configured capacity,
+* a fill stamped with an outdated data-version token is rejected, and
+* an entry is rows *or* a batch and it does not matter which: ``put`` /
+  ``put_batch`` run the same checks and count the same, ``get`` always
+  hands out fresh row dicts, ``get_batch`` the shared batch.
 """
 
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.execution.columnar import ColumnBatch
 from repro.service.matcache import (
     MaterializationCache,
     cache_key,
+    estimate_batch_bytes,
     estimate_rows_bytes,
 )
 from repro.dag.fingerprint import RelationSignature
@@ -40,9 +46,27 @@ def rows_for(n: int, variant: int = 0):
     ]
 
 
+def fill(cache, k, rows, *, as_batch=False, **kwargs):
+    """``put`` the rows, or ``put_batch`` their transpose."""
+    if as_batch:
+        return cache.put_batch(k, ColumnBatch.from_rows(rows), **kwargs)
+    return cache.put(k, rows, **kwargs)
+
+
+def fetch(cache, k, *, as_batch=False):
+    """``get``, or ``get_batch`` converted back to rows."""
+    if as_batch:
+        batch = cache.get_batch(k)
+        return None if batch is None else batch.to_rows()
+    return cache.get(k)
+
+
 def assert_accounting(cache: MaterializationCache):
     entries = cache._entries  # white-box: accounting must match stored entries
-    recomputed = sum(estimate_rows_bytes(list(e.rows)) for e in entries.values())
+    recomputed = sum(
+        estimate_rows_bytes(e.batch.to_rows() if e.rows is None else list(e.rows))
+        for e in entries.values()
+    )
     assert cache.current_bytes == sum(e.bytes for e in entries.values()) == recomputed
     assert cache.current_bytes <= cache.max_bytes
     assert len(cache) <= cache.max_entries
@@ -131,6 +155,112 @@ class TestByteAccounting:
         assert_accounting(roomy)
 
 
+class TestRowsOrBatch:
+    """One stored representation per entry; readers never notice which."""
+
+    @pytest.mark.parametrize("as_batch", [False, True])
+    def test_get_hands_out_fresh_dicts_whatever_the_entry_holds(self, as_batch):
+        cache = MaterializationCache()
+        assert fill(cache, key(3), rows_for(3), as_batch=as_batch, cost=1.0)
+        for _ in range(2):
+            handed_out = cache.get(key(3))
+            assert handed_out == rows_for(3)
+            for row in handed_out:  # mutate every returned row
+                row["t.payload"] = "corrupted"
+                row["extra"] = 1
+            handed_out.clear()
+        assert cache.get(key(3)) == rows_for(3)
+        assert cache.get_batch(key(3)).to_rows() == rows_for(3)
+
+    def test_batch_entry_keeps_no_row_copy(self):
+        cache = MaterializationCache()
+        batch = ColumnBatch.from_rows(rows_for(4))
+        cache.put_batch(key(4), batch)
+        assert cache.get(key(4)) == rows_for(4)
+        entry = cache._entries[key(4)]
+        assert entry.rows is None  # a row read derives rows, it stores none
+        assert entry.bytes == estimate_batch_bytes(batch) == estimate_rows_bytes(rows_for(4))
+        assert cache.get_batch(key(4)) is batch
+
+    def test_get_batch_after_a_row_put_memoizes_one_transpose(self):
+        cache = MaterializationCache()
+        cache.put(key(2), rows_for(2))
+        first = cache.get_batch(key(2))
+        assert first.to_rows() == rows_for(2)
+        assert cache.get_batch(key(2)) is first
+        assert cache.get(key(2)) == rows_for(2)
+
+    @pytest.mark.parametrize("as_batch", [False, True])
+    def test_fills_run_the_same_checks_and_count_the_same(self, as_batch):
+        class Picky:
+            def admit(self, key, size, cost):
+                return cost >= 1.0
+
+            def score(self, key, entry, clock):
+                return 0.0
+
+        rows = rows_for(1)
+        cache = MaterializationCache(max_bytes=estimate_rows_bytes(rows), policy=Picky())
+        cache.ensure_token("v1")
+        assert not fill(cache, key(1), rows, as_batch=as_batch, cost=5.0, token="v0")
+        assert not fill(cache, key(1), rows + rows, as_batch=as_batch, cost=5.0, token="v1")
+        assert not fill(cache, key(1), rows, as_batch=as_batch, cost=0.5, token="v1")
+        assert fill(cache, key(1), rows, as_batch=as_batch, cost=5.0, token="v1")
+        assert cache.statistics.as_dict() == {
+            "hits": 0,
+            "misses": 0,
+            "fills": 1,
+            "rejected_fills": 3,
+            "policy_rejections": 1,
+            "evictions": 0,
+            "invalidations": 0,
+        }
+        assert cache.current_bytes == estimate_rows_bytes(rows)
+        assert_accounting(cache)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["put", "put_batch", "get", "get_batch", "shrink"]),
+                st.integers(0, 5),
+                st.lists(
+                    st.dictionaries(
+                        st.sampled_from(["t.k", "π", "s"]),
+                        st.one_of(
+                            st.none(),
+                            st.booleans(),
+                            st.integers(-(2**70), 2**70),
+                            st.floats(allow_nan=False),
+                            st.text(max_size=5),
+                            st.binary(max_size=3),
+                        ),
+                        max_size=3,
+                    ),
+                    max_size=4,
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    def test_property_current_bytes_is_the_sum_over_resident_entries(self, ops):
+        cache = MaterializationCache(max_entries=3, max_bytes=600)
+        model = {}
+        for op, n, rows in ops:
+            if op == "shrink":
+                cache.max_bytes = max(cache.max_bytes - 50, 100)
+                cache.put(key(9), [{"k": 1}])  # any fill runs the eviction pass
+                model[key(9)] = [{"k": 1}]
+            elif op.startswith("put"):
+                if fill(cache, key(n), rows, as_batch=op == "put_batch", cost=float(n)):
+                    model[key(n)] = rows
+                    assert cache._entries[key(n)].bytes == estimate_rows_bytes(rows)
+            else:
+                got = fetch(cache, key(n), as_batch=op == "get_batch")
+                assert got is None or got == model[key(n)]
+            assert_accounting(cache)
+
+
 class TestTokens:
     def test_stale_token_fill_rejected(self):
         cache = MaterializationCache()
@@ -197,12 +327,20 @@ class TestRandomizedInterleavings:
         for step in range(600):
             action = rng.random()
             n = rng.randrange(12)
+            as_batch = (step + n) % 2 == 1  # either representation, either reader
             if action < 0.45:
                 variant = rng.randrange(1000)
-                if cache.put(key(n), rows_for(n, variant), cost=rng.uniform(0, 100), token=token):
+                if fill(
+                    cache,
+                    key(n),
+                    rows_for(n, variant),
+                    as_batch=as_batch,
+                    cost=rng.uniform(0, 100),
+                    token=token,
+                ):
                     model[key(n)] = rows_for(n, variant)
             elif action < 0.85:
-                got = cache.get(key(n))
+                got = fetch(cache, key(n), as_batch=as_batch)
                 if got is not None:
                     assert got == model[key(n)], f"stale/partial rows at step {step}"
             elif action < 0.95:

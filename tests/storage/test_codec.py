@@ -28,10 +28,17 @@ from repro.storage.codec import (
     decode_value,
     encode_rows,
     encode_value,
-    read_spill_file,
+    read_spill_batch,
     read_spill_header,
     write_spill_file,
 )
+
+
+def read_spill_rows(source):
+    """The file's rows: the one reader decodes to a batch, rows at the edge."""
+    header, batch = read_spill_batch(source)
+    return header, batch.to_rows()
+
 
 KEY = ("fingerprint-π", "any")
 
@@ -164,7 +171,7 @@ def spill_bytes(rows, *, token="tok", cost=12.5):
 class TestSpillFiles:
     def test_full_file_round_trip(self):
         rows = [{"t.k": 1, "π": "pâyløad", "v": (1.5, None)}]
-        header, decoded = read_spill_file(io.BytesIO(spill_bytes(rows)))
+        header, decoded = read_spill_rows(io.BytesIO(spill_bytes(rows)))
         assert decoded == rows
         assert header.key == KEY
         assert header.token == "tok"
@@ -189,7 +196,7 @@ class TestSpillFiles:
         data = spill_bytes(random_rows(rng) or [{"k": 1}])
         for cut in range(len(data)):
             with pytest.raises(SpillFormatError):
-                read_spill_file(io.BytesIO(data[:cut]))
+                read_spill_rows(io.BytesIO(data[:cut]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_any_single_byte_flip_is_detected(self, seed):
@@ -204,7 +211,7 @@ class TestSpillFiles:
             corrupted = bytearray(data)
             corrupted[position] ^= 1 + rng.randrange(255)
             try:
-                header, decoded = read_spill_file(io.BytesIO(bytes(corrupted)))
+                header, decoded = read_spill_rows(io.BytesIO(bytes(corrupted)))
             except SpillFormatError:
                 continue
             # A flip that survived verification must not have changed
@@ -215,7 +222,7 @@ class TestSpillFiles:
     def test_trailing_bytes_after_payload_rejected(self):
         data = spill_bytes([{"k": 1}])
         with pytest.raises(SpillFormatError):
-            read_spill_file(io.BytesIO(data + b"junk"))
+            read_spill_rows(io.BytesIO(data + b"junk"))
 
     def test_not_a_spill_file(self):
         with pytest.raises(SpillFormatError):

@@ -83,6 +83,41 @@ class TestCorruptPayloads:
         assert reborn.statistics.corrupt_files_dropped == 1
         assert not victim_path.exists()
 
+    def test_any_flip_in_the_packed_vectors_is_a_clean_miss(self, tmp_path):
+        """``rows_for`` columns are all-int and all-str, so the payload is a
+        packed int64 vector, packed string lengths and one UTF-8 blob: a
+        flip anywhere in it (length words and blob included) must cost a
+        recomputation, never an exception or different rows."""
+        cache = spilled_cache(tmp_path, entries=1)
+        (victim_key,) = cache.disk_keys()
+        victim_path = (tmp_path / "spill") / spill_module._spill_filename(victim_key)
+        pristine = victim_path.read_bytes()
+        start = pristine.index(b"\n", pristine.index(b"\n") + 1) + 1
+        assert b"u" in pristine[start:] and b"q" in pristine[start:]
+        for position in range(start, len(pristine)):
+            data = bytearray(pristine)
+            data[position] ^= 0x41
+            victim_path.write_bytes(bytes(data))
+            reborn = SpillingMaterializationCache(tmp_path / "spill", max_entries=1)
+            reborn.ensure_token("tok")
+            assert reborn.get(victim_key) is None, f"flip at {position} was served"
+            assert reborn.statistics.corrupt_files_dropped == 1
+            assert not victim_path.exists()
+
+    def test_forged_accounted_bytes_is_dropped_at_recovery(self, tmp_path):
+        """The header is outside the checksum; a size that is not a
+        non-negative integer must not reach the cache's books."""
+        cache = spilled_cache(tmp_path, entries=1)
+        (victim_key,) = cache.disk_keys()
+        victim_path = (tmp_path / "spill") / spill_module._spill_filename(victim_key)
+        data = victim_path.read_bytes()
+        assert b'"accounted_bytes": ' in data
+        victim_path.write_bytes(data.replace(b'"accounted_bytes": ', b'"accounted_bytes": -'))
+        reborn = SpillingMaterializationCache(tmp_path / "spill", max_entries=1)
+        assert reborn.statistics.recovered == 0
+        assert reborn.statistics.corrupt_files_dropped == 1
+        assert not victim_path.exists()
+
     def test_foreign_file_under_the_right_name_is_rejected(self, tmp_path):
         """A file whose header key disagrees with its filename (collision or
         tampering) must not be served for the requested key."""

@@ -3,17 +3,33 @@
 The contract on top of the memory tier's: evictions spill, gets fault back
 in, restarts recover, stale tokens and budgets are enforced on disk exactly
 as in RAM — and a hit is *always* the rows most recently validly put,
-whichever tier served it.
+whichever tier served it, whichever representation (rows or a batch) the
+entry was filled, faulted or read as.  There is one on-disk layout; files
+an older release wrote keep being served.
 """
 
+import io
 import random
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dag.fingerprint import RelationSignature
+from repro.execution.columnar import ColumnBatch
 from repro.service.matcache import MaterializationCache, cache_key, estimate_rows_bytes
 from repro.storage import SpillConfig, SpillingMaterializationCache
+from repro.storage import spill as spill_module
+from repro.storage.codec import (
+    SPILL_FORMAT,
+    SPILL_FORMAT_COLUMNAR,
+    encode_rows,
+    read_spill_header,
+    write_spill_file,
+)
+from test_codec_columnar import spill_file_bytes  # sibling module: the hand-built file envelope
 
 
 def key(n: int):
@@ -30,6 +46,54 @@ def rows_for(n: int, variant: int = 0):
 def make(tmp_path, **kwargs):
     kwargs.setdefault("max_entries", 2)
     return SpillingMaterializationCache(tmp_path / "spill", **kwargs)
+
+
+def fill(cache, k, rows, *, as_batch=False, **kwargs):
+    """``put`` the rows, or ``put_batch`` their transpose."""
+    if as_batch:
+        return cache.put_batch(k, ColumnBatch.from_rows(rows), **kwargs)
+    return cache.put(k, rows, **kwargs)
+
+
+def fetch(cache, k, *, as_batch=False):
+    """``get``, or ``get_batch`` converted back to rows."""
+    if as_batch:
+        batch = cache.get_batch(k)
+        return None if batch is None else batch.to_rows()
+    return cache.get(k)
+
+
+def assert_accounting(cache):
+    entries = cache._entries  # white-box: the books must match what is resident
+    assert cache.current_bytes == sum(e.bytes for e in entries.values())
+    for entry in entries.values():
+        rows = entry.batch.to_rows() if entry.rows is None else list(entry.rows)
+        assert entry.bytes == estimate_rows_bytes(rows)
+    assert cache.current_bytes <= cache.max_bytes
+    files = {p.name for p in cache.spill_dir.glob("*.spill")}
+    assert len(files) == cache.disk_entries
+
+
+def write_legacy_file(directory: Path, k, rows, *, legacy: str, token="tok", cost=2.0):
+    """One spill file as a previous release would have left it: ``format1``
+    (the row payload) or ``format2`` without ``accounted_bytes``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / spill_module._spill_filename(k)
+    if legacy == "format2":
+        with open(path, "wb") as handle:
+            write_spill_file(handle, key=k, rows=rows, token=token, cost=cost)
+        return path
+    path.write_bytes(
+        spill_file_bytes(
+            encode_rows(rows),
+            spill_format=SPILL_FORMAT,
+            row_count=len(rows),
+            key=k,
+            token=token,
+            cost=cost,
+        )
+    )
+    return path
 
 
 class TestSpillAndFault:
@@ -225,50 +289,184 @@ class TestDiskBudget:
         assert (cache.max_disk_bytes, cache.max_disk_entries) == (4096, 7)
 
 
-class TestColumnarLayout:
-    """The columnar spill layout behaves identically through the cache."""
+class TestOneLayout:
+    """Every file is columnar (format 2) with the accounted size in its
+    header; entries move between the tiers as batches."""
 
-    def test_columnar_spill_and_fault_round_trip(self, tmp_path):
-        cache = make(tmp_path, layout="columnar")
+    @pytest.mark.parametrize("as_batch", [False, True])
+    def test_spill_files_are_columnar_and_carry_the_accounted_size(self, tmp_path, as_batch):
+        cache = make(tmp_path)
         cache.ensure_token("tok")
+        sizes = {}
         for n in range(4):
-            assert cache.put(key(n), rows_for(n), cost=float(n), token="tok")
+            assert fill(cache, key(n), rows_for(n), as_batch=as_batch, cost=float(n), token="tok")
+            sizes[key(n)] = cache._entries[key(n)].bytes
         assert cache.statistics.spills == 2
+        for k in cache.disk_keys():
+            with open(cache.spill_dir / spill_module._spill_filename(k), "rb") as handle:
+                header = read_spill_header(handle)
+            assert header.format == SPILL_FORMAT_COLUMNAR
+            assert header.accounted_bytes == sizes[k]
         for n in range(4):
             assert cache.get(key(n)) == rows_for(n)
         assert cache.statistics.faults >= 2
         assert cache.statistics.misses == 0
 
-    def test_faulted_entry_serves_batches(self, tmp_path):
-        cache = make(tmp_path, layout="columnar")
+    def test_faulted_entry_is_promoted_as_its_batch(self, tmp_path):
+        cache = make(tmp_path)
         cache.ensure_token("tok")
         for n in range(3):
             cache.put(key(n), rows_for(n), cost=float(n), token="tok")
         victim = next(n for n in range(3) if key(n) not in cache)
         batch = cache.get_batch(key(victim))
-        assert batch is not None
         assert batch.to_rows() == rows_for(victim)
+        entry = cache._entries[key(victim)]
+        assert entry.batch is batch and entry.rows is None  # no row round trip
+        assert entry.bytes == estimate_rows_bytes(rows_for(victim))
+        # A row reader of the faulted entry still gets fresh dicts.
+        handed_out = cache.get(key(victim))
+        for row in handed_out:
+            row["t.payload"] = "corrupted"
+        assert cache.get(key(victim)) == rows_for(victim)
+        assert cache.get_batch(key(victim)) is batch
 
-    @pytest.mark.parametrize(
-        "first,second", [("rows", "columnar"), ("columnar", "rows")]
-    )
-    def test_restart_across_layouts(self, tmp_path, first, second):
-        """A restarted cache decodes whatever layout the previous process
-        wrote — the format is per-file, the layout only a write policy."""
-        cache = make(tmp_path, layout=first)
-        cache.ensure_token("tok")
+    @pytest.mark.parametrize("legacy", ["format1", "format2"])
+    @pytest.mark.parametrize("as_batch", [False, True])
+    def test_old_format_directory_is_served_by_a_new_process(self, tmp_path, legacy, as_batch):
+        """A directory of format-1 files, or of format-2 files from before
+        the header carried ``accounted_bytes``, faults in with the right
+        rows, sizes and counters — and is re-spilled in today's layout only
+        when its entries are refilled."""
         for n in range(4):
-            cache.put(key(n), rows_for(n), cost=float(n), token="tok")
-        cache.checkpoint()
-        reborn = make(tmp_path, layout=second)
+            write_legacy_file(tmp_path / "spill", key(n), rows_for(n), legacy=legacy)
+        reborn = make(tmp_path, max_entries=4)
+        assert reborn.statistics.recovered == 4
         reborn.ensure_token("tok")
         for n in range(4):
-            assert reborn.get(key(n)) == rows_for(n)
-        assert reborn.statistics.misses == 0
+            assert fetch(reborn, key(n), as_batch=as_batch) == rows_for(n)
+            assert reborn._entries[key(n)].bytes == estimate_rows_bytes(rows_for(n))
+            assert reborn._entries[key(n)].cost == 2.0
+        stats = reborn.statistics.as_dict()
+        assert (stats["faults"], stats["hits"], stats["misses"]) == (4, 4, 0)
+        assert stats["corrupt_files_dropped"] == stats["stale_files_dropped"] == 0
+        assert_accounting(reborn)
+        # Evicting a faulted entry keeps its (old-format) file: no rewrite...
+        reborn.max_entries = 1
+        reborn.put(key(9), rows_for(9), token="tok")
+        assert reborn.statistics.evictions == 4 and reborn.statistics.spills == 0
+        # ...a refill outdates it, and the next spill is today's layout.
+        reborn.put(key(0), rows_for(0, variant=5), token="tok")
+        reborn.put(key(9), rows_for(9), token="tok")
+        with open(reborn.spill_dir / spill_module._spill_filename(key(0)), "rb") as handle:
+            header = read_spill_header(handle)
+        assert header.format == SPILL_FORMAT_COLUMNAR
+        assert header.accounted_bytes == estimate_rows_bytes(rows_for(0, variant=5))
+        assert fetch(reborn, key(0), as_batch=not as_batch) == rows_for(0, variant=5)
+        for n in range(1, 4):
+            assert fetch(reborn, key(n), as_batch=not as_batch) == rows_for(n)
 
-    def test_layout_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            make(tmp_path, layout="parquet")
+    def test_there_is_no_layout_knob(self, tmp_path):
+        """One layout: nothing to select, nothing to validate."""
+        with pytest.raises(TypeError):
+            make(tmp_path, layout="columnar")
+        with pytest.raises(TypeError):
+            SpillConfig(layout="rows")
+        with pytest.raises(TypeError):
+            write_spill_file(io.BytesIO(), key=key(1), rows=[], token="t", cost=0.0, layout="rows")
+
+    @pytest.mark.parametrize("fill_as_batch", [False, True])
+    @pytest.mark.parametrize("read_as_batch", [False, True])
+    def test_counters_do_not_depend_on_the_access_path(
+        self, tmp_path, fill_as_batch, read_as_batch
+    ):
+        """Hits, misses, faults, spills, evictions and the byte books of one
+        fixed put/get script are the same for all four combinations of
+        fill and read representation (the expected values are what the
+        release before the one-layout change counted for put/get)."""
+        cache = make(tmp_path, max_entries=2)
+        cache.ensure_token("tok")
+        script = [0, 1, 2, 0, 3, 1, 0, 2, 7, 3, 3]
+        for n in script:
+            if fetch(cache, key(n), as_batch=read_as_batch) is None and n != 7:
+                fill(cache, key(n), rows_for(n), as_batch=fill_as_batch, cost=float(n), token="tok")
+        stats = cache.statistics.as_dict()
+        assert {
+            name: stats[name]
+            for name in ("hits", "misses", "fills", "evictions", "spills", "faults")
+        } == {"hits": 6, "misses": 5, "fills": 4, "evictions": 6, "spills": 3, "faults": 4}
+        assert cache.current_bytes == 833
+        assert_accounting(cache)
+
+
+ROW_SETS = st.lists(
+    st.dictionaries(
+        st.sampled_from(["t.k", "π-col", "s", "v"]),
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-(2**70), 2**70),
+            st.floats(allow_nan=False),
+            st.sampled_from([0.0, -0.0]),
+            st.text(max_size=6),
+            st.sampled_from(["", "日本語"]),
+            st.binary(max_size=4),
+            st.tuples(st.integers(-3, 3), st.text(max_size=2)),
+        ),
+        max_size=4,
+    ),
+    max_size=6,
+)
+
+
+class TestAccountedBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(ROW_SETS, st.booleans(), st.booleans())
+    def test_property_spill_then_fault_keeps_the_entrys_size(self, rows, fill_as_batch, read_as_batch):
+        with tempfile.TemporaryDirectory() as directory:
+            cache = SpillingMaterializationCache(Path(directory), max_entries=1)
+            cache.ensure_token("tok")
+            assert fill(cache, key(1), rows, as_batch=fill_as_batch, cost=3.0, token="tok")
+            evicted_bytes = cache._entries[key(1)].bytes
+            assert evicted_bytes == estimate_rows_bytes(rows)
+            cache.put(key(2), [{"k": 1}], token="tok")  # evicts and spills key(1)
+            assert key(1) not in cache
+            with open(Path(directory) / spill_module._spill_filename(key(1)), "rb") as handle:
+                assert read_spill_header(handle).accounted_bytes == evicted_bytes
+            assert fetch(cache, key(1), as_batch=read_as_batch) == rows
+            assert cache._entries[key(1)].bytes == evicted_bytes
+            assert_accounting(cache)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["put", "put_batch", "get", "get_batch", "shrink", "grow"]),
+                st.integers(0, 4),
+                ROW_SETS,
+            ),
+            max_size=25,
+        )
+    )
+    def test_property_books_balance_after_any_put_evict_fault_sequence(self, ops):
+        with tempfile.TemporaryDirectory() as directory:
+            cache = SpillingMaterializationCache(Path(directory), max_entries=2, max_bytes=900)
+            cache.ensure_token("tok")
+            model = {}
+            for op, n, rows in ops:
+                if op in ("shrink", "grow"):
+                    cache.max_bytes = 300 if op == "shrink" else 900
+                    cache.put(key(9), [{"k": 1}], token="tok")  # runs the eviction pass
+                    model[key(9)] = [{"k": 1}]
+                elif op.startswith("put"):
+                    if fill(cache, key(n), rows, as_batch=op == "put_batch", cost=float(n), token="tok"):
+                        model[key(n)] = rows
+                else:
+                    got = fetch(cache, key(n), as_batch=op == "get_batch")
+                    if got is not None:
+                        assert got == model[key(n)]
+                    elif key(n) in model:  # a modelled miss: only an oversized fill's loss
+                        assert estimate_rows_bytes(model[key(n)]) > 300
+                assert_accounting(cache)
 
 
 class TestFuzzTwoLevel:
@@ -287,12 +485,20 @@ class TestFuzzTwoLevel:
         for step in range(400):
             action = rng.random()
             n = rng.randrange(10)
+            as_batch = (step + n) % 2 == 1  # either representation, either reader
             if action < 0.45:
                 variant = rng.randrange(1000)
-                if cache.put(key(n), rows_for(n, variant), cost=rng.uniform(0, 100), token=token):
+                if fill(
+                    cache,
+                    key(n),
+                    rows_for(n, variant),
+                    as_batch=as_batch,
+                    cost=rng.uniform(0, 100),
+                    token=token,
+                ):
                     model[key(n)] = rows_for(n, variant)
             elif action < 0.85:
-                got = cache.get(key(n))
+                got = fetch(cache, key(n), as_batch=as_batch)
                 if got is not None:
                     assert got == model[key(n)], f"stale/partial rows at step {step}"
             elif action < 0.95:
@@ -302,9 +508,8 @@ class TestFuzzTwoLevel:
             else:
                 if token > 0:
                     assert not cache.put(key(n), rows_for(n, -1), token=token - 1)
-        # Disk files on disk always mirror the index.
-        files = {p.name for p in (tmp_path / "spill").glob("*.spill")}
-        assert len(files) == cache.disk_entries
+            # The books balance and the files on disk mirror the index.
+            assert_accounting(cache)
 
     def test_threaded_two_level_hits_never_mix_keys(self, tmp_path):
         cache = SpillingMaterializationCache(
