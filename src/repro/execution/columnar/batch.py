@@ -31,7 +31,11 @@ Semantics mirror the row world exactly:
 Batches are immutable by convention: operators never mutate a column list
 they received; :meth:`take` and :meth:`select` build new containers (and
 :meth:`select` shares the underlying value lists, which is what makes
-column pruning on a cached batch free).
+column pruning on a cached batch free).  The convention is load-bearing:
+every scan of a base table shares the lists of that table's column image
+(:meth:`~repro.execution.data.Database.column_image`), and a cached
+materialization shares its lists with every read of it, so one mutated
+list would corrupt every later result that reads it.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class ColumnBatch:
         length: number of rows in the batch.
     """
 
-    __slots__ = ("columns", "masks", "length")
+    __slots__ = ("columns", "masks", "length", "__weakref__")
 
     def __init__(
         self,
@@ -108,28 +112,6 @@ class ColumnBatch:
                 columns[name] = [None if v is missing else v for v in values]
                 masks[name] = mask
         return cls(columns, len(rows), masks)
-
-    @classmethod
-    def from_table(cls, rows: Sequence[Row], alias: str) -> "ColumnBatch":
-        """Build a batch straight from a base table, alias-qualifying names.
-
-        The columnar equivalent of the row executor's per-row
-        ``_prefix_row`` — one pass per column instead of one dict per row.
-        """
-        if not rows:
-            return cls({}, 0)
-        keys = list(rows[0])
-        try:
-            if all(len(row) == len(keys) for row in rows):
-                return cls(
-                    {f"{alias}.{key}": [row[key] for row in rows] for key in keys},
-                    len(rows),
-                )
-        # repro-lint: disable=bare-except-swallow -- KeyError *is* the heterogeneity signal; from_rows below handles these rows
-        except KeyError:
-            pass
-        prefixed = cls.from_rows([{f"{alias}.{k}": v for k, v in row.items()} for row in rows])
-        return prefixed
 
     # --------------------------------------------------------------- conversion
 

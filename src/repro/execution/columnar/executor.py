@@ -10,15 +10,20 @@ materialization step of a *query* plan — a materialization stays a batch in
 the store and goes to ``fill_listener`` as one), where
 :meth:`ColumnBatch.to_rows` reproduces the row executor's output bit for bit.
 
-Two things make this fast where the interpreter is slow:
+Three things make this fast where the interpreter is slow:
 
+* **one transposition per table and data version**: a scan is a zero-copy,
+  alias-qualified view of the table's column image
+  (:meth:`~repro.execution.data.Database.column_image`), which the
+  database builds once per :attr:`~repro.execution.data.Database.version`
+  and drops on the next change;
 * **one resolution / compilation pass per batch** instead of per row —
   predicates go through :func:`~repro.execution.columnar.compile
-  .filter_indices` (selection vectors), joins hash raw key columns and emit
-  index pairs before gathering any payload, aggregates extract each input
-  column once;
+  .filter_indices` (selection vectors), joins hash raw key columns (on a
+  side with unique keys when there is one) and emit index pairs before
+  gathering any payload, aggregates extract each input column once;
 * **column pruning**: every operator tells its child which columns it
-  actually needs (``needed``), so scans under an aggregate never build the
+  actually needs (``needed``), so scans under an aggregate never expose the
   columns the aggregate will not read, and ``READ_MATERIALIZED`` serves a
   zero-copy column subset of the cached batch.
 
@@ -64,6 +69,17 @@ def _matches(name: str, ref: ColumnRef) -> bool:
 
 def _prune_names(names: Sequence[str], needed: FrozenSet[ColumnRef]) -> List[str]:
     return [name for name in names if any(_matches(name, ref) for ref in needed)]
+
+
+def _unique_positions(keys: Sequence[object]) -> Optional[Dict[object, int]]:
+    """``{key: position}`` over the non-NULL keys when no two are equal (dict
+    equality: ``1 == 1.0 == True``; a NaN equals only itself), else None."""
+    positions = dict(zip(keys, range(len(keys))))
+    nulls = 0
+    if None in positions:  # NULL keys match nothing
+        del positions[None]
+        nulls = keys.count(None)
+    return positions if len(positions) == len(keys) - nulls else None
 
 
 def _extend(needed: Needed, refs) -> Needed:
@@ -154,25 +170,18 @@ class ColumnarExecutor(Executor):
     # ------------------------------------------------------------- operators
 
     def _table_batch(self, table: str, alias: str, needed: Needed) -> ColumnBatch:
-        rows = self.database.table(table)
-        if not rows:
-            return ColumnBatch({}, 0)
-        keys = list(rows[0])
-        try:
-            if all(len(row) == len(keys) for row in rows):
-                columns: Dict[str, List[object]] = {}
-                for key in keys:
-                    name = f"{alias}.{key}"
-                    if needed is None or any(_matches(name, ref) for ref in needed):
-                        columns[name] = [row[key] for row in rows]
-                return ColumnBatch(columns, len(rows))
-        # repro-lint: disable=bare-except-swallow -- same arity, different keys: KeyError is the signal to fall through to the slow path
-        except KeyError:
-            pass
-        batch = ColumnBatch.from_table(rows, alias)
+        """The table's column image, alias-qualified and pruned: a view that
+        shares the image's value lists, so a scan copies nothing."""
+        image = self.database.column_image(table)
+        names = [f"{alias}.{key}" for key in image.columns]
         if needed is not None:
-            batch = batch.select(_prune_names(list(batch.columns), needed))
-        return batch
+            names = _prune_names(names, needed)
+        cut = len(alias) + 1
+        return ColumnBatch(
+            {name: image.columns[name[cut:]] for name in names},
+            image.length,
+            {name: image.masks[name[cut:]] for name in names if name[cut:] in image.masks},
+        )
 
     @staticmethod
     def _filter_batch(batch: ColumnBatch, predicate: Optional[Predicate]) -> ColumnBatch:
@@ -318,13 +327,39 @@ class ColumnarExecutor(Executor):
                 keys.append(tuple(key) if key is not None else None)
             return keys
 
-        build_keys = key_rows(right, right_refs)
-        probe_keys = key_rows(left, left_refs)
+        left_keys = key_rows(left, left_refs)
+        right_keys = key_rows(right, right_refs)
 
+        # Build on a side whose non-NULL keys are unique (smaller side
+        # first): one dict, one probe, no buckets.  Every path emits the
+        # pairs in the same order: left-major, ascending right positions
+        # within each left row.
+        sides = [(True, left_keys), (False, right_keys)]
+        if len(right_keys) < len(left_keys):
+            sides.reverse()
+        for build_left, keys in sides:
+            position = _unique_positions(keys)
+            if position is None:
+                continue
+            if build_left:
+                # A counting sort of the matched right positions by the left
+                # row they match: stable, so ascending within each left row.
+                groups: List[List[int]] = [[] for _ in keys]
+                for ri, li in enumerate(map(position.get, right_keys)):
+                    if li is not None:
+                        groups[li].append(ri)
+                return (
+                    [li for li, group in enumerate(groups) for _ in group],
+                    [ri for group in groups for ri in group],
+                )
+            of_left = list(map(position.get, left_keys))
+            left_idx = [li for li, ri in enumerate(of_left) if ri is not None]
+            return left_idx, list(map(of_left.__getitem__, left_idx))
+
+        # Duplicates on both sides: buckets on the right, probe the left.
         buckets: Dict[object, List[int]] = {}
-        left_idx: List[int] = []
-        right_idx: List[int] = []
-        for i, key in enumerate(build_keys):
+        left_idx, right_idx = [], []
+        for i, key in enumerate(right_keys):
             if key is None:
                 continue
             bucket = buckets.get(key)
@@ -333,7 +368,7 @@ class ColumnarExecutor(Executor):
             else:
                 bucket.append(i)
         get = buckets.get
-        for li, key in enumerate(probe_keys):
+        for li, key in enumerate(left_keys):
             if key is None:
                 continue
             bucket = get(key)

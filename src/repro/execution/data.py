@@ -14,7 +14,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:
+    from .columnar.batch import ColumnBatch
 
 __all__ = ["Row", "Database", "tiny_tpcd_database", "example1_database"]
 
@@ -29,14 +32,21 @@ class Database:
     mutation made through its API (``add_table``/``replace_table``/``touch``);
     caches of derived results — most importantly the serving layer's
     :class:`~repro.service.matcache.MaterializationCache` — compare versions
-    to detect that their contents have gone stale.  Code that mutates table
-    lists in place must call :meth:`touch` afterwards.
+    to detect that their contents have gone stale.  The same bump drops the
+    per-table column images (:meth:`column_image`) the columnar executor
+    scans.  Code that mutates table lists in place must call :meth:`touch`
+    afterwards: until it does, the change is invisible to columnar scans as
+    well as to the caches.
     """
 
     tables: Dict[str, List[Row]] = field(default_factory=dict)
     _version: int = field(default=0, repr=False, compare=False)
     _fingerprint: Optional[Tuple[int, str]] = field(
         default=None, repr=False, compare=False
+    )
+    # (version, {table: image}) on the object, so an image dies with it.
+    _images: Optional[Tuple[int, Dict[str, "ColumnBatch"]]] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     @property
@@ -45,9 +55,32 @@ class Database:
         return self._version
 
     def touch(self) -> int:
-        """Record an out-of-band data change (in-place row mutation)."""
+        """Record an out-of-band data change (in-place row mutation) and drop
+        the column images."""
         self._version += 1
+        self._images = None
         return self._version
+
+    def column_image(self, name: str) -> "ColumnBatch":
+        """The table transposed once per :attr:`version`: a ``ColumnBatch``
+        with the rows' own (unqualified) keys, masks where rows differ.
+
+        Every columnar scan of the table shares its value lists, so nobody
+        may mutate them (the :class:`ColumnBatch` immutability contract).
+        """
+        # Same idiom as fingerprint(): stamp with the version captured BEFORE
+        # reading the rows, so a transpose that a change raced is filed under
+        # the old version and the next call rebuilds.
+        version = self._version
+        images = self._images
+        if images is None or images[0] != version:
+            images = self._images = (version, {})
+        image = images[1].get(name)
+        if image is None:
+            from .columnar.batch import ColumnBatch  # the package imports this module
+
+            image = images[1][name] = ColumnBatch.from_rows(self.table(name))
+        return image
 
     def fingerprint(self) -> str:
         """A stable content hash of the data: equal bytes ⇒ equal fingerprint.
@@ -99,7 +132,7 @@ class Database:
 
     def add_table(self, name: str, rows: Iterable[Row]) -> None:
         self.tables[name] = [dict(row) for row in rows]
-        self._version += 1
+        self.touch()
 
     def replace_table(self, name: str, rows: Iterable[Row]) -> None:
         """Swap a table's contents (same as ``add_table`` but requires existence)."""
