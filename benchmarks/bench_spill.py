@@ -19,8 +19,7 @@ Methodology:
   cache tier's contract ("one cache serves every batch, and would even
   survive a session rebuild") and per-batch memos keep optimizer time —
   which is identical on both sides and not what this benchmark measures —
-  out of the wall clock (the single shared memo's subsumption pass is
-  superlinear in traffic diversity; that is ``bench_pool``'s subject).
+  out of the wall clock.
 * Only :meth:`OptimizerSession.execute_plans` is timed.  Three passes:
   **cold** (a spilling cache with the halved RAM budget computes every
   materialization; mid-pass eviction spills are charged to this side,
@@ -30,7 +29,7 @@ Methodology:
   cache's second pass: the bound the disk tier approximates).
 
 Besides the assertions, writes ``BENCH_spill.json`` at the repository root
-for CI to upload next to ``BENCH_pool.json``.
+for CI to upload with the other ``BENCH_*.json`` artifacts.
 """
 
 import json

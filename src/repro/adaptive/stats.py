@@ -179,8 +179,8 @@ class FeedbackStatsStore:
 
         :attr:`statistics` is a live view over the shared registry; reading
         several of its fields bare can observe a torn multi-counter state
-        (an observation counted whose refinement is not).  Aggregators — the
-        experiment reporting tables, the pool — read from these snapshots.
+        (an observation counted whose refinement is not).  The experiment
+        reporting tables read from these snapshots.
         """
         with self._lock:
             return self.statistics.as_dict()

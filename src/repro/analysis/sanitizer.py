@@ -25,9 +25,9 @@ counted on the component's :class:`~repro.obs.MetricsRegistry` and emitted
 as trace events, and :meth:`SanitizerState.report` serializes everything
 for test assertions and CI artifacts.
 
-Roles, not lock instances, are the graph nodes: a 4-shard pool has four
-``"session"`` locks, and an order inversion between any two of them is the
-same bug.  Re-entrant re-acquisition of the same role (RLock) does not add
+Roles, not lock instances, are the graph nodes: two sessions in one
+process hold two ``"session"`` locks, and an order inversion between them
+is the same bug.  Re-entrant re-acquisition of the same role (RLock) does not add
 a self-edge.
 """
 

@@ -66,6 +66,15 @@ def query_signature(query: Query, catalog: Catalog) -> Signature:
     ``memo.signature_of(root)`` after ``DagBuilder.intern_query(query)``,
     which is what lets a front end route queries by fingerprint *before*
     deciding which memo they will be interned into.
+
+    To spread traffic over ``N`` independent serving processes, route each
+    query to process
+    ``int.from_bytes(sha256(canonical_key(sig).encode()).digest()[:8], "big") % N``
+    (``sig`` this signature, :func:`~repro.dag.fingerprint.canonical_key`
+    its stable string form).  The key is process-independent — unlike the
+    builtin ``hash`` of a string, which Python salts per process — so a
+    re-submitted query always lands on the process whose caches are warm
+    for it, and a restarted front end routes exactly as before.
     """
     return _block_signature(bind_block(normalize_query(query), catalog))
 

@@ -38,17 +38,6 @@ def _render(cell: Cell) -> str:
     return str(cell)
 
 
-def _counter_dict(session) -> dict:
-    """The session's counters via the most torn-read-safe path it offers."""
-    statistics = session.statistics
-    if callable(statistics):  # a SessionPool aggregates shard snapshots on demand
-        return statistics().as_dict()
-    snapshot = getattr(session, "statistics_snapshot", None)
-    if callable(snapshot):  # a consistent copy taken under the owner's lock
-        return snapshot()
-    return statistics.as_dict()
-
-
 def session_counters_table(session, title: str = "Session counters") -> "ResultTable":
     """Every counter a serving session exposes, as one ``counter | value`` table.
 
@@ -58,47 +47,35 @@ def session_counters_table(session, title: str = "Session counters") -> "ResultT
     included — and, when the session runs with the adaptive feedback loop
     enabled, the feedback store's collection counters (prefixed
     ``feedback_``) plus its current size and epoch, so drift activity shows
-    up next to the classic reuse statistics.  The session is duck-typed;
-    anything with a ``statistics_snapshot()`` (preferred — a consistent,
-    under-the-lock copy) or ``statistics.as_dict()`` works — including a
-    :class:`~repro.service.pool.SessionPool`, whose callable ``statistics()``
-    and ``matcache_statistics()`` aggregates are used instead.
+    up next to the classic reuse statistics.  Every counter group is read
+    through its owner's ``statistics_snapshot()`` — a consistent,
+    under-the-lock copy.
     """
     table = ResultTable(title, ["counter", "value"])
-    for name, value in _counter_dict(session).items():
+    for name, value in session.statistics_snapshot().items():
         table.add_row(name, value)
-    matcache = getattr(session, "matcache", None)
-    caches = [matcache] if matcache is not None else []
-    if matcache is not None:
-        for name, value in matcache.statistics_snapshot().items():
-            table.add_row(f"matcache_{name}", value)
-    else:
-        aggregated = getattr(session, "matcache_statistics", None)
-        if callable(aggregated):  # a pool sums its per-shard caches
-            for name, value in aggregated().as_dict().items():
-                table.add_row(f"matcache_{name}", value)
-        caches = [s.matcache for s in getattr(session, "sessions", ())]
-    spilling = [cache for cache in caches if hasattr(cache, "disk_entries")]
-    if spilling:  # the durable tier's current footprint, summed over shards
-        table.add_row("matcache_disk_entries", sum(c.disk_entries for c in spilling))
-        table.add_row("matcache_disk_bytes", sum(c.disk_bytes for c in spilling))
-    feedback = getattr(session, "feedback", None)
+    matcache = session.matcache
+    for name, value in matcache.statistics_snapshot().items():
+        table.add_row(f"matcache_{name}", value)
+    if hasattr(matcache, "disk_entries"):  # the durable tier's current footprint
+        table.add_row("matcache_disk_entries", matcache.disk_entries)
+        table.add_row("matcache_disk_bytes", matcache.disk_bytes)
+    feedback = session.feedback
     if feedback is not None:
         for name, value in feedback.statistics_snapshot().items():
             table.add_row(f"feedback_{name}", value)
         table.add_row("feedback_tracked_nodes", len(feedback))
         table.add_row("feedback_epoch", feedback.epoch)
-    registry = getattr(getattr(session, "obs", None), "registry", None)
-    if registry is not None:
-        # One row per labeled latency series (per strategy and, behind a
-        # pool, per shard), plus the bucket-merged roll-up across series.
-        for name in LATENCY_SERIES:
-            series = registry.histogram_snapshots(name)
-            for labels, snapshot in sorted(series.items()):
-                table.add_row(_series_title(name, labels), _percentile_cell(snapshot))
-            if len(series) > 1:
-                merged = HistogramSnapshot.merge(list(series.values()))
-                table.add_row(f"{name} (all)", _percentile_cell(merged))
+    # One row per labeled latency series (per strategy), plus the
+    # bucket-merged roll-up across series.
+    registry = session.obs.registry
+    for name in LATENCY_SERIES:
+        series = registry.histogram_snapshots(name)
+        for labels, snapshot in sorted(series.items()):
+            table.add_row(_series_title(name, labels), _percentile_cell(snapshot))
+        if len(series) > 1:
+            merged = HistogramSnapshot.merge(list(series.values()))
+            table.add_row(f"{name} (all)", _percentile_cell(merged))
     return table
 
 

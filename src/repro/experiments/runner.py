@@ -6,9 +6,7 @@ batches, one scale factor) that finishes in a couple of minutes on a
 laptop, and ``--output`` additionally writes the tables as markdown.
 ``--serve`` additionally exercises the serving layer: it replays the
 composite batches through one persistent :class:`OptimizerSession` behind a
-:class:`BatchScheduler` and reports the session's reuse statistics —
-``--serve --shards N`` serves the same traffic through a fingerprint-routed
-:class:`~repro.service.pool.SessionPool` of N sessions instead.
+:class:`BatchScheduler` and reports the session's reuse statistics.
 
 The experiments themselves run on the serving API as well (one
 :class:`~repro.service.session.OptimizerSession` per strategy), so the
@@ -39,7 +37,6 @@ def run_serving_demo(
     strategy: str = "greedy",
     execute: bool = True,
     adaptive: bool = False,
-    shards: int = 1,
     spill_dir: Optional[Path] = None,
     executor: str = "row",
     trace_dir: Optional[Path] = None,
@@ -56,10 +53,7 @@ def run_serving_demo(
     cold vs. warm end-to-end execute latency and the materialization cache's
     hit/fill counters.  ``adaptive=True`` turns on the runtime-feedback loop
     (:mod:`repro.adaptive`), whose observation/drift counters then appear in
-    the table alongside the classic statistics.  ``shards`` above 1 serves
-    the traffic through a fingerprint-routed
-    :class:`~repro.service.pool.SessionPool` instead of a single session
-    (the reported counters are then the shard aggregates).  ``spill_dir``
+    the table alongside the classic statistics.  ``spill_dir``
     enables the durable cache tier (:mod:`repro.storage`): evicted
     materializations spill to disk, the scheduler's shutdown checkpoints
     the rest, and re-running the demo against the same directory starts
@@ -74,36 +68,25 @@ def run_serving_demo(
     from ..catalog.tpcd import tpcd_catalog
     from ..execution import tiny_tpcd_database
     from ..obs import JsonlTraceWriter, Observability, Tracer
-    from ..service import BatchScheduler, OptimizerSession, SessionPool
+    from ..service import BatchScheduler, OptimizerSession
     from ..workloads.batches import composite_batch
 
     tracer = None
     if trace_dir is not None:
         tracer = Tracer(JsonlTraceWriter(trace_dir), sample=trace_sample)
-    obs = Observability(tracer=tracer)
-    if shards > 1:
-        serving = SessionPool(
-            tpcd_catalog(1.0),
-            shards=shards,
-            adaptive=adaptive,
-            spill_dir=spill_dir,
-            executor=executor,
-            obs=obs,
-        )
-    else:
-        serving = OptimizerSession(
-            tpcd_catalog(1.0),
-            adaptive=adaptive,
-            spill_dir=spill_dir,
-            executor=executor,
-            obs=obs,
-        )
+    session = OptimizerSession(
+        tpcd_catalog(1.0),
+        adaptive=adaptive,
+        spill_dir=spill_dir,
+        executor=executor,
+        obs=Observability(tracer=tracer),
+    )
     if execute:
-        serving.attach_database(tiny_tpcd_database(seed=3, orders=400))
+        session.attach_database(tiny_tpcd_database(seed=3, orders=400))
     pass_times = []
     started = time.perf_counter()
-    with BatchScheduler(serving, strategy=strategy) as scheduler:
-        for _ in range(2):  # second pass hits the warm session(s)
+    with BatchScheduler(session, strategy=strategy) as scheduler:
+        for _ in range(2):  # second pass hits the warm session
             pass_started = time.perf_counter()
             futures = [
                 scheduler.submit_batch(composite_batch(index), execute=execute)
@@ -114,14 +97,10 @@ def run_serving_demo(
             pass_times.append(time.perf_counter() - pass_started)
     elapsed = time.perf_counter() - started
 
-    front = (
-        f"a {shards}-shard SessionPool" if shards > 1 else "one OptimizerSession"
-    )
     table = session_counters_table(
-        serving, f"Serving demo — BQ1..BQ{max_batches} twice through {front}"
+        session,
+        f"Serving demo — BQ1..BQ{max_batches} twice through one OptimizerSession",
     )
-    if shards > 1:
-        table.add_row("shards", shards)
     if spill_dir is not None:
         table.add_row("spill dir", str(spill_dir))
     if tracer is not None:
@@ -133,8 +112,7 @@ def run_serving_demo(
     table.add_row("wall time (s)", round(elapsed, 3))
     table.notes = (
         f"strategy={strategy}; the second pass is served from the warm "
-        "result, plan and materialization caches"
-        + (" of whichever shard each batch routes to." if shards > 1 else ".")
+        "result, plan and materialization caches."
     )
     if verbose:
         mode = "optimized+executed" if execute else "optimized"
@@ -195,13 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run the serving demo with the runtime-feedback loop enabled (implies observation/drift counters in the report)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="serve the demo through a fingerprint-routed SessionPool of N shards instead of a single session (requires --serve)",
-    )
-    parser.add_argument(
         "--spill-dir",
         type=Path,
         metavar="DIR",
@@ -234,10 +205,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "requires --trace-dir)",
     )
     args = parser.parse_args(argv)
-    if args.shards < 1:
-        parser.error("--shards must be at least 1")
-    if args.shards > 1 and not args.serve:
-        parser.error("--shards requires --serve")
     if args.spill_dir is not None and not args.serve:
         parser.error("--spill-dir requires --serve")
     if args.executor != "row" and not args.serve:
@@ -255,7 +222,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         tables.append(
             run_serving_demo(
                 adaptive=args.adaptive,
-                shards=args.shards,
                 spill_dir=args.spill_dir,
                 executor=args.executor,
                 trace_dir=args.trace_dir,

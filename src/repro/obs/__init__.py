@@ -18,9 +18,7 @@ Two halves, one handle:
   disabled twin :data:`NULL_TRACER` is a true no-op for the hot path.
 
 :class:`Observability` bundles one registry + one tracer + the label set
-identifying the component holding it; ``child(shard="2")`` derives the
-per-shard handle a :class:`~repro.service.pool.SessionPool` gives each of
-its sessions — same registry, same tracer, one more label.
+identifying the component holding it.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ class Observability:
             when omitted — metrics are cheap enough to be always-on,
             tracing is opt-in.
         labels: identity labels stamped on every metric created through
-            this handle and exposed to span emitters (e.g. ``shard="3"``).
+            this handle and exposed to span emitters.
     """
 
     __slots__ = ("registry", "tracer", "labels")
@@ -93,12 +91,6 @@ class Observability:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.labels: Labels = normalize_labels(labels)
-
-    def child(self, **labels: object) -> "Observability":
-        """The same registry and tracer under additional identity labels."""
-        merged = dict(self.labels)
-        merged.update({k: str(v) for k, v in labels.items()})
-        return Observability(self.registry, self.tracer, merged)
 
     def counter(self, name: str, **labels: object) -> Counter:
         return self.registry.counter(name, self._merged(labels))

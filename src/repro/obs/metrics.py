@@ -2,10 +2,9 @@
 
 One :class:`MetricsRegistry` holds every counter, gauge and latency
 histogram a serving target (an
-:class:`~repro.service.session.OptimizerSession`, a
-:class:`~repro.service.pool.SessionPool` and everything hanging off them)
-emits.  Metrics are identified by ``(name, labels)`` — labels are how one
-shared registry keeps per-shard, per-strategy and per-component series
+:class:`~repro.service.session.OptimizerSession` and everything hanging
+off it) emits.  Metrics are identified by ``(name, labels)`` — labels are
+how one shared registry keeps per-strategy and per-component series
 apart — and are created lazily on first use, so instrumented code never
 checks "does this metric exist yet".
 
@@ -63,7 +62,7 @@ LabelsLike = Union[None, Mapping[str, object], Iterable[Tuple[str, object]]]
 #: Fixed latency buckets (seconds): exponential 1 µs → 10 s, the range the
 #: serving stack's operations actually span (a warm cache hit is ~µs, a cold
 #: scaled TPC-D batch ~seconds).  Fixed — never adaptive — so histograms
-#: from different shards/processes merge by plain bucket-count addition.
+#: from different series/processes merge by plain bucket-count addition.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6,
     1e-5, 2.5e-5, 5e-5,
@@ -136,8 +135,8 @@ class HistogramSnapshot:
     """An immutable copy of a histogram's state, with percentile extraction.
 
     Snapshots of histograms with identical bucket bounds merge by plain
-    addition (:meth:`merge`) — how the pool rolls per-shard latency up to
-    one p50/p95/p99 without ever sharing a lock across shards.
+    addition (:meth:`merge`) — how a report rolls per-strategy latency
+    series up to one p50/p95/p99 without ever sharing a histogram lock.
     """
 
     __slots__ = ("bounds", "counts", "sum", "count")
@@ -242,7 +241,7 @@ class Histogram:
     observations in ``(bounds[i-1], bounds[i]]``; the last slot is the
     overflow bucket) and rendered cumulatively for Prometheus.  Bounds are
     fixed at construction — percentiles are approximate within a bucket but
-    merging across shards/processes stays exact.
+    merging across series/processes stays exact.
     """
 
     __slots__ = ("name", "labels", "bounds", "_counts", "_sum", "_count", "_lock")
@@ -509,15 +508,6 @@ class StatisticsView:
         result = tuple(names)
         cls._field_names_cache = result
         return result
-
-    @classmethod
-    def aggregate(cls, parts: "Iterable[StatisticsView]") -> "StatisticsView":
-        """Sum counters across views (the pool's shard-level roll-up)."""
-        total = cls()
-        for part in parts:
-            for name in cls.field_names():
-                setattr(total, name, getattr(total, name) + getattr(part, name))
-        return total
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.field_names()}

@@ -3,7 +3,7 @@
 A **trace** is one request's causal story: a trace ID minted when a query
 enters the system (at :meth:`~repro.service.scheduler.BatchScheduler.submit`
 time, or at the session API boundary for direct calls) and carried through
-every component that works on it — scheduler worker, shard session,
+every component that works on it — scheduler worker, session,
 optimizer phases, executor backend, materialization cache, spill tier,
 feedback absorption.  A **span** is one timed operation inside a trace;
 spans nest per thread, and cheap point-in-time **events** (cache hit, spill,

@@ -11,21 +11,18 @@ batch", this package answers "serve this *traffic*":
   materialized-node row sets keyed by semantic fingerprint, with byte
   accounting, cost-aware LRU eviction and data-version invalidation, so a
   warm session skips re-computation of shared subexpressions, and
-* :class:`~repro.service.pool.SessionPool` shards the serving layer: N
-  sessions over one catalog, routed by a stable hash of each query's
-  canonical semantic fingerprint (or an explicit tenant key), sharing one
-  :class:`~repro.adaptive.FeedbackStatsStore` and data-version token while
-  keeping per-shard memos, engines and materialization caches lock-free of
-  each other, and
 * :class:`~repro.service.scheduler.BatchScheduler` micro-batches
-  individually submitted queries and runs them through the session — or
-  per shard of a pool — on a thread pool (optionally returning rows per
-  query).
+  individually submitted queries and runs them through the session on a
+  thread pool (optionally returning rows per query).
+
+One session behind one scheduler is the whole serving path: every batch
+shares one memo, which is the point of multi-query optimization.  Spreading
+traffic over N independent processes is a routing decision outside this
+package — see :func:`~repro.dag.build.query_signature`.
 """
 
 from .matcache import CacheStatistics, MaterializationCache, cache_key
 from .session import BatchExecution, OptimizerSession, PreparedBatch, SessionStatistics
-from .pool import SessionPool, stable_shard_hash
 from .scheduler import BatchScheduler, QueryOutcome
 
 __all__ = [
@@ -34,10 +31,8 @@ __all__ = [
     "MaterializationCache",
     "OptimizerSession",
     "PreparedBatch",
-    "SessionPool",
     "SessionStatistics",
     "BatchScheduler",
     "QueryOutcome",
     "cache_key",
-    "stable_shard_hash",
 ]

@@ -132,8 +132,7 @@ class CacheStatistics(StatisticsView):
 
     A live view over a :class:`~repro.obs.MetricsRegistry` (series
     ``matcache_hits``, ``matcache_misses``, ...); every field keeps the
-    exact name and semantics of the former dataclass, and ``aggregate``
-    still sums counters across caches (the pool's per-shard roll-up).
+    exact name and semantics of the former dataclass.
     """
 
     _prefix = "matcache_"
@@ -241,8 +240,6 @@ class MaterializationCache:
         Taken under the cache lock, so a reader can never observe a torn
         multi-counter state (e.g. a fill counted whose eviction is not) the
         way reading ``self.statistics`` field-by-field mid-operation can.
-        The pool's :meth:`~repro.service.pool.SessionPool
-        .matcache_statistics` aggregates from these snapshots.
         """
         with self._lock:
             return self.statistics.as_dict()

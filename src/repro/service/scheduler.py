@@ -1,5 +1,4 @@
-"""Micro-batching front end for an :class:`~repro.service.session.OptimizerSession`
-(or a :class:`~repro.service.pool.SessionPool`).
+"""Micro-batching front end for an :class:`~repro.service.session.OptimizerSession`.
 
 The :class:`BatchScheduler` is the request-facing piece of the serving
 skeleton: callers :meth:`~BatchScheduler.submit` individual queries and get
@@ -9,13 +8,7 @@ queries, and a worker pool optimizes each micro-batch through the shared
 session — so concurrent traffic automatically benefits from multi-query
 optimization and from the session's warm caches.
 
-Behind a :class:`~repro.service.pool.SessionPool` the scheduler routes
-every submission to its shard when it arrives, and the collector groups
-companions **per (strategy, shard)** — a micro-batch never straddles two
-shards, so it is optimized and executed entirely under one shard's lock
-while the worker pool keeps the other shards busy with other micro-batches.
-
-    with BatchScheduler(session_or_pool) as scheduler:
+    with BatchScheduler(session) as scheduler:
         futures = [scheduler.submit(q) for q in queries]
         outcomes = [f.result() for f in futures]
 """
@@ -35,8 +28,6 @@ from ..algebra.logical import Query, QueryBatch
 from ..analysis.sanitizer import sanitize_lock
 from ..core.mqo import MQOResult
 from ..execution.data import Row
-from ..obs import Observability
-from .pool import SessionPool
 from .session import BatchExecution, OptimizerSession
 
 __all__ = ["BatchScheduler", "QueryOutcome"]
@@ -69,7 +60,6 @@ class _Submission:
     strategy: str
     future: "Future[QueryOutcome]"
     execute: bool = False
-    shard: int = 0
     #: Trace ID minted at submit time (None when tracing is disabled); the
     #: worker re-enters it so the whole micro-batch files under the trace
     #: of the submission that opened it.
@@ -82,11 +72,7 @@ class BatchScheduler:
     """Collects submitted queries into micro-batches served by a session.
 
     Args:
-        session: the shared :class:`OptimizerSession`, or a
-            :class:`~repro.service.pool.SessionPool` — with a pool, every
-            submission is routed to its shard on arrival and micro-batches
-            are formed per (strategy, shard), so no micro-batch ever
-            straddles a shard lock.
+        session: the shared :class:`OptimizerSession`.
         max_batch_size: upper bound on queries per micro-batch.
         max_delay: how long (seconds) the collector waits for companions
             after the first query of a micro-batch arrives.
@@ -101,7 +87,7 @@ class BatchScheduler:
 
     def __init__(
         self,
-        session: "Union[OptimizerSession, SessionPool]",
+        session: OptimizerSession,
         *,
         max_batch_size: int = 8,
         max_delay: float = 0.01,
@@ -111,11 +97,10 @@ class BatchScheduler:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
         self.session = session
-        self._session_pool = session if isinstance(session, SessionPool) else None
-        # The serving target's observability handle: the scheduler reports
+        # The session's observability handle: the scheduler reports
         # queue-wait latency into the same registry and propagates trace
-        # IDs through the same tracer the sessions emit spans to.
-        self._obs: Observability = getattr(session, "obs", None) or Observability()
+        # IDs through the same tracer the session emits spans to.
+        self._obs = session.obs
         self._tracer = self._obs.tracer
         self.max_batch_size = max_batch_size
         self.max_delay = max_delay
@@ -146,19 +131,15 @@ class BatchScheduler:
         *,
         strategy: Optional[str] = None,
         execute: bool = False,
-        tenant: Optional[str] = None,
     ) -> "Future[QueryOutcome]":
         """Enqueue one query; the future resolves to its :class:`QueryOutcome`.
 
         With ``execute=True`` the outcome additionally carries the query's
         result rows: the micro-batch the query rides in is run through the
         session's executor and materialization cache after optimization (the
-        session must have a database attached).  ``tenant`` overrides the
-        fingerprint routing when the scheduler fronts a
-        :class:`~repro.service.pool.SessionPool` (ignored otherwise).
+        session must have a database attached).
         """
         future: "Future[QueryOutcome]" = Future()
-        shard = self._route(query, tenant)
         # Mint the trace ID at the system boundary: every span this query
         # causes — on whatever worker thread — files under it.
         trace_id = self._tracer.new_trace_id()
@@ -172,7 +153,6 @@ class BatchScheduler:
                     strategy or self.default_strategy,
                     future,
                     execute,
-                    shard,
                     trace_id,
                     _now(),
                 )
@@ -185,7 +165,6 @@ class BatchScheduler:
         *,
         strategy: Optional[str] = None,
         execute: bool = False,
-        tenant: Optional[str] = None,
     ) -> "Future[MQOResult | BatchExecution]":
         """Optimize a whole pre-formed batch (bypasses micro-batching).
 
@@ -193,11 +172,10 @@ class BatchScheduler:
         :class:`~repro.service.session.BatchExecution` (rows included)
         instead of a bare :class:`~repro.core.mqo.MQOResult`.
         """
-        session = self._session_for_shard(self._route(batch, tenant))
         with self._state_lock:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
-            runner = session.execute_batch if execute else session.optimize
+            runner = self.session.execute_batch if execute else self.session.optimize
             if self._tracer.enabled:
                 runner = self._traced_runner(runner, self._tracer.new_trace_id())
             future = self._pool.submit(runner, batch, strategy or self.default_strategy)
@@ -212,25 +190,6 @@ class BatchScheduler:
                 return runner(batch, strategy=strategy)
 
         return run
-
-    def _route(self, batch_or_query, tenant: Optional[str]) -> int:
-        """The shard a submission belongs to; 0 for a plain session.
-
-        Routing errors (e.g. a query that fails catalog binding) fall back
-        to shard 0 so they surface where every other query error does — in
-        the future, when the shard session tries to optimize the query.
-        """
-        if self._session_pool is None:
-            return 0
-        try:
-            return self._session_pool.route(batch_or_query, tenant=tenant)
-        except Exception:
-            return 0
-
-    def _session_for_shard(self, shard: int) -> OptimizerSession:
-        if self._session_pool is None:
-            return self.session
-        return self._session_pool.shard(shard)
 
     def _track(self, future: Future) -> None:
         """Track a future until it resolves (so flush() can wait on it)."""
@@ -270,8 +229,8 @@ class BatchScheduler:
     def close(self, *, wait: bool = True) -> None:
         """Stop accepting submissions, drain the queue and shut the pool down.
 
-        A serving target with a durable cache tier (a session or pool
-        constructed with ``spill_dir=``) gets a best-effort ``snapshot()``
+        A session with a durable cache tier (constructed with
+        ``spill_dir=``) gets a best-effort ``snapshot()``
         after the drain: a *planned* shutdown persists the hot entries and
         the feedback store, so the next process starts warm.  Snapshot
         failures never turn a clean shutdown into a crash.
@@ -287,13 +246,11 @@ class BatchScheduler:
             self._collector.join()
         self._pool.shutdown(wait=wait)
         if wait:
-            snapshot = getattr(self.session, "snapshot", None)
-            if callable(snapshot):
-                try:
-                    snapshot()
-                # repro-lint: disable=bare-except-swallow -- a failed best-effort shutdown snapshot must not turn a clean close into a crash
-                except Exception:  # pragma: no cover - defensive best-effort
-                    pass
+            try:
+                self.session.snapshot()
+            # repro-lint: disable=bare-except-swallow -- a failed best-effort shutdown snapshot must not turn a clean close into a crash
+            except Exception:  # pragma: no cover - defensive best-effort
+                pass
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -324,15 +281,14 @@ class BatchScheduler:
                 if head is None:
                     return
             group = [head]
-            # Wait briefly for companions of the same strategy *and* shard
-            # (a micro-batch must be served under exactly one shard's lock);
-            # when closing, take only what is already waiting.
+            # Wait briefly for companions of the same strategy; when
+            # closing, take only what is already waiting.
             deadline = _now() + (0.0 if closing else self.max_delay)
             scan = len(backlog)
             while len(group) < self.max_batch_size and scan > 0:
                 candidate = backlog.popleft()
                 scan -= 1
-                if _rides_with(candidate, head):
+                if candidate.strategy == head.strategy:
                     group.append(candidate)
                 else:
                     backlog.append(candidate)
@@ -347,7 +303,7 @@ class BatchScheduler:
                 if item is None:
                     closing = True
                     break
-                if _rides_with(item, head):
+                if item.strategy == head.strategy:
                     group.append(item)
                 else:
                     backlog.append(item)
@@ -379,12 +335,11 @@ class BatchScheduler:
                 "scheduler_queue_wait_seconds", now - submission.submitted_at
             )
         strategy = active[0].strategy
-        session = self._session_for_shard(active[0].shard)
         queries = _deduplicate_names([s.query for s in active])
         batch = QueryBatch(f"micro-{next(self._batch_seq)}", tuple(queries))
         tracer = self._tracer
         if not tracer.enabled:
-            self._serve_micro_batch(active, queries, batch, strategy, session)
+            self._serve_micro_batch(active, queries, batch, strategy)
             return
         # The micro-batch runs once but serves several submitters: it files
         # under the head submission's trace (activated here, on the worker
@@ -398,11 +353,10 @@ class BatchScheduler:
                 "scheduler.micro_batch",
                 batch=batch.name,
                 strategy=strategy,
-                shard=head.shard,
                 queries=len(active),
                 member_traces=[s.trace_id for s in active[1:]],
             ):
-                self._serve_micro_batch(active, queries, batch, strategy, session)
+                self._serve_micro_batch(active, queries, batch, strategy)
         elapsed = time.perf_counter() - started
         for submission in active[1:]:
             tracer.record_span(
@@ -419,8 +373,8 @@ class BatchScheduler:
         queries: Tuple[Query, ...],
         batch: QueryBatch,
         strategy: str,
-        session: OptimizerSession,
     ) -> None:
+        session = self.session
         try:
             result = session.optimize(batch, strategy=strategy)
         except Exception as exc:  # propagate to every submitter
@@ -455,11 +409,6 @@ class BatchScheduler:
                     rows=rows,
                 )
             )
-
-
-def _rides_with(candidate: _Submission, head: _Submission) -> bool:
-    """Whether a submission may join the micro-batch ``head`` is collecting."""
-    return candidate.strategy == head.strategy and candidate.shard == head.shard
 
 
 def _deduplicate_names(queries: Sequence[Query]) -> Tuple[Query, ...]:

@@ -80,53 +80,6 @@ __all__ = ["BatchExecution", "OptimizerSession", "SessionStatistics"]
 FEEDBACK_SNAPSHOT = "feedback.json"
 
 
-def _restore_feedback_from(feedback: FeedbackStatsStore, path: Path) -> None:
-    """Best-effort re-seed of a feedback store from a snapshot on disk.
-
-    A missing snapshot is the normal cold start; a corrupt one degrades to
-    an empty store (recovery must never make a serving target unusable).
-    Shared by :class:`OptimizerSession` and
-    :class:`~repro.service.pool.SessionPool`.
-    """
-    # Startup is the safe moment to sweep temp files a crash mid-snapshot
-    # left behind (no snapshot of this process can be in flight yet).
-    try:
-        for leftover in path.parent.glob(".feedback-tmp-*"):
-            leftover.unlink()
-    # repro-lint: disable=bare-except-swallow -- a failed sweep only postpones cleanup to the next start; startup must not crash over it
-    except OSError:
-        pass
-    if not path.exists():
-        return
-    from ..adaptive.stats import SnapshotError
-
-    try:
-        feedback.restore(path)
-    # repro-lint: disable=bare-except-swallow -- a missing/corrupt snapshot is the documented cold start; the store stays empty
-    except (OSError, SnapshotError):
-        pass
-
-
-def _snapshot_feedback_to(
-    feedback: Optional[FeedbackStatsStore],
-    spill_dir: Optional[Path],
-    path: Union[None, str, Path],
-) -> Optional[Path]:
-    """Persist a feedback store; returns the path written, or None.
-
-    ``path`` defaults to ``spill_dir/feedback.json``; nothing happens (and
-    None is returned) without a store or without a path to default into.
-    """
-    if feedback is None:
-        return None
-    if path is None:
-        if spill_dir is None:
-            return None
-        path = spill_dir / FEEDBACK_SNAPSHOT
-    path = Path(path)
-    feedback.snapshot(path)
-    return path
-
 #: Identity of a prepared batch inside one session: the named query roots
 #: plus the (multiset of) block roots — everything batch-level structure
 #: depends on.
@@ -138,9 +91,7 @@ class SessionStatistics(StatisticsView):
 
     A live view over a :class:`~repro.obs.MetricsRegistry` (series
     ``session_batches_served``, ``session_rows_returned``, ...): every
-    field keeps the exact name and semantics of the former dataclass, and
-    ``aggregate`` still sums counters across sessions (the pool's
-    shard-level roll-up).
+    field keeps the exact name and semantics of the former dataclass.
     """
 
     _prefix = "session_"
@@ -228,19 +179,14 @@ class OptimizerSession:
             memo estimates corrected and the affected cached results are
             re-optimized on the next request.  Warm traffic whose estimates
             never drift is served bit-identically either way.
-        feedback: the observation store to use (a fresh one per session by
-            default); sharing one store across sessions shares the learned
-            statistics.
         spill_dir: enable the durable cache tier rooted at this directory:
             the materialization cache becomes a two-level
             :class:`~repro.storage.spill.SpillingMaterializationCache`
             (evictions spill to ``spill_dir/matcache``, gets fault back in),
             and — with adaptation on — the feedback store is re-seeded from
-            ``spill_dir/feedback.json`` when a previous process left one
-            (skipped when an explicit ``feedback`` store is passed in: its
-            owner, e.g. a :class:`~repro.service.pool.SessionPool`, decides
-            what to restore).  Call :meth:`snapshot` before a planned
-            shutdown to persist everything still hot.
+            ``spill_dir/feedback.json`` when a previous process left one.
+            Call :meth:`snapshot` before a planned shutdown to persist
+            everything still hot.
         spill_config: sizing of the two-level cache (RAM and disk budgets);
             ignored without ``spill_dir`` or with an explicit ``matcache``.
         executor: execution backend name — ``"row"`` (the tuple-at-a-time
@@ -255,9 +201,8 @@ class OptimizerSession:
         obs: the :class:`~repro.obs.Observability` handle (metrics registry
             + tracer + identity labels) every statistics view, cache and
             span of this session reports through.  A private handle with
-            tracing disabled is created when omitted — passing one is how a
-            :class:`~repro.service.pool.SessionPool` shares one registry
-            across shards, and how ``--trace-dir`` turns tracing on.
+            tracing disabled is created when omitted — passing one is how
+            ``--trace-dir`` turns tracing on.
     """
 
     def __init__(
@@ -272,7 +217,6 @@ class OptimizerSession:
         database: Optional[Database] = None,
         matcache: Optional[MaterializationCache] = None,
         adaptive: Union[None, bool, AdaptiveConfig] = None,
-        feedback: Optional[FeedbackStatsStore] = None,
         spill_dir: Union[None, str, Path] = None,
         spill_config: "Optional[SpillConfig]" = None,
         executor: str = DEFAULT_BACKEND,
@@ -312,24 +256,14 @@ class OptimizerSession:
         #: again must not accumulate forever in a long-lived session).
         self._drift_pending: "OrderedDict[Tuple, bool]" = OrderedDict()
         if config is not None:
-            # Not `feedback or ...`: an empty store has len() == 0 and is
-            # falsy, which would silently drop a (shared) store passed in
-            # before its first observation.
-            owns_feedback = feedback is None
-            self.feedback = (
-                feedback
-                if feedback is not None
-                else FeedbackStatsStore(
-                    ewma_alpha=config.ewma_alpha,
-                    epoch_decay=config.epoch_decay,
-                    registry=self.obs.registry,
-                    labels=self.obs.labels,
-                )
+            self.feedback = FeedbackStatsStore(
+                ewma_alpha=config.ewma_alpha,
+                epoch_decay=config.epoch_decay,
+                registry=self.obs.registry,
+                labels=self.obs.labels,
             )
-            if owns_feedback and self.spill_dir is not None:
-                _restore_feedback_from(
-                    self.feedback, self.spill_dir / FEEDBACK_SNAPSHOT
-                )
+            if self.spill_dir is not None:
+                self._restore_feedback()
             self._estimator = AdaptiveCardinalityEstimator(
                 self.feedback, min_confidence=config.min_confidence
             )
@@ -374,7 +308,7 @@ class OptimizerSession:
         """A consistent copy of the session counters, taken under the lock.
 
         Reading :attr:`statistics` field-by-field mid-operation can observe
-        a torn multi-counter state; the pool aggregates from these.
+        a torn multi-counter state.
         """
         with self._lock:
             return self.statistics.as_dict()
@@ -445,7 +379,42 @@ class OptimizerSession:
         (and None is returned) when the session has no feedback store or no
         spill directory to default into.
         """
-        return _snapshot_feedback_to(self.feedback, self.spill_dir, path)
+        if self.feedback is None:
+            return None
+        if path is None:
+            if self.spill_dir is None:
+                return None
+            path = self.spill_dir / FEEDBACK_SNAPSHOT
+        path = Path(path)
+        self.feedback.snapshot(path)
+        return path
+
+    def _restore_feedback(self) -> None:
+        """Best-effort re-seed of the feedback store from ``spill_dir``.
+
+        A missing snapshot is the normal cold start; a corrupt one degrades
+        to an empty store (recovery must never make a session unusable).
+        """
+        assert self.feedback is not None and self.spill_dir is not None
+        path = self.spill_dir / FEEDBACK_SNAPSHOT
+        # Startup is the safe moment to sweep temp files a crash
+        # mid-snapshot left behind (no snapshot of this process can be in
+        # flight yet).
+        try:
+            for leftover in path.parent.glob(".feedback-tmp-*"):
+                leftover.unlink()
+        # repro-lint: disable=bare-except-swallow -- a failed sweep only postpones cleanup to the next start; startup must not crash over it
+        except OSError:
+            pass
+        if not path.exists():
+            return
+        from ..adaptive.stats import SnapshotError
+
+        try:
+            self.feedback.restore(path)
+        # repro-lint: disable=bare-except-swallow -- a missing/corrupt snapshot is the documented cold start; the store stays empty
+        except (OSError, SnapshotError):
+            pass
 
     def snapshot(self) -> None:
         """Persist everything still hot before a planned shutdown.

@@ -16,9 +16,10 @@ caches survive restarts and working sets larger than RAM:
 Feedback-store durability lives on the store itself
 (:meth:`~repro.adaptive.stats.FeedbackStatsStore.snapshot` /
 :meth:`~repro.adaptive.stats.FeedbackStatsStore.restore`); the serving
-layer wires both through ``OptimizerSession(spill_dir=...)`` and
-``SessionPool(spill_dir=...)`` — per-shard spill subdirectories, one shared
-feedback snapshot — with ``snapshot()`` persisting everything still hot.
+layer wires both through ``OptimizerSession(spill_dir=...)`` — the cache
+spills under ``spill_dir/matcache``, the feedback snapshot is
+``spill_dir/feedback.json`` — with ``snapshot()`` persisting everything
+still hot.
 """
 
 from .codec import (

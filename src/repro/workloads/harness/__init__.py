@@ -4,7 +4,7 @@ The harness closes the loop between the repository's serving stack and
 its correctness machinery: one :class:`HarnessConfig` names a data scale,
 a traffic mix and a serving configuration; :func:`run_setting` builds the
 world, drives the traffic open-loop through a real
-:class:`~repro.service.pool.SessionPool` + scheduler, replays sampled
+:class:`~repro.service.session.OptimizerSession` + scheduler, replays sampled
 answers against independent reference executors, and reports throughput,
 latency percentiles, cache/feedback/spill counters and the oracle verdict
 in one schema-validated document.
@@ -12,10 +12,10 @@ in one schema-validated document.
 Run it from the command line::
 
     python -m repro.workloads.harness --scale 4 --tenants 16 --zipf 1.2 \
-        --arrival poisson:200 --drift-at 0.5 --shards 4 \
+        --arrival poisson:200 --drift-at 0.5 \
         --executor columnar --oracle row
 
-Comma-separate ``--scale``/``--shards``/``--executor`` to sweep a matrix
+Comma-separate ``--scale``/``--executor`` to sweep a matrix
 in one report.
 """
 

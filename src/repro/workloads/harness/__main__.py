@@ -1,7 +1,7 @@
 """``python -m repro.workloads.harness`` — the harness command line.
 
-One invocation sweeps the cross-product of the comma-separated ``--scale``,
-``--shards`` and ``--executor`` values over identical traffic (same seeds),
+One invocation sweeps the cross-product of the comma-separated ``--scale``
+and ``--executor`` values over identical traffic (same seeds),
 writes the matrix to one JSON + one CSV report, prints a one-line summary
 per setting, and exits non-zero if any correctness oracle disagreed — a CI
 job can gate on the harness exactly like on a test suite.
@@ -22,10 +22,6 @@ __all__ = ["build_parser", "configs_from_args", "main"]
 
 def _floats(text: str) -> List[float]:
     return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _ints(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def _strs(text: str) -> List[str]:
@@ -89,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving = parser.add_argument_group("serving")
     serving.add_argument(
-        "--shards",
-        type=_ints,
-        default=[4],
-        metavar="N[,M...]",
-        help="pool shard count(s); comma-separate to sweep (default: 4)",
-    )
-    serving.add_argument(
         "--executor",
         type=_strs,
         default=["row"],
@@ -114,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument(
         "--spill-dir", default=None, help="spill materializations to this directory"
-    )
-    serving.add_argument(
-        "--route-by-tenant",
-        action="store_true",
-        help="route by tenant id instead of query signature",
     )
     correctness = parser.add_argument_group("correctness")
     correctness.add_argument(
@@ -158,36 +142,33 @@ def configs_from_args(args: argparse.Namespace) -> List[HarnessConfig]:
     oracle = tuple(b for b in args.oracle if b != "none")
     configs: List[HarnessConfig] = []
     for scale in args.scale:
-        for shards in args.shards:
-            for executor in args.executor:
-                configs.append(
-                    HarnessConfig(
-                        scale=scale,
-                        workload=args.workload,
-                        n_dimensions=args.dimensions,
-                        key_fanout=args.key_fanout,
-                        value_skew=args.value_skew,
-                        requests=args.requests,
-                        tenants=args.tenants,
-                        zipf=args.zipf,
-                        template_zipf=args.template_zipf,
-                        templates=args.templates,
-                        arrival=args.arrival,
-                        drift_at=tuple(args.drift_at),
-                        shards=shards,
-                        executor=executor,
-                        strategy=args.strategy,
-                        workers=args.workers,
-                        max_batch_size=args.max_batch_size,
-                        adaptive=args.adaptive,
-                        spill_dir=args.spill_dir,
-                        route_by_tenant=args.route_by_tenant,
-                        oracle=oracle,
-                        oracle_sample=args.oracle_sample,
-                        seed=args.seed,
-                        traffic_seed=args.traffic_seed,
-                    )
+        for executor in args.executor:
+            configs.append(
+                HarnessConfig(
+                    scale=scale,
+                    workload=args.workload,
+                    n_dimensions=args.dimensions,
+                    key_fanout=args.key_fanout,
+                    value_skew=args.value_skew,
+                    requests=args.requests,
+                    tenants=args.tenants,
+                    zipf=args.zipf,
+                    template_zipf=args.template_zipf,
+                    templates=args.templates,
+                    arrival=args.arrival,
+                    drift_at=tuple(args.drift_at),
+                    executor=executor,
+                    strategy=args.strategy,
+                    workers=args.workers,
+                    max_batch_size=args.max_batch_size,
+                    adaptive=args.adaptive,
+                    spill_dir=args.spill_dir,
+                    oracle=oracle,
+                    oracle_sample=args.oracle_sample,
+                    seed=args.seed,
+                    traffic_seed=args.traffic_seed,
                 )
+            )
     return configs
 
 

@@ -2,20 +2,20 @@
 
 :func:`run_setting` is the harness's measurement unit.  It builds a world
 (:mod:`.scale`), generates traffic (:mod:`.traffic`), stands up the exact
-serving stack the repository ships — a
-:class:`~repro.service.pool.SessionPool` behind a
+serving stack the repository ships — one
+:class:`~repro.service.session.OptimizerSession` behind a
 :class:`~repro.service.scheduler.BatchScheduler` — and submits every
 request at its open-loop arrival time, injecting drift at the configured
 fractions of the run.  While it drives, it measures:
 
 * **throughput** (completed requests per driving second, drift pauses
   excluded) and **latency** — each request's completion is recorded into a
-  ``harness_request_seconds`` histogram in the pool's own
+  ``harness_request_seconds`` histogram in the session's own
   :class:`~repro.obs.MetricsRegistry`, and the report reads p50/p95/p99
   from there alongside the serving layer's optimize/execute/queue-wait
   histograms, so the harness and the production exposition agree by
   construction;
-* **counters** — the pool's session, materialization-cache (spill tier
+* **counters** — the session, materialization-cache (spill tier
   included) and feedback-store statistics; and
 * **correctness** — every oracle-sampled request's rows are replayed
   against the independent reference backends (:mod:`.oracle`) after each
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...obs import HistogramSnapshot, Observability
-from ...service.pool import SessionPool
 from ...service.scheduler import BatchScheduler
+from ...service.session import OptimizerSession
 from ...storage.spill import SpillStatistics
 from ...adaptive.stats import FeedbackStatistics
 from ...execution.data import Row
@@ -91,7 +91,6 @@ class HarnessConfig:
     arrival: str = "closed"
     drift_at: Tuple[float, ...] = ()
     # Serving stack
-    shards: int = 4
     executor: str = "row"
     strategy: str = "marginal-greedy"
     workers: int = 4
@@ -101,7 +100,6 @@ class HarnessConfig:
     max_batch_size: int = 4
     adaptive: bool = False
     spill_dir: Optional[str] = None
-    route_by_tenant: bool = False
     # Correctness
     oracle: Tuple[str, ...] = ("row",)
     oracle_sample: float = 0.1
@@ -114,13 +112,11 @@ class HarnessConfig:
         for fraction in self.drift_at:
             if not 0.0 < fraction < 1.0:
                 raise ValueError("drift fractions must be strictly within (0, 1)")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
         parse_arrival(self.arrival)  # fail at config build, not mid-run
 
     def label(self) -> str:
         return (
-            f"{self.workload}-x{self.scale:g}-shards{self.shards}-{self.executor}"
+            f"{self.workload}-x{self.scale:g}-{self.executor}"
             f"-{self.arrival.replace(':', '_')}"
         )
 
@@ -178,7 +174,6 @@ class SettingReport:
     throughput_rps: float
     latency: Dict[str, Dict[str, object]]
     counters: Dict[str, Dict[str, int]]
-    shard_batches_served: List[int]
     oracle: Dict[str, object]
     drift_steps_applied: int
     sampled_rows_digest: str
@@ -200,7 +195,6 @@ class SettingReport:
             "throughput_rps": self.throughput_rps,
             "latency": self.latency,
             "counters": self.counters,
-            "shard_batches_served": self.shard_batches_served,
             "oracle": self.oracle,
             "drift_steps_applied": self.drift_steps_applied,
             "sampled_rows_digest": self.sampled_rows_digest,
@@ -214,7 +208,6 @@ def drive_requests(
     obs: Observability,
     strategy: str = "marginal-greedy",
     open_loop: bool = True,
-    route_by_tenant: bool = False,
     run_started: Optional[float] = None,
 ) -> DriveResult:
     """Submit requests (open-loop: each at its arrival offset) and wait.
@@ -245,12 +238,7 @@ def drive_requests(
             if open_loop
             else time.monotonic()
         )
-        future = scheduler.submit(
-            request.query,
-            strategy=strategy,
-            execute=True,
-            tenant=request.tenant if route_by_tenant else None,
-        )
+        future = scheduler.submit(request.query, strategy=strategy, execute=True)
 
         def on_done(f, reference=reference):
             now = time.monotonic()
@@ -304,7 +292,7 @@ def _merged_percentiles(obs: Observability, name: str) -> Optional[Dict[str, obj
     }
 
 
-def _counter_groups(pool: SessionPool) -> Dict[str, Dict[str, int]]:
+def _counter_groups(session: OptimizerSession) -> Dict[str, Dict[str, int]]:
     """Session + cache (+ spill) + feedback counters, schema-stable.
 
     Every field of every group is always present — a non-spilling,
@@ -312,12 +300,12 @@ def _counter_groups(pool: SessionPool) -> Dict[str, Dict[str, int]]:
     different settings stay union-compatible.
     """
     cache = {name: 0 for name in SpillStatistics.field_names()}
-    cache.update(pool.matcache_statistics().as_dict())
+    cache.update(session.matcache.statistics_snapshot())
     feedback = {name: 0 for name in FeedbackStatistics.field_names()}
-    if pool.feedback is not None:
-        feedback.update(pool.feedback.statistics_snapshot())
+    if session.feedback is not None:
+        feedback.update(session.feedback.statistics_snapshot())
     return {
-        "session": pool.statistics().as_dict(),
+        "session": session.statistics_snapshot(),
         "cache": cache,
         "feedback": feedback,
     }
@@ -327,8 +315,8 @@ def _rows_digest(sampled: Dict[int, Optional[List[Row]]]) -> str:
     """A stable digest of the sampled rows, for cross-setting bit-identity.
 
     Two settings that served the same traffic must produce equal digests —
-    the cheap way for a benchmark matrix to assert "sharding (or a backend
-    swap within the exact-order family) never changed the answers" without
+    the cheap way for a matrix to assert "a backend swap within the
+    exact-order family never changed the answers" without
     holding every row set in the report.
     """
     digest = hashlib.sha256()
@@ -371,9 +359,8 @@ def run_setting(
         max_drift_steps=len(segments) - 1,
     )
     obs = obs if obs is not None else Observability()
-    pool = SessionPool(
+    session = OptimizerSession(
         world.catalog,
-        shards=config.shards,
         database=world.database,
         executor=config.executor,
         adaptive=config.adaptive or None,
@@ -394,7 +381,7 @@ def run_setting(
     open_loop = not config.arrival.startswith("closed")
     total = DriveResult()
     with BatchScheduler(
-        pool,
+        session,
         workers=config.workers,
         max_batch_size=config.max_batch_size,
         strategy=config.strategy,
@@ -407,7 +394,6 @@ def run_setting(
                 obs=obs,
                 strategy=config.strategy,
                 open_loop=open_loop,
-                route_by_tenant=config.route_by_tenant,
                 run_started=clock if open_loop else None,
             )
             # Drain before verifying or drifting: the oracle must replay
@@ -447,8 +433,7 @@ def run_setting(
         wall_seconds=total.wall_seconds,
         throughput_rps=total.completed / total.wall_seconds,
         latency=latency,
-        counters=_counter_groups(pool),
-        shard_batches_served=[s.batches_served for s in pool.shard_statistics()],
+        counters=_counter_groups(session),
         oracle=oracle.report() if oracle is not None else {"backends": [], "checked": 0, "mismatches": 0, "mismatch_details": []},
         drift_steps_applied=world.drift_steps_applied,
         sampled_rows_digest=_rows_digest(total.sampled_rows),

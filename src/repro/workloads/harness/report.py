@@ -29,13 +29,12 @@ __all__ = [
 ]
 
 #: Bump when the report envelope changes shape.
-REPORT_FORMAT = 1
+REPORT_FORMAT = 2
 
 #: Config knobs worth a CSV column of their own (the rest stay in JSON).
 _CSV_CONFIG_KEYS = (
     "workload",
     "scale",
-    "shards",
     "executor",
     "arrival",
     "tenants",
@@ -84,9 +83,6 @@ def flatten_setting(setting: Mapping[str, object]) -> Dict[str, object]:
     row["oracle_checked"] = oracle.get("checked", 0)
     row["oracle_mismatches"] = oracle.get("mismatches", 0)
     row["drift_steps_applied"] = setting["drift_steps_applied"]
-    row["shard_batches_served"] = "|".join(
-        str(v) for v in setting["shard_batches_served"]
-    )
     row["sampled_rows_digest"] = setting["sampled_rows_digest"]
     return row
 
@@ -125,7 +121,6 @@ _SETTING_REQUIRED = (
     "throughput_rps",
     "latency",
     "counters",
-    "shard_batches_served",
     "oracle",
     "drift_steps_applied",
     "sampled_rows_digest",
@@ -169,6 +164,4 @@ def validate_report(report: Mapping[str, object]) -> Mapping[str, object]:
         for key in _ORACLE_REQUIRED:
             if key not in oracle:
                 raise ValueError(f"{where}.oracle is missing {key!r}")
-        if not isinstance(setting["shard_batches_served"], list):
-            raise ValueError(f"{where}.shard_batches_served must be a list")
     return report

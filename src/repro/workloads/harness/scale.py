@@ -17,7 +17,7 @@ Three workloads:
 * ``star``  — the selective star-join schema (``fact`` + ``dim0..n``),
 * ``tpcd``  — the referentially consistent tiny TPC-D database,
 * ``mixed`` — both table families in **one** database and catalog (the
-  names never collide), so one pool serves heterogeneous traffic.
+  names never collide), so one session serves heterogeneous traffic.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class HarnessWorld:
         catalog: what the optimizer plans against — statistics sized to the
             *initial* data, which is exactly what makes injected drift
             visible to the adaptive estimator as an estimate/observation gap.
-        database: the one mutable database every shard executes on.
+        database: the one mutable database the session executes on.
         drift_steps_applied: how many drift injections have happened.
     """
 
@@ -133,8 +133,8 @@ class HarnessWorld:
     def inject_drift(self) -> None:
         """Advance the drifting generator: redraw the fact table in place.
 
-        The database version bumps (``replace_table``), so every shard's
-        materialization cache and the shared feedback store see a real
+        The database version bumps (``replace_table``), so the session's
+        materialization cache and feedback store see a real
         data change — a drifted run that kept serving stale cached rows
         would fail its correctness oracle, which replays against the same
         database *after* the step.

@@ -1,7 +1,7 @@
-"""End-to-end sanitizer run: a sharded serving target under load.
+"""End-to-end sanitizer run: the serving stack under concurrent load.
 
-Builds the full concurrent stack — a 4-shard :class:`SessionPool` with
-spilling caches and the shared feedback store, fronted by a
+Builds the full concurrent stack — one adaptive :class:`OptimizerSession`
+with a spilling cache and its feedback store, fronted by a four-worker
 :class:`BatchScheduler` — under ``REPRO_SANITIZE=1``, hammers it from
 several submitter threads, and then asserts the recorded dynamics:
 
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_paths, sanitizer_state
-from repro.service import BatchScheduler, SessionPool
+from repro.service import BatchScheduler, OptimizerSession
 from repro.storage.spill import SpillConfig
 from repro.workloads.synthetic import (
     random_star_batch,
@@ -31,6 +31,10 @@ from repro.workloads.synthetic import (
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 N_DIMENSIONS = 4
 N_SUBMITTERS = 4
+#: Selective joins (1/KEY_FANOUT of the fact rows match a dimension) make
+#: shared fact⋈dim subexpressions worth materializing, so the one session
+#: fills more entries than its two-entry RAM tier holds.
+KEY_FANOUT = 4
 
 
 @pytest.fixture(autouse=True)
@@ -41,12 +45,13 @@ def sanitized(monkeypatch):
     sanitizer_state().reset()
 
 
-def test_sharded_pool_under_load_has_acyclic_lock_order(tmp_path):
-    catalog = star_schema_catalog(n_dimensions=N_DIMENSIONS)
-    database = star_schema_database(seed=11, n_dimensions=N_DIMENSIONS)
-    pool = SessionPool(
+def test_spilling_session_under_load_has_acyclic_lock_order(tmp_path):
+    catalog = star_schema_catalog(n_dimensions=N_DIMENSIONS, key_fanout=KEY_FANOUT)
+    database = star_schema_database(
+        seed=11, n_dimensions=N_DIMENSIONS, key_fanout=KEY_FANOUT, fact_rows=600
+    )
+    session = OptimizerSession(
         catalog,
-        shards=4,
         database=database,
         adaptive=True,
         spill_dir=tmp_path,
@@ -66,7 +71,7 @@ def test_sharded_pool_under_load_has_acyclic_lock_order(tmp_path):
     errors = []
 
     with BatchScheduler(
-        pool, max_batch_size=4, max_delay=0.05, workers=4, strategy="greedy"
+        session, max_batch_size=4, max_delay=0.05, workers=4, strategy="greedy"
     ) as scheduler:
 
         def submitter(chunk):

@@ -9,8 +9,7 @@ The smoke bar is:
   holds at tiny scale (perf-only assertions gate themselves off under
   ``REPRO_BENCH_TINY``);
 * every ``BENCH_*.json`` artifact the module owns is written, parses,
-  and carries its required keys (``BENCH_harness.json`` is additionally
-  validated against the harness report schema).
+  and carries its required keys.
 
 This keeps the benchmarks from rotting between the occasional full-scale
 CI runs: an API drift that would break ``benchmarks/`` now fails tier-1
@@ -26,8 +25,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from repro.workloads.harness import validate_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 BENCHMARKS = REPO_ROOT / "benchmarks"
@@ -93,20 +90,6 @@ BENCH_ARTIFACTS = {
             "tiny",
         ),
     },
-    "bench_pool": {
-        "BENCH_pool.json": (
-            "single_session_time",
-            "pool_time",
-            "speedup",
-            "shard_batches_served",
-            "latency_percentiles",
-            "rows_identical",
-            "tiny",
-        ),
-    },
-    "bench_harness": {
-        "BENCH_harness.json": ("format", "kind", "settings", "comparison"),
-    },
 }
 
 
@@ -153,8 +136,6 @@ def test_bench_module_smokes_at_tiny_scale(stem, tmp_path, monkeypatch):
         document = json.loads(artifact.read_text(encoding="utf-8"))
         missing = [key for key in required_keys if key not in document]
         assert not missing, f"{filename} is missing keys: {missing}"
-        if filename == "BENCH_harness.json":
-            validate_report(document)
 
 
 def test_core_bench_modules_smoke_into_bench_core_json(tmp_path, monkeypatch):

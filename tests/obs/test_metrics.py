@@ -266,28 +266,15 @@ def test_subclass_view_shares_base_series_with_base_view():
     assert base.hits == 7  # same registry series, inherited field
 
 
-def test_view_aggregate_and_equality():
+def test_view_equality():
     a, b = _DemoStats(), _DemoStats()
     a.hits, b.hits, b.misses = 1, 2, 3
-    total = _DemoStats.aggregate([a, b])
-    assert total.as_dict() == {"hits": 3, "misses": 3}
-    assert total == total and a != b
+    assert a == a and a != b
     assert _DemoStats() != _DemoSubStats()  # type-strict
     assert (_DemoStats() == object()) is False
 
 
 # --------------------------------------------------------- observability
-
-
-def test_observability_child_merges_labels_onto_shared_registry():
-    obs = Observability(labels={"pool": "p1"})
-    child = obs.child(shard=2)
-    assert child.registry is obs.registry
-    assert child.tracer is obs.tracer
-    child.counter("hits").inc()
-    assert obs.registry.counter(
-        "hits", {"pool": "p1", "shard": 2}
-    ).value == 1
 
 
 def test_observability_observe_latency_registers_labeled_histogram():

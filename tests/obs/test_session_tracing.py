@@ -1,9 +1,9 @@
 """End-to-end tracing through the serving stack.
 
 Covers the propagation story the observability layer promises: one trace
-ID per request from scheduler submit through shard session, optimizer
-phases, executor backend and cache events — across worker threads and a
-4-shard pool — plus the behavioural guarantees (tracing changes no rows
+ID per request from scheduler submit through the session, optimizer
+phases, executor backend and cache events — across worker threads — plus
+the behavioural guarantees (tracing changes no rows
 and no counters; a warm batch traces zero fills; backends emit the same
 span shape).
 """
@@ -15,7 +15,7 @@ import pytest
 from repro.catalog.tpcd import tpcd_catalog
 from repro.execution import tiny_tpcd_database
 from repro.obs import InMemorySink, Observability, Tracer
-from repro.service import BatchScheduler, OptimizerSession, SessionPool
+from repro.service import BatchScheduler, OptimizerSession
 from repro.workloads.batches import composite_batch
 from repro.workloads.tpcd_queries import batched_queries
 from repro.workloads.synthetic import (
@@ -132,20 +132,19 @@ def test_scheduler_submissions_propagate_trace_ids_across_workers(catalog):
         assert set(member_traces) == {r["trace"] for r in links if r["attrs"]["rode_with"] == head["trace"]}
 
 
-def test_four_shard_pool_traces_per_submission_and_labels_shards():
+def test_concurrent_batch_submissions_get_one_trace_each():
     catalog = star_schema_catalog(n_dimensions=4)
     database = star_schema_database(seed=9, n_dimensions=4)
     tracer = Tracer(InMemorySink())
-    pool = SessionPool(
+    session = OptimizerSession(
         catalog,
-        shards=4,
         database=database,
         obs=Observability(tracer=tracer),
     )
     traffic = [
         random_star_batch(2, seed=seed, n_dimensions=4) for seed in range(6)
     ]
-    with BatchScheduler(pool, workers=4, strategy="greedy") as scheduler:
+    with BatchScheduler(session, workers=4, strategy="greedy") as scheduler:
         futures = [
             scheduler.submit_batch(batch, execute=True) for batch in traffic
         ]
@@ -164,12 +163,41 @@ def test_four_shard_pool_traces_per_submission_and_labels_shards():
     for names in served:
         assert {"session.optimize", "session.execute"} <= names
 
-    # The shared registry keeps per-shard latency series apart, and traffic
-    # actually spread across shards.
-    series = pool.obs.registry.histogram_snapshots("session_execute_seconds")
-    shards_hit = {dict(labels)["shard"] for labels in series}
-    assert len(shards_hit) >= 2
+    # Every execution landed in the session's one latency series.
+    series = session.obs.registry.histogram_snapshots("session_execute_seconds")
+    assert [dict(labels) for labels in series] == [{"strategy": "greedy"}]
     assert sum(s.count for s in series.values()) == len(traffic)
+
+
+def test_concurrent_query_submissions_are_each_traced_once():
+    """Micro-batched queries from several threads through one session:
+    every submission's trace is a micro-batch head or a link to one."""
+    catalog = star_schema_catalog(n_dimensions=4)
+    database = star_schema_database(seed=9, n_dimensions=4)
+    tracer = Tracer(InMemorySink())
+    session = OptimizerSession(
+        catalog, database=database, obs=Observability(tracer=tracer)
+    )
+    queries = [
+        query
+        for seed in range(3)
+        for query in random_star_batch(2, seed=seed, n_dimensions=4)
+    ]
+    with BatchScheduler(
+        session, max_batch_size=3, max_delay=0.05, workers=4, strategy="greedy"
+    ) as scheduler:
+        futures = [scheduler.submit(query, execute=True) for query in queries]
+        for future in futures:
+            assert future.result(timeout=120).rows is not None
+
+    records = tracer.sink.records
+    heads = {r["trace"] for r in records if r["name"] == "scheduler.micro_batch"}
+    links = [r for r in records if r["name"] == "scheduler.query"]
+    assert all(link["attrs"]["rode_with"] in heads for link in links)
+    assert len(heads) + len(links) == len(queries)
+    assert len(heads | {link["trace"] for link in links}) == len(queries)
+    series = session.obs.registry.histogram_snapshots("scheduler_queue_wait_seconds")
+    assert sum(s.count for s in series.values()) == len(queries)
 
 
 @pytest.mark.parametrize("backend", ["row", "columnar", "sqlite"])

@@ -352,3 +352,24 @@ class TestExecutorObserverContract:
         )
         assert len(seen) == len(result.plan.query_plans)
         assert rows == executor.execute_result(result.plan)
+
+
+class TestFeedbackOwnership:
+    def test_each_adaptive_session_owns_its_feedback_store(self, catalog, database):
+        first = OptimizerSession(catalog, database=database, adaptive=True)
+        second = OptimizerSession(catalog, database=database, adaptive=True)
+        assert first.feedback is not None and second.feedback is not None
+        assert first.feedback is not second.feedback
+        first.execute_batch(example1_batch())
+        assert first.statistics.observations_recorded > 0
+        assert len(first.feedback) > 0
+        assert len(second.feedback) == 0
+
+    def test_attach_database_binds_cache_and_feedback_to_one_token(
+        self, catalog, database
+    ):
+        session = OptimizerSession(catalog, adaptive=True)
+        session.attach_database(database)
+        assert session.database is database
+        assert session.feedback.token == session.matcache.token
+        assert session.matcache.token == database.fingerprint()

@@ -161,6 +161,26 @@ class TestSessionExecute:
         with pytest.raises(ValueError, match="different memo"):
             session.execute_plans(own)
 
+    def test_execute_plans_matches_execute_batch(self, catalog, database):
+        session = OptimizerSession(catalog, database=database)
+        batch = composite_batch(1)
+        result = session.optimize(batch)
+        planned = session.execute_plans(result)
+        assert planned.rows == OptimizerSession(
+            catalog, database=database
+        ).execute_batch(batch).rows
+
+    def test_reset_drops_cached_materializations(self, catalog, database):
+        session = OptimizerSession(catalog, database=database)
+        batch = composite_batch(1)
+        cold = session.execute_batch(batch)
+        assert cold.materializations >= 1
+        session.reset()
+        assert len(session.memo) == 0
+        again = session.execute_batch(batch)
+        assert again.rows == cold.rows
+        assert again.materializations == cold.materializations
+
     def test_facade_session_can_execute(self, catalog, database):
         """The MultiQueryOptimizer facade exposes execution via its session."""
         optimizer = MultiQueryOptimizer(catalog)
@@ -196,6 +216,25 @@ class TestSchedulerExecution:
             ).result(timeout=120)
         assert isinstance(execution, BatchExecution)
         assert execution.rows == Executor(database).execute_result(execution.result.plan)
+
+    def test_one_execution_serves_every_query_of_a_micro_batch(self, catalog, database):
+        """Row-requesting companions share one execution of their micro-batch
+        (shared materializations run once)."""
+        session = OptimizerSession(catalog, database=database)
+        batch = composite_batch(1)
+        reference = OptimizerSession(catalog, database=database).execute_batch(batch)
+        with BatchScheduler(
+            session, max_batch_size=len(batch.queries), max_delay=0.5
+        ) as scheduler:
+            futures = [scheduler.submit(q, execute=True) for q in batch]
+            outcomes = [f.result(timeout=120) for f in futures]
+        assert len({id(o.batch_result) for o in outcomes}) == 1
+        assert session.statistics.batches_executed == 1
+        assert session.statistics.materializations_computed == (
+            reference.materializations
+        )
+        for outcome in outcomes:
+            assert outcome.rows == reference.rows[outcome.query_name]
 
     def test_restricted_execution_runs_only_requested_queries(self, catalog, database):
         session = OptimizerSession(catalog, database=database)

@@ -1,5 +1,6 @@
 """BatchScheduler: micro-batching, futures, error propagation, shutdown."""
 
+import threading
 import time
 from dataclasses import replace
 
@@ -9,6 +10,11 @@ from repro.catalog.tpcd import tpcd_catalog
 from repro.service import BatchScheduler, OptimizerSession, QueryOutcome
 from repro.service.scheduler import _deduplicate_names
 from repro.workloads.batches import composite_batch
+from repro.workloads.synthetic import (
+    random_star_batch,
+    star_schema_catalog,
+    star_schema_database,
+)
 from repro.workloads.tpcd_queries import batched_queries
 
 
@@ -149,3 +155,128 @@ def test_closed_scheduler_rejects_submissions(catalog):
         sched.submit(batched_queries(1)[0])
     with pytest.raises(RuntimeError):
         sched.submit_batch(composite_batch(1))
+
+
+def test_concurrent_mixed_traffic_matches_direct_execution():
+    """Many submitter threads and workers, mixed executed queries through
+    one session: every outcome's rows match a direct execution."""
+    star_catalog = star_schema_catalog(n_dimensions=4)
+    star_db = star_schema_database(seed=9, n_dimensions=4)
+    session = OptimizerSession(star_catalog, database=star_db)
+    queries = [
+        query
+        for seed in (1, 2, 5)
+        for query in random_star_batch(3, seed=seed, n_dimensions=4)
+    ]
+    barrier = threading.Barrier(4)
+    submitted = []  # (query, future) pairs — names repeat across seeds
+    errors = []
+
+    with BatchScheduler(
+        session, max_batch_size=4, max_delay=0.05, workers=4, strategy="greedy"
+    ) as scheduler:
+
+        def submitter(chunk):
+            try:
+                barrier.wait(timeout=30)
+                submitted.extend((q, scheduler.submit(q, execute=True)) for q in chunk)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        chunks = [queries[0::4], queries[1::4], queries[2::4], queries[3::4]]
+        threads = [threading.Thread(target=submitter, args=(c,)) for c in chunks]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        outcomes = [(query, future.result(timeout=300)) for query, future in submitted]
+
+    assert len(outcomes) == len(queries)
+    reference = OptimizerSession(star_catalog, database=star_db)
+    for query, outcome in outcomes:
+        assert outcome.rows is not None
+        assert outcome.query_name.split("#")[0] == query.name
+        assert outcome.rows == reference.execute(query, strategy="greedy")
+
+
+def test_micro_batches_group_by_strategy_alone(catalog):
+    """Same-strategy companions share one micro-batch through the one
+    session; a different strategy rides in a micro-batch of its own."""
+    session = OptimizerSession(catalog)
+    q1, q2 = batched_queries(1)
+    with BatchScheduler(session, max_batch_size=8, max_delay=0.5) as sched:
+        greedy = [sched.submit(q, strategy="greedy") for q in (q1, q2)]
+        volcano = sched.submit(q1, strategy="volcano")
+        g1, g2 = [f.result(timeout=120) for f in greedy]
+        v1 = volcano.result(timeout=120)
+    assert g1.batch_result is g2.batch_result
+    assert set(g1.batch_result.query_costs) == {q1.name, q2.name}
+    assert v1.batch_result.batch_name != g1.batch_result.batch_name
+    assert set(v1.batch_result.query_costs) == {q1.name}
+    assert session.statistics.batches_served == 2
+
+
+def test_submit_batch_is_served_by_the_session(catalog):
+    session = OptimizerSession(catalog)
+    with BatchScheduler(session, strategy="volcano") as sched:
+        result = sched.submit_batch(composite_batch(1)).result(timeout=120)
+    assert result.batch_name == "BQ1"
+    assert session.statistics.batches_served == 1
+    assert session.statistics.strategies_run == 1
+
+
+def test_queue_wait_lands_in_the_session_registry(catalog):
+    """The scheduler reports through the session's own observability
+    handle — no second registry to aggregate."""
+    session = OptimizerSession(catalog)
+    with BatchScheduler(session, max_batch_size=2, max_delay=0.2) as sched:
+        for future in [sched.submit(q) for q in batched_queries(1)]:
+            future.result(timeout=120)
+    series = session.obs.registry.histogram_snapshots("scheduler_queue_wait_seconds")
+    assert sum(snapshot.count for snapshot in series.values()) == 2
+
+
+@pytest.fixture(scope="module")
+def star_world():
+    # Selective joins make shared fact-dimension subexpressions worth
+    # materializing, so the cache paths actually run.
+    return (
+        star_schema_catalog(n_dimensions=4, key_fanout=4),
+        star_schema_database(seed=9, n_dimensions=4, key_fanout=4, fact_rows=600),
+    )
+
+
+@pytest.mark.parametrize("strategy", ["volcano", "greedy", "marginal-greedy"])
+def test_scheduled_execution_is_identical_to_a_direct_session(star_world, strategy):
+    """Going through the scheduler changes where work happens, never what is
+    computed: rows, costs and the materialized set are bit-identical."""
+    star_catalog, star_db = star_world
+    direct = OptimizerSession(star_catalog, database=star_db)
+    served = OptimizerSession(star_catalog, database=star_db)
+    batches = [random_star_batch(3, seed=seed, n_dimensions=4) for seed in (1, 2, 5)]
+    with BatchScheduler(served, workers=2, strategy=strategy) as sched:
+        futures = [sched.submit_batch(batch, execute=True) for batch in batches]
+        scheduled = [f.result(timeout=300) for f in futures]
+    for batch, execution in zip(batches, scheduled):
+        reference = direct.execute_batch(batch, strategy=strategy)
+        assert execution.rows == reference.rows
+        assert execution.result.total_cost == reference.result.total_cost
+        assert execution.result.query_costs == reference.result.query_costs
+        assert execution.result.materialized_labels == (
+            reference.result.materialized_labels
+        )
+
+
+def test_warm_resubmission_is_served_from_the_session_caches(star_world):
+    star_catalog, star_db = star_world
+    session = OptimizerSession(star_catalog, database=star_db)
+    batch = random_star_batch(3, seed=7, n_dimensions=4)
+    with BatchScheduler(session, strategy="greedy") as sched:
+        cold = sched.submit_batch(batch, execute=True).result(timeout=300)
+        warm = sched.submit_batch(batch, execute=True).result(timeout=300)
+    assert cold.materializations >= 1
+    assert warm.rows == cold.rows
+    assert warm.materializations == 0
+    assert session.statistics.result_cache_hits >= 1
+    assert session.statistics.batches_served == 2

@@ -111,6 +111,24 @@ class TestSessionHousekeeping:
         session.optimize(composite_batch(2), strategy="volcano")
         assert len(session._batches) == 1
 
+    def test_statistics_count_batches_and_strategies(self, catalog):
+        session = OptimizerSession(catalog)
+        for index in (1, 2, 3):
+            session.optimize(composite_batch(index), strategy="greedy")
+        assert session.statistics.batches_served == 3
+        assert session.statistics.strategies_run == 3
+        assert session.statistics_snapshot()["batches_served"] == 3
+
+    def test_compare_agrees_with_optimize(self, catalog):
+        session = OptimizerSession(catalog)
+        batch = composite_batch(2)
+        compared = session.compare(batch, strategies=("volcano", "greedy"))
+        fresh = OptimizerSession(catalog)
+        for name in ("volcano", "greedy"):
+            reference = fresh.optimize(batch, strategy=name)
+            assert compared[name].total_cost == reference.total_cost
+            assert compared[name].query_costs == reference.query_costs
+
     def test_oracle_work_is_published_in_the_registry(self, catalog):
         session = OptimizerSession(catalog)
         batch = composite_batch(1)

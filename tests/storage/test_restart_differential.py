@@ -1,26 +1,26 @@
 """The crash/restart differential harness for the durable cache tier.
 
-The acceptance bar of the issue, asserted directly: run a mixed star batch
-workload through a spilling :class:`~repro.service.pool.SessionPool`, tear
-the pool down, rebuild it **from the spill directory alone** (the database
-is regenerated from scratch, as a restarted process would), and warm
-re-execution must yield
+The acceptance bar, asserted directly: run a mixed star batch workload
+through a spilling :class:`~repro.service.session.OptimizerSession`, tear
+the session down, rebuild it **from the spill directory alone** (the
+database is regenerated from scratch, as a restarted process would), and
+warm re-execution must yield
 
 * bit-identical rows for every query,
 * bit-identical chosen plan costs, and
 * **zero re-materializations** — every materialized node is served from
-  the recovered disk tier,
+  the recovered disk tier.
 
-parametrized over 1/2/4 shards.  A separate case proves the same through
-eviction-driven spills alone (a *crash*, no checkpoint, with a RAM budget
-far below the working set), and the feedback half proves a restarted
-adaptive pool is re-seeded with everything the previous process learned.
+A separate case proves the same through eviction-driven spills alone (a
+*crash*, no checkpoint, with a RAM budget far below the working set), and
+the feedback half proves a restarted adaptive session is re-seeded with
+everything the previous process learned.
 """
 
 import pytest
 
 from repro.adaptive.stats import FeedbackStatsStore, SnapshotError
-from repro.service import BatchScheduler, OptimizerSession, SessionPool
+from repro.service import BatchScheduler, OptimizerSession
 from repro.storage import SpillConfig
 from repro.workloads.synthetic import (
     random_star_batch,
@@ -51,17 +51,26 @@ def fresh_database():
     )
 
 
+def spilling_session(catalog, spill_dir, *, database=None, **kwargs):
+    return OptimizerSession(
+        catalog,
+        database=database if database is not None else fresh_database(),
+        spill_dir=spill_dir,
+        **kwargs,
+    )
+
+
 def traffic():
     return [
         random_star_batch(3, seed=seed, n_dimensions=N_DIMENSIONS) for seed in SEEDS
     ]
 
 
-def run_workload(pool):
+def run_workload(session):
     """Execute the mixed workload; returns (rows, costs, rematerializations)."""
     rows, costs, rematerialized = {}, {}, 0
     for batch in traffic():
-        execution = pool.execute_batch(batch, strategy="greedy")
+        execution = session.execute_batch(batch, strategy="greedy")
         rows[batch.name] = execution.rows
         costs[batch.name] = (
             execution.result.total_cost,
@@ -72,42 +81,38 @@ def run_workload(pool):
 
 
 class TestRestartDifferential:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_rebuilt_pool_serves_bit_identical_rows_with_zero_rematerializations(
-        self, star_catalog, tmp_path, shards
+    @pytest.mark.parametrize("executor", ["row", "columnar"])
+    def test_rebuilt_session_serves_bit_identical_rows_with_zero_rematerializations(
+        self, star_catalog, tmp_path, executor
     ):
         spill_dir = tmp_path / "spill"
 
-        pool = SessionPool(
-            star_catalog, shards=shards, database=fresh_database(), spill_dir=spill_dir
-        )
-        cold_rows, cold_costs, cold_materialized = run_workload(pool)
+        session = spilling_session(star_catalog, spill_dir, executor=executor)
+        cold_rows, cold_costs, cold_materialized = run_workload(session)
         assert cold_materialized >= 1, "workload must exercise materialization"
-        pool.snapshot()  # planned shutdown: checkpoint hot entries + feedback
-        del pool
+        session.snapshot()  # planned shutdown: checkpoint hot entries + feedback
+        del session
 
-        reborn = SessionPool(
-            star_catalog, shards=shards, database=fresh_database(), spill_dir=spill_dir
-        )
-        assert reborn.matcache_statistics().recovered >= cold_materialized
+        reborn = spilling_session(star_catalog, spill_dir, executor=executor)
+        assert reborn.matcache.statistics.recovered >= cold_materialized
         warm_rows, warm_costs, warm_materialized = run_workload(reborn)
 
         assert warm_rows == cold_rows, "restart must not change a single row"
         assert warm_costs == cold_costs, "restart must not change plan costs"
         assert warm_materialized == 0, (
-            "a rebuilt pool must serve every materialization from the disk tier"
+            "a rebuilt session must serve every materialization from the disk tier"
         )
-        stats = reborn.matcache_statistics()
+        stats = reborn.matcache.statistics
         assert stats.faults >= cold_materialized
         assert stats.stale_files_dropped == 0 and stats.corrupt_files_dropped == 0
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("executor", ["row", "columnar"])
     def test_restart_differential_against_a_never_restarted_session(
-        self, star_catalog, tmp_path, shards
+        self, star_catalog, tmp_path, executor
     ):
-        """Differential against an independent reference: the restarted pool
-        must agree with a plain never-restarted single session, not merely
-        with its own previous life."""
+        """Differential against an independent reference: the restarted
+        session must agree with a plain never-restarted, non-spilling
+        session, not merely with its own previous life."""
         single = OptimizerSession(star_catalog, database=fresh_database())
         reference = {
             batch.name: single.execute_batch(batch, strategy="greedy").rows
@@ -115,15 +120,11 @@ class TestRestartDifferential:
         }
 
         spill_dir = tmp_path / "spill"
-        pool = SessionPool(
-            star_catalog, shards=shards, database=fresh_database(), spill_dir=spill_dir
-        )
-        run_workload(pool)
-        pool.snapshot()
-        del pool
-        reborn = SessionPool(
-            star_catalog, shards=shards, database=fresh_database(), spill_dir=spill_dir
-        )
+        session = spilling_session(star_catalog, spill_dir, executor=executor)
+        run_workload(session)
+        session.snapshot()
+        del session
+        reborn = spilling_session(star_catalog, spill_dir, executor=executor)
         warm_rows, _, warm_materialized = run_workload(reborn)
         assert warm_rows == reference
         assert warm_materialized == 0
@@ -139,27 +140,15 @@ class TestRestartDifferential:
         # spills while the workload runs (it still fits the largest single
         # entry, so no fill is rejected outright).
         config = SpillConfig(max_bytes=12 * 1024, max_entries=3)
-        pool = SessionPool(
-            star_catalog,
-            shards=2,
-            database=fresh_database(),
-            spill_dir=spill_dir,
-            spill_config=config,
-        )
-        cold_rows, cold_costs, cold_materialized = run_workload(pool)
-        spilled = pool.matcache_statistics().spills
+        session = spilling_session(star_catalog, spill_dir, spill_config=config)
+        cold_rows, cold_costs, cold_materialized = run_workload(session)
+        spilled = session.matcache.statistics.spills
         assert cold_materialized >= 1
         assert spilled >= 1, "the tight RAM budget must force eviction spills"
-        del pool  # crash: no snapshot()
+        del session  # crash: no snapshot()
 
-        reborn = SessionPool(
-            star_catalog,
-            shards=2,
-            database=fresh_database(),
-            spill_dir=spill_dir,
-            spill_config=config,
-        )
-        assert 1 <= reborn.matcache_statistics().recovered <= spilled
+        reborn = spilling_session(star_catalog, spill_dir, spill_config=config)
+        assert 1 <= reborn.matcache.statistics.recovered <= spilled
         warm_rows, warm_costs, _ = run_workload(reborn)
         assert warm_rows == cold_rows
         assert warm_costs == cold_costs
@@ -167,23 +156,19 @@ class TestRestartDifferential:
     def test_scheduler_shutdown_checkpoints_for_the_next_process(
         self, star_catalog, tmp_path
     ):
-        """Closing a BatchScheduler over a spilling pool is a planned
+        """Closing a BatchScheduler over a spilling session is a planned
         shutdown: the next process starts warm without anyone having called
         snapshot() explicitly."""
         spill_dir = tmp_path / "spill"
-        pool = SessionPool(
-            star_catalog, shards=2, database=fresh_database(), spill_dir=spill_dir
-        )
-        with BatchScheduler(pool, strategy="greedy") as scheduler:
+        session = spilling_session(star_catalog, spill_dir)
+        with BatchScheduler(session, strategy="greedy") as scheduler:
             futures = [
                 scheduler.submit_batch(batch, execute=True) for batch in traffic()
             ]
             cold = {f.result(timeout=600).batch_name: f.result().rows for f in futures}
-        del pool
+        del session
 
-        reborn = SessionPool(
-            star_catalog, shards=2, database=fresh_database(), spill_dir=spill_dir
-        )
+        reborn = spilling_session(star_catalog, spill_dir)
         warm_rows, _, warm_materialized = run_workload(reborn)
         assert warm_materialized == 0
         for name, rows in warm_rows.items():
@@ -193,16 +178,14 @@ class TestRestartDifferential:
         self, star_catalog, tmp_path
     ):
         """The negative control: same spill dir, *different* data — every
-        recovered file is stale and the pool must recompute, not serve the
-        old rows."""
+        recovered file is stale and the session must recompute, not serve
+        the old rows."""
         spill_dir = tmp_path / "spill"
-        pool = SessionPool(
-            star_catalog, shards=2, database=fresh_database(), spill_dir=spill_dir
-        )
-        _, _, cold_materialized = run_workload(pool)
+        session = spilling_session(star_catalog, spill_dir)
+        _, _, cold_materialized = run_workload(session)
         assert cold_materialized >= 1
-        pool.snapshot()
-        del pool
+        session.snapshot()
+        del session
 
         def changed_database():
             return star_schema_database(
@@ -212,44 +195,30 @@ class TestRestartDifferential:
                 fact_rows=FACT_ROWS,
             )
 
-        reborn = SessionPool(
-            star_catalog, shards=2, database=changed_database(), spill_dir=spill_dir
-        )
+        reborn = spilling_session(star_catalog, spill_dir, database=changed_database())
         single = OptimizerSession(star_catalog, database=changed_database())
         for batch in traffic():
             warm = reborn.execute_batch(batch, strategy="greedy")
             reference = single.execute_batch(batch, strategy="greedy")
             assert warm.rows == reference.rows
-        stats = reborn.matcache_statistics()
+        stats = reborn.matcache.statistics
         assert stats.faults == 0, "no stale file may ever be served"
         assert stats.stale_files_dropped >= 1
 
 
 class TestFeedbackRestart:
-    def test_restarted_adaptive_pool_is_reseeded_with_learned_statistics(
+    def test_restarted_adaptive_session_is_reseeded_with_learned_statistics(
         self, star_catalog, tmp_path
     ):
         spill_dir = tmp_path / "spill"
-        pool = SessionPool(
-            star_catalog,
-            shards=2,
-            database=fresh_database(),
-            spill_dir=spill_dir,
-            adaptive=True,
-        )
-        run_workload(pool)
-        learned = {key: pool.feedback.get(key) for key in pool.feedback.keys()}
+        session = spilling_session(star_catalog, spill_dir, adaptive=True)
+        run_workload(session)
+        learned = {key: session.feedback.get(key) for key in session.feedback.keys()}
         assert learned, "the workload must record observations"
-        pool.snapshot()
-        del pool
+        session.snapshot()
+        del session
 
-        reborn = SessionPool(
-            star_catalog,
-            shards=2,
-            database=fresh_database(),
-            spill_dir=spill_dir,
-            adaptive=True,
-        )
+        reborn = spilling_session(star_catalog, spill_dir, adaptive=True)
         assert set(reborn.feedback.keys()) == set(learned)
         for key, entry in learned.items():
             restored = reborn.feedback.get(key)
@@ -259,9 +228,9 @@ class TestFeedbackRestart:
             assert restored.observations == entry.observations
             # Same data ⇒ same token ⇒ nothing decays on reattachment.
             assert reborn.feedback.confidence(key) == pytest.approx(
-                pool_confidence(entry, reborn.feedback)
+                same_epoch_confidence(entry, reborn.feedback)
             )
-        assert reborn.feedback.token == reborn.sessions[0].matcache.token
+        assert reborn.feedback.token == reborn.matcache.token
 
     def test_restore_into_changed_data_decays_confidence(self, tmp_path):
         store = FeedbackStatsStore()
@@ -314,22 +283,54 @@ class TestFeedbackRestart:
             with pytest.raises(SnapshotError):
                 FeedbackStatsStore().restore(path)
 
-    def test_corrupt_snapshot_degrades_pool_to_cold_start(
+    def test_corrupt_snapshot_degrades_session_to_cold_start(
         self, star_catalog, tmp_path
     ):
         spill_dir = tmp_path / "spill"
         spill_dir.mkdir()
         (spill_dir / "feedback.json").write_text("{truncated", encoding="utf-8")
-        pool = SessionPool(
-            star_catalog,
-            shards=2,
-            database=fresh_database(),
-            spill_dir=spill_dir,
-            adaptive=True,
-        )
-        assert len(pool.feedback) == 0  # empty store, not a crash
-        rows, _, _ = run_workload(pool)
+        session = spilling_session(star_catalog, spill_dir, adaptive=True)
+        assert len(session.feedback) == 0  # empty store, not a crash
+        rows, _, _ = run_workload(session)
         assert rows  # fully serviceable
+
+    def test_snapshot_feedback_without_store_or_directory_writes_nothing(
+        self, star_catalog, tmp_path
+    ):
+        plain = spilling_session(star_catalog, tmp_path / "spill")
+        assert plain.feedback is None
+        assert plain.snapshot_feedback() is None
+        undirected = OptimizerSession(
+            star_catalog, database=fresh_database(), adaptive=True
+        )
+        run_workload(undirected)
+        assert undirected.snapshot_feedback() is None
+        undirected.snapshot()  # no durable tier: a no-op, not an error
+        assert not (tmp_path / "spill" / "feedback.json").exists()
+
+    def test_snapshot_feedback_to_an_explicit_path_round_trips(
+        self, star_catalog, tmp_path
+    ):
+        session = OptimizerSession(
+            star_catalog, database=fresh_database(), adaptive=True
+        )
+        run_workload(session)
+        path = session.snapshot_feedback(tmp_path / "elsewhere.json")
+        assert path == tmp_path / "elsewhere.json"
+        restored = FeedbackStatsStore()
+        assert restored.restore(path) == len(session.feedback) > 0
+        assert set(restored.keys()) == set(session.feedback.keys())
+
+    def test_startup_sweeps_temp_files_of_an_interrupted_snapshot(
+        self, star_catalog, tmp_path
+    ):
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        leftover = spill_dir / ".feedback-tmp-crashed"
+        leftover.write_text("{half", encoding="utf-8")
+        session = spilling_session(star_catalog, spill_dir, adaptive=True)
+        assert not leftover.exists()
+        assert len(session.feedback) == 0
 
     def test_restore_under_capacity_pressure_evicts_snapshot_entries_first(
         self, tmp_path
@@ -371,6 +372,6 @@ class TestFeedbackRestart:
         assert reborn.confidence("new-node") == store.confidence("new-node")
 
 
-def pool_confidence(entry, store):
+def same_epoch_confidence(entry, store):
     """The confidence the restored store reports for a same-epoch entry."""
     return 1.0 - (1.0 - store.ewma_alpha) ** entry.observations

@@ -22,7 +22,7 @@ TINY = dict(requests=24, tenants=4, templates=3, workers=2, oracle_sample=0.25)
 
 @pytest.fixture(scope="module")
 def tiny_report():
-    return run_setting(HarnessConfig(shards=2, drift_at=(0.5,), **TINY))
+    return run_setting(HarnessConfig(drift_at=(0.5,), **TINY))
 
 
 def test_run_completes_everything(tiny_report):
@@ -56,15 +56,17 @@ def test_run_applied_the_drift_schedule(tiny_report):
     assert tiny_report.drift_steps_applied == 1
 
 
-def test_run_spreads_batches_over_shards(tiny_report):
-    assert len(tiny_report.shard_batches_served) == 2
-    assert sum(tiny_report.shard_batches_served) > 0
+def test_run_micro_batches_requests_through_one_session(tiny_report):
+    session = tiny_report.counters["session"]
+    # The scheduler formed micro-batches: every request was executed, in
+    # no more batches than there were requests.
+    assert 0 < session["batches_executed"] <= session["queries_executed"] == 24
 
 
 def test_identical_config_identical_digest(tiny_report):
     # Full determinism modulo scheduling: the same config serves the same
     # sampled rows, bit for bit, on a rerun.
-    again = run_setting(HarnessConfig(shards=2, drift_at=(0.5,), **TINY))
+    again = run_setting(HarnessConfig(drift_at=(0.5,), **TINY))
     assert again.sampled_rows_digest == tiny_report.sampled_rows_digest
     assert again.oracle["mismatches"] == 0
 
@@ -94,6 +96,7 @@ def test_report_csv_one_row_per_setting(tiny_report, tmp_path):
     "mutation",
     [
         {"format": 99},
+        {"format": 1},
         {"kind": "bench"},
         {"settings": []},
     ],
@@ -107,6 +110,26 @@ def test_validate_report_rejects_bad_envelopes(tiny_report, mutation):
     base.update(mutation)
     with pytest.raises(ValueError):
         validate_report(base)
+
+
+def test_setting_report_has_no_sharding_fields(tiny_report):
+    """Format 2 describes one session per setting: no shard count, no
+    tenant routing, no per-shard batch tallies in the JSON or the CSV."""
+    setting = tiny_report.as_dict()
+    row = flatten_setting(setting)
+    for name in ("shards", "route_by_tenant", "shard_batches_served"):
+        assert name not in setting
+        assert name not in setting["config"]
+        assert not any(column.startswith(name) for column in row)
+
+
+def test_executor_backends_serve_the_same_digest(tiny_report):
+    """Every setting replays the identical traffic through one session, so
+    the columnar backend must serve exactly the row backend's rows."""
+    columnar = run_setting(HarnessConfig(drift_at=(0.5,), executor="columnar", **TINY))
+    assert tiny_report.config["executor"] == "row"
+    assert columnar.sampled_rows_digest == tiny_report.sampled_rows_digest
+    assert columnar.oracle["mismatches"] == 0
 
 
 def test_validate_report_rejects_missing_setting_field(tiny_report):
@@ -133,20 +156,26 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HarnessConfig(drift_at=(1.5,))
     with pytest.raises(ValueError):
-        HarnessConfig(shards=0)
-    with pytest.raises(ValueError):
         HarnessConfig(arrival="warp:9")
 
 
 def test_cli_matrix_cross_product():
     args = build_parser().parse_args(
-        ["--scale", "1,2", "--shards", "1,4", "--executor", "row,columnar"]
+        ["--scale", "1,2", "--executor", "row,columnar"]
     )
     configs = configs_from_args(args)
-    assert len(configs) == 8
-    assert {(c.scale, c.shards, c.executor) for c in configs} == {
-        (s, n, e) for s in (1.0, 2.0) for n in (1, 4) for e in ("row", "columnar")
+    assert len(configs) == 4
+    assert {(c.scale, c.executor) for c in configs} == {
+        (s, e) for s in (1.0, 2.0) for e in ("row", "columnar")
     }
+
+
+@pytest.mark.parametrize("flag", ["--shards", "--route-by-tenant"])
+def test_cli_has_no_sharding_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([flag, "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_oracle_none_disables_oracle():
@@ -163,7 +192,6 @@ def test_cli_end_to_end(tmp_path, capsys):
             "--requests", "12",
             "--tenants", "3",
             "--templates", "2",
-            "--shards", "2",
             "--workers", "2",
             "--oracle-sample", "0.5",
             "--json", str(json_path),
