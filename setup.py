@@ -1,8 +1,7 @@
 """Package metadata for the reproduction.
 
-Installable with ``pip install -e .``; ``pip install -e .[bench]`` adds the
-benchmark harness and ``repro-experiments`` regenerates the paper's figures
-from the command line.
+Installable with ``pip install -e .``; ``repro-experiments`` regenerates the
+paper's figures from the command line.
 """
 
 from setuptools import find_packages, setup
@@ -21,7 +20,6 @@ setup(
     python_requires=">=3.9",
     extras_require={
         "test": ["pytest", "pytest-cov"],
-        "bench": ["pytest", "pytest-benchmark"],
     },
     entry_points={
         "console_scripts": [

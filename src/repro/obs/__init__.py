@@ -23,7 +23,7 @@ identifying the component holding it.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -80,7 +80,7 @@ class Observability:
             this handle and exposed to span emitters.
     """
 
-    __slots__ = ("registry", "tracer", "labels")
+    __slots__ = ("registry", "tracer", "labels", "_latencies")
 
     def __init__(
         self,
@@ -91,6 +91,9 @@ class Observability:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.labels: Labels = normalize_labels(labels)
+        # observe_latency's resolved series: the registry never drops a
+        # metric, so a per-call-site histogram can be looked up once.
+        self._latencies: Dict[tuple, Histogram] = {}
 
     def counter(self, name: str, **labels: object) -> Counter:
         return self.registry.counter(name, self._merged(labels))
@@ -102,8 +105,16 @@ class Observability:
         return self.registry.histogram(name, self._merged(labels))
 
     def observe_latency(self, name: str, seconds: float, **labels: object) -> None:
-        """Record one latency observation under this handle's labels."""
-        self.registry.histogram(name, self._merged(labels)).observe(seconds)
+        """Record one latency observation under this handle's labels.
+
+        Called on every served request, so the series is resolved once per
+        (name, labels) and cached rather than re-normalized each time.
+        """
+        key = (name, *((k, str(v)) for k, v in labels.items()))
+        histogram = self._latencies.get(key)
+        if histogram is None:
+            histogram = self._latencies[key] = self.histogram(name, **labels)
+        histogram.observe(seconds)
 
     def _merged(self, labels: dict) -> Labels:
         if not labels:

@@ -65,6 +65,7 @@ from ..optimizer.best_cost import BestCostEngine
 from ..optimizer.plan import PhysicalOp
 from ..core.mqo import MQOResult, run_strategy
 from .matcache import (
+    CacheKey,
     MaterializationCache,
     cache_key,
     estimate_batch_bytes,
@@ -241,6 +242,10 @@ class OptimizerSession:
         self._builder = DagBuilder(catalog, self.dag_config)
         self._batches: "OrderedDict[BatchKey, PreparedBatch]" = OrderedDict()
         self._results: "OrderedDict[Tuple, MQOResult]" = OrderedDict()
+        #: Materialization-cache key per (memo uid, group, stored order).  A
+        #: group's signature never changes, so it is canonicalized once, not
+        #: on every warm execution; reset() drops the old memo's keys.
+        self._cache_keys: Dict[Tuple[int, int, object], CacheKey] = {}
 
         config = AdaptiveConfig() if adaptive is True else (adaptive or None)
         if config is not None and not config.enabled:
@@ -324,6 +329,7 @@ class OptimizerSession:
             self._builder = DagBuilder(self.catalog, self.dag_config)
             self._batches.clear()
             self._results.clear()
+            self._cache_keys.clear()
             self._drift_pending.clear()
             self.matcache.invalidate()
 
@@ -731,9 +737,17 @@ class OptimizerSession:
             token = self._data_token()
             if self.matcache.ensure_token(token):
                 self.statistics.data_invalidations += 1
+            plan = result.plan
+            keys = {}
+            for gid, mat_plan in plan.materialization_plans.items():
+                memo_key = (memo.uid, gid, mat_plan.order)
+                key = self._cache_keys.get(memo_key)
+                if key is None:
+                    key = cache_key(memo.signature_of(gid), mat_plan.order)
+                    self._cache_keys[memo_key] = key
+                keys[gid] = key
 
         started = time.perf_counter()
-        plan = result.plan
         # A batch-preferring backend (columnar) exchanges ColumnBatch values
         # with the cache in both directions — same accounting, but neither a
         # warm read nor a fill copies rows or transposes.
@@ -742,10 +756,6 @@ class OptimizerSession:
         else:
             fetch, store = self.matcache.get, self.matcache.put
         hits: Dict[int, object] = {}
-        keys = {
-            gid: cache_key(memo.signature_of(gid), mat_plan.order)
-            for gid, mat_plan in plan.materialization_plans.items()
-        }
         for gid, key in keys.items():
             cached = fetch(key)
             if cached is not None:

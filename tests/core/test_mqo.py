@@ -13,6 +13,8 @@ from repro.core.benefit import (
     mqo_decomposition,
 )
 from repro.core.mqo import STRATEGIES, MultiQueryOptimizer
+from repro.dag.build import DagConfig
+from repro.workloads.batches import composite_batch
 from repro.workloads.synthetic import example1_batch, example1_catalog
 
 
@@ -36,8 +38,9 @@ def batch():
 
 
 @pytest.fixture(scope="module")
-def mqo(catalog):
-    return MultiQueryOptimizer(catalog)
+def mqo(catalog, request):
+    # Indirectly parametrizable with a DagConfig; the default config otherwise.
+    return MultiQueryOptimizer(catalog, dag_config=getattr(request, "param", None))
 
 
 class TestBenefitOracles:
@@ -79,13 +82,24 @@ class TestBenefitOracles:
 
 
 class TestMultiQueryOptimizer:
+    @pytest.mark.parametrize(
+        "mqo",
+        [DagConfig(enable_or_subsumption=True), DagConfig(enable_or_subsumption=False)],
+        ids=["or-nodes", "no-or-nodes"],
+        indirect=True,
+    )
     def test_all_strategies_run(self, mqo, batch):
-        results = mqo.compare(batch, strategies=("volcano", "greedy", "marginal-greedy", "share-all"))
-        volcano = results["volcano"].total_cost
-        for name, result in results.items():
-            assert result.total_cost <= volcano + 1e-6
-            assert result.batch_name == "pair"
-        assert results["volcano"].materialized_count == 0
+        # BQ1 repeats Q3 with two constants: the only input here whose DAG
+        # gains relaxed OR nodes when OR subsumption is on.
+        for workload in (batch, composite_batch(1)):
+            results = mqo.compare(
+                workload, strategies=("volcano", "greedy", "marginal-greedy", "share-all")
+            )
+            volcano = results["volcano"].total_cost
+            for result in results.values():
+                assert result.total_cost <= volcano + 1e-6
+                assert result.batch_name == workload.name
+            assert results["volcano"].materialized_count == 0
 
     def test_unknown_strategy_rejected(self, mqo, batch):
         with pytest.raises(ValueError):

@@ -108,19 +108,28 @@ class TestExperiment1:
         assert results.tables()[-1].title == table.title
         assert all(cells[-1] == "yes" for cells in table.rows)
 
+    def test_100gb_scale_costs_are_positive(self):
+        results = run_experiment1(scale_factors=(100.0,), max_batches=1)
+        assert {row.strategy for row in results.rows} == {"volcano", "greedy", "marginal-greedy"}
+        assert all(row.estimated_cost_s > 0 for row in results.rows)
+
 
 class TestExperiment2:
     @pytest.fixture(scope="class")
     def results(self):
-        return run_experiment2(scale_factors=(1.0,), workloads=("Q11", "Q15"))
+        return run_experiment2(scale_factors=(1.0,), workloads=("Q2", "Q2-D", "Q11", "Q15"))
 
     def test_workload_selection(self, results):
-        assert {r.workload for r in results.rows} == {"Q11", "Q15"}
+        assert {r.workload for r in results.rows} == {"Q2", "Q2-D", "Q11", "Q15"}
+
+    def test_no_strategy_worse_than_volcano(self, results):
+        volcano = {r.workload: r.estimated_cost_s for r in results.rows if r.strategy == "volcano"}
+        for row in results.rows:
+            assert row.estimated_cost_s <= volcano[row.workload] + 1e-6, row
 
     def test_sharing_found_for_q15(self, results):
         q15_rows = [r for r in results.rows if r.workload == "Q15" and r.strategy != "volcano"]
         assert any(r.materialized_nodes >= 1 for r in q15_rows)
-        assert all(r.improvement >= 0 for r in q15_rows)
 
     def test_tables(self, results):
         assert results.figure_5a().rows
@@ -135,6 +144,6 @@ class TestTheory:
     def test_bounds_hold(self):
         results = run_theory_experiment(n_random_instances=4, n_perfect_instances=2)
         assert results.all_bounds_satisfied
-        assert 0.5 <= results.mean_achieved_ratio <= 1.0 + 1e-9
+        assert 0.9 <= results.mean_achieved_ratio <= 1.0 + 1e-9
         table = results.table()
         assert len(table.rows) == 6

@@ -147,6 +147,13 @@ class TestAdaptationEnabled:
         assert session.statistics.strategies_run == strategies_before
         assert session.statistics.reoptimizations == 1
 
+        # The payoff, both plans costed under the corrected statistics: the
+        # stale selection re-costed by the current engine loses to the
+        # re-optimized plan.
+        engine = session.prepare(example1_batch()).engine
+        stale_cost = engine.evaluate(frozenset(stale.result.materialized)).total_cost
+        assert reoptimized.result.total_cost < stale_cost
+
     def test_reoptimized_rows_match_a_fresh_executor(self, catalog, database):
         session = self.make_session(catalog, database)
         session.execute_batch(example1_batch())

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.catalog.tpcd import tpcd_catalog
+from repro.execution import Executor
 from repro.service import BatchScheduler, OptimizerSession, QueryOutcome
 from repro.service.scheduler import _deduplicate_names
 from repro.workloads.batches import composite_batch
@@ -128,11 +129,18 @@ def test_submit_batch_bypasses_micro_batching(catalog):
 
 
 def test_errors_propagate_to_submitters(catalog):
+    """An optimize failure fails every submitter of the micro-batch."""
     session = OptimizerSession(catalog)
-    with BatchScheduler(session, max_batch_size=1, strategy="no-such-strategy") as sched:
-        future = sched.submit(batched_queries(1)[0])
-        with pytest.raises(ValueError, match="unknown strategy"):
-            future.result(timeout=120)
+    q1, q2 = batched_queries(1)
+    with BatchScheduler(
+        session, max_batch_size=2, max_delay=0.5, strategy="no-such-strategy"
+    ) as sched:
+        futures = [sched.submit(q1), sched.submit(q2, execute=True)]
+        sched.flush(timeout=120)
+        assert all(future.done() for future in futures)
+        for future in futures:
+            with pytest.raises(ValueError, match="unknown strategy"):
+                future.result(timeout=0)
 
 
 def test_close_resolves_mixed_strategy_backlog(catalog):
@@ -280,3 +288,91 @@ def test_warm_resubmission_is_served_from_the_session_caches(star_world):
     assert warm.materializations == 0
     assert session.statistics.result_cache_hits >= 1
     assert session.statistics.batches_served == 2
+
+
+def test_future_cancelled_while_queued_is_dropped_from_its_micro_batch(catalog):
+    session = OptimizerSession(catalog)
+    q1, q2, q3 = batched_queries(2)[:3]
+    # Room for a fourth query: the collector holds the three for max_delay.
+    sched = BatchScheduler(session, max_batch_size=4, max_delay=0.5, strategy="greedy")
+    try:
+        first, cancelled, last = [sched.submit(q) for q in (q1, q2, q3)]
+        assert cancelled.cancel(), "still queued: the collector waits for companions"
+        sched.flush(timeout=120)
+        assert cancelled.cancelled()
+        outcomes = [first.result(timeout=0), last.result(timeout=0)]
+    finally:
+        sched.close()
+    assert outcomes[0].batch_result is outcomes[1].batch_result
+    assert set(outcomes[0].batch_result.query_costs) == {q1.name, q3.name}
+    assert session.statistics.batches_served == 1
+
+
+def test_micro_batch_whose_every_future_was_cancelled_is_never_optimized(catalog):
+    session = OptimizerSession(catalog)
+    q1, q2 = batched_queries(1)
+    with BatchScheduler(session, max_batch_size=4, max_delay=0.5, strategy="greedy") as sched:
+        cancelled = [sched.submit(q) for q in (q1, q2)]
+        assert all(f.cancel() for f in cancelled), "still queued: the collector waits"
+        sched.flush(timeout=120)
+        # Another strategy never rides in the cancelled micro-batch.
+        served = sched.submit(q1, strategy="volcano").result(timeout=120)
+    # close() joined the collector and the workers: every micro-batch has run.
+    assert served.strategy == "volcano"
+    assert session.statistics.batches_served == 1
+
+
+def test_future_of_a_running_micro_batch_cannot_be_cancelled(catalog):
+    """Once the micro-batch runs, cancel() is refused, so resolving one
+    future can never raise and strand its companions."""
+    session = OptimizerSession(catalog)
+    entered, release = threading.Event(), threading.Event()
+    optimize = session.optimize
+
+    def gated_optimize(*args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=120)
+        return optimize(*args, **kwargs)
+
+    session.optimize = gated_optimize
+    q1, q2 = batched_queries(1)
+    with BatchScheduler(session, max_batch_size=2, max_delay=0.5, strategy="greedy") as sched:
+        futures = [sched.submit(q1), sched.submit(q2)]
+        assert entered.wait(timeout=120)
+        assert not futures[0].cancel()
+        assert futures[0].running()
+        release.set()
+        outcomes = [f.result(timeout=120) for f in futures]
+    assert [o.query_name for o in outcomes] == [q1.name, q2.name]
+
+
+def test_executor_fault_fails_only_the_submitters_that_asked_for_rows(
+    star_world, monkeypatch
+):
+    star_catalog, star_db = star_world
+    session = OptimizerSession(star_catalog, database=star_db)
+    q1, q2, q3 = random_star_batch(3, seed=11, n_dimensions=4)
+
+    def broken(self, *args, **kwargs):
+        raise RuntimeError("executor fault")
+
+    with BatchScheduler(session, max_batch_size=3, max_delay=0.5, strategy="greedy") as sched:
+        with monkeypatch.context() as patch:
+            patch.setattr(Executor, "execute_result", broken)
+            futures = [
+                sched.submit(q1, execute=True),
+                sched.submit(q2),
+                sched.submit(q3, execute=True),
+            ]
+            for future in (futures[0], futures[2]):
+                with pytest.raises(RuntimeError, match="executor fault"):
+                    future.result(timeout=120)
+            optimized = futures[1].result(timeout=120)
+        assert optimized.rows is None and optimized.cost > 0
+        assert set(optimized.batch_result.query_costs) == {q1.name, q2.name, q3.name}
+        assert session.matcache.statistics.fills == 0
+        assert session.statistics.materializations_computed == 0
+
+        served = sched.submit(q1, execute=True).result(timeout=120)
+    reference = OptimizerSession(star_catalog, database=star_db)
+    assert served.rows == reference.execute(q1, strategy="greedy")
