@@ -12,16 +12,23 @@ the store and goes to ``fill_listener`` as one), where
 
 Three things make this fast where the interpreter is slow:
 
-* **one transposition per table and data version**: a scan is a zero-copy,
-  alias-qualified view of the table's column image
-  (:meth:`~repro.execution.data.Database.column_image`), which the
-  database builds once per :attr:`~repro.execution.data.Database.version`
-  and drops on the next change;
+* **one transposition and one key index per table, column and data
+  version**: a scan is a zero-copy, alias-qualified view of the table's
+  column image (:meth:`~repro.execution.data.Database.column_image`), and
+  a hash join whose larger right side is such a view's key column probes
+  the smaller side into that column's prebuilt ``{value: positions}``
+  index (:meth:`~repro.execution.data.Database.key_index`) instead of
+  reading every right row; the database builds both once per
+  :attr:`~repro.execution.data.Database.version` and drops them on the
+  next change;
 * **one resolution / compilation pass per batch** instead of per row —
   predicates go through :func:`~repro.execution.columnar.compile
-  .filter_indices` (selection vectors), joins hash raw key columns (on a
-  side with unique keys when there is one) and emit index pairs before
-  gathering any payload, aggregates extract each input column once;
+  .filter_indices` (selection vectors), other joins hash raw key columns
+  (one dict when the right side's keys are unique) and emit index pairs
+  before gathering any payload, sorts compare a column's raw values when
+  it holds only numbers or only ``str`` (the order
+  :func:`~repro.execution.evaluate.total_order_key` gives them), and
+  aggregates extract each input column once;
 * **column pruning**: every operator tells its child which columns it
   actually needs (``needed``), so scans under an aggregate never expose the
   columns the aggregate will not read, and ``READ_MATERIALIZED`` serves a
@@ -69,6 +76,10 @@ def _matches(name: str, ref: ColumnRef) -> bool:
 
 def _prune_names(names: Sequence[str], needed: FrozenSet[ColumnRef]) -> List[str]:
     return [name for name in names if any(_matches(name, ref) for ref in needed)]
+
+
+_NUMBERS = frozenset({bool, int, float})
+_TEXT = frozenset({str})
 
 
 def _unique_positions(keys: Sequence[object]) -> Optional[Dict[object, int]]:
@@ -200,7 +211,7 @@ class ColumnarExecutor(Executor):
         if not columns or batch.length <= 1:
             return batch
         none_key = total_order_key(None)
-        decorated: List[List[Tuple]] = []
+        decorated: List[Sequence[object]] = []
         for column in columns:
             try:
                 name = batch.resolve(column)
@@ -211,7 +222,13 @@ class ColumnarExecutor(Executor):
             values = batch.column(name)
             mask = batch.mask(name)
             if mask is None:
-                decorated.append([total_order_key(value) for value in values])
+                types = set(map(type, values))
+                if types <= _NUMBERS or types == _TEXT:
+                    # Numbers compare with numbers and str with str exactly
+                    # as their (0, 0, v) / (0, 1, v) keys do, NaN included.
+                    decorated.append(values)
+                else:
+                    decorated.append([total_order_key(value) for value in values])
             else:
                 decorated.append(
                     [
@@ -219,7 +236,7 @@ class ColumnarExecutor(Executor):
                         for value, present in zip(values, mask)
                     ]
                 )
-        keys = list(zip(*decorated))
+        keys = decorated[0] if len(decorated) == 1 else list(zip(*decorated))
         order = sorted(range(batch.length), key=keys.__getitem__)
         return batch.take(order)
 
@@ -269,8 +286,8 @@ class ColumnarExecutor(Executor):
 
         return self._gather_merged(left, right, left_idx, right_idx, None)
 
-    @staticmethod
     def _hash_join_pairs(
+        self,
         left: ColumnBatch,
         right: ColumnBatch,
         equi: List[Tuple[ColumnRef, ColumnRef]],
@@ -328,45 +345,33 @@ class ColumnarExecutor(Executor):
             return keys
 
         left_keys = key_rows(left, left_refs)
-        right_keys = key_rows(right, right_refs)
 
-        # Build on a side whose non-NULL keys are unique (smaller side
-        # first): one dict, one probe, no buckets.  Every path emits the
-        # pairs in the same order: left-major, ascending right positions
-        # within each left row.
-        sides = [(True, left_keys), (False, right_keys)]
-        if len(right_keys) < len(left_keys):
-            sides.reverse()
-        for build_left, keys in sides:
-            position = _unique_positions(keys)
-            if position is None:
-                continue
-            if build_left:
-                # A counting sort of the matched right positions by the left
-                # row they match: stable, so ascending within each left row.
-                groups: List[List[int]] = [[] for _ in keys]
-                for ri, li in enumerate(map(position.get, right_keys)):
-                    if li is not None:
-                        groups[li].append(ri)
-                return (
-                    [li for li, group in enumerate(groups) for _ in group],
-                    [ri for group in groups for ri in group],
-                )
-            of_left = list(map(position.get, left_keys))
-            left_idx = [li for li, ri in enumerate(of_left) if ri is not None]
-            return left_idx, list(map(of_left.__getitem__, left_idx))
+        # Every path emits the pairs in the same order: left-major, ascending
+        # right positions within each left row.  A larger right side that is
+        # an unfiltered scan's key column comes with its buckets prebuilt
+        # (the database's per-version key index), so only the left is read.
+        buckets: Optional[Dict[object, Sequence[int]]] = None
+        if len(right_refs) == 1 and len(left_keys) < right.length:
+            buckets = self.database.key_index(right.column(right.resolve(right_refs[0])))
+        if buckets is None:
+            right_keys = key_rows(right, right_refs)
+            # Unique non-NULL keys on the right: one dict, one probe.
+            position = _unique_positions(right_keys)
+            if position is not None:
+                of_left = list(map(position.get, left_keys))
+                left_idx = [li for li, ri in enumerate(of_left) if ri is not None]
+                return left_idx, list(map(of_left.__getitem__, left_idx))
+            buckets = {}
+            for i, key in enumerate(right_keys):
+                if key is None:
+                    continue
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [i]
+                else:
+                    bucket.append(i)
 
-        # Duplicates on both sides: buckets on the right, probe the left.
-        buckets: Dict[object, List[int]] = {}
         left_idx, right_idx = [], []
-        for i, key in enumerate(right_keys):
-            if key is None:
-                continue
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [i]
-            else:
-                bucket.append(i)
         get = buckets.get
         for li, key in enumerate(left_keys):
             if key is None:

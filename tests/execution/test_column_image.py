@@ -1,17 +1,21 @@
-"""The per-version column image a ``Database`` keeps for columnar scans.
+"""The per-version column images and key indexes a ``Database`` keeps.
 
 ``Database.column_image(table)`` transposes a table once per data version;
 every ``TABLE_SCAN`` / ``INDEX_SCAN`` / ``INDEX_NL_JOIN`` inner of the
 columnar backend is an alias-qualified view of it that shares its value
-lists.  These tests pin the image's lifecycle (it goes stale with the same
-version bump as the caches, lives and dies with its database, and a change
-racing its construction is never cached under the new version) and the
-immutability contract that makes sharing its lists safe.  The row executor
+lists.  ``Database.key_index(values)`` maps one of those lists, by
+identity, to its ``{value: ascending positions}`` index, which hash joins
+probe.  These tests pin the lifecycle of both (they go stale with the same
+version bump as the caches, live and die with their database, and a change
+racing their construction is never cached under the new version) and the
+immutability contract that makes sharing the lists safe.  The row executor
 is the oracle throughout.
 """
 
 import copy
 import gc
+import sys
+import threading
 import weakref
 
 from repro.algebra.expressions import col, eq, lt
@@ -86,6 +90,12 @@ def assert_image_matches_table(db, name):
     assert image.length == fresh.length
 
 
+def index_of(db, name, column):
+    """The key index of a current image column, as plain lists."""
+    index = db.key_index(db.column_image(name).columns[column])
+    return {value: positions.tolist() for value, positions in index.items()}
+
+
 # ---------------------------------------------------------------------------
 # Staleness: the image follows the data version
 # ---------------------------------------------------------------------------
@@ -95,12 +105,17 @@ def test_in_place_mutation_is_seen_after_touch():
     db = small_database()
     before = assert_backends_agree(db)
     image = db.column_image("t")
+    index = db.key_index(image.columns["a"])
+    assert index_of(db, "t", "a") == {0: [0, 3], 1: [1, 4], 2: [2, 5]}
     db.tables["t"][0]["b"] = 100
     db.tables["t"].append({"a": 0, "b": 1, "c": "new"})
     # Unannounced, the change is invisible to columnar scans (documented).
     assert db.column_image("t") is image
+    assert db.key_index(image.columns["a"]) is index
     db.touch()
     assert db.column_image("t") is not image
+    assert db.key_index(image.columns["a"]) is None
+    assert index_of(db, "t", "a") == {0: [0, 3, 6], 1: [1, 4], 2: [2, 5]}
     assert_image_matches_table(db, "t")
     assert assert_backends_agree(db) != before
 
@@ -109,13 +124,18 @@ def test_add_table_and_replace_table_restale_the_image():
     db = small_database()
     assert_backends_agree(db)
     image = db.column_image("t")
+    assert db.key_index(image.columns["a"]) is not None
     db.replace_table("t", [{"a": 2, "b": 9, "c": "r"}, {"a": 0, "b": 2, "c": "s"}])
     assert db.column_image("t") is not image
+    assert db.key_index(image.columns["a"]) is None
     assert db.column_image("t").columns["c"] == ["r", "s"]
+    assert index_of(db, "t", "a") == {2: [0], 0: [1]}
     assert_backends_agree(db)
     image = db.column_image("t")
     db.add_table("t", [{"a": 1, "b": 1, "c": "added"}])
     assert db.column_image("t") is not image
+    assert db.key_index(image.columns["a"]) is None
+    assert index_of(db, "t", "a") == {1: [0]}
     assert_image_matches_table(db, "t")
     assert_backends_agree(db)
 
@@ -155,6 +175,12 @@ def test_self_join_aliases_share_the_image_lists():
     for key in ("a", "b", "c"):
         assert x.columns[f"x.{key}"] is image.columns[key]
         assert y.columns[f"y.{key}"] is image.columns[key]
+    assert db.key_index(x.columns["x.a"]) is db.key_index(y.columns["y.a"])
+    # A gathered copy holds equal values but is no image column.
+    copied = x.take(range(x.length))
+    assert copied.columns["x.a"] == image.columns["a"]
+    assert db.key_index(copied.columns["x.a"]) is None
+    assert set(db._images[2]) == {("t", "a")}
     assert_backends_agree(db)
 
 
@@ -222,30 +248,36 @@ def test_attach_database_never_reads_the_old_objects_image():
 
     old.column_image = stale_read
     session.attach_database(new)
+    old.key_index = stale_read
     session.matcache.invalidate()  # same content, same token: force real scans
     assert session.execute_batch(batch).rows == expected
     assert new._images is not None
+    assert new._images[2]  # the new object's joins probed its own indexes
 
 
 def test_image_dies_with_its_database():
     db = small_database()
     assert_backends_agree(db)
     image = weakref.ref(db.column_image("t"))
-    assert image() is not None
+    bucket = weakref.ref(db.key_index(db.column_image("t").columns["a"])[0])
+    assert image() is not None and bucket() is not None
     del db
     gc.collect()
     assert image() is None
+    assert bucket() is None
 
 
 def test_image_is_not_part_of_equality_or_repr():
     a, b = small_database(), small_database()
     text = repr(a)
     a.column_image("t")
+    a.key_index(a.column_image("t").columns["a"])
     assert a == b
     assert repr(a) == text
 
 
 def test_touch_racing_the_transpose_is_not_cached_under_the_new_version():
+    """The same race against the column image, then against a key index."""
     db = small_database()
 
     class TouchingRows(list):
@@ -272,6 +304,66 @@ def test_touch_racing_the_transpose_is_not_cached_under_the_new_version():
     assert db._images[0] == db.version
     assert rebuilt.columns["c"][0] == "raced"
     assert db.column_image("t") is rebuilt
+
+    class TouchingKey:
+        """Hashing it the first time announces a change — a writer landing
+        in the middle of the index build."""
+
+        hook = True
+
+        def __hash__(self):
+            if self.hook:
+                self.hook = False
+                db.touch()
+            return 0
+
+    key = TouchingKey()
+    db.add_table("k", [{"k": 1}, {"k": key}, {"k": 1}])
+    image = db.column_image("k")
+    started = db.version
+    raced = db.key_index(image.columns["k"])
+    assert db.version == started + 1
+    assert raced[1].tolist() == [0, 2] and raced[key].tolist() == [1]
+    assert db._images is None or db._images[0] != db.version
+    # The raced index went with its version: the old list is no image now.
+    assert db.key_index(image.columns["k"]) is None
+    rebuilt = db.key_index(db.column_image("k").columns["k"])
+    assert rebuilt is not raced
+    assert db._images[0] == db.version
+    assert db.key_index(db.column_image("k").columns["k"]) is rebuilt
+
+
+def test_key_index_beside_concurrent_image_builds():
+    """Scheduler workers execute side by side and image tables lazily after
+    every version bump: a ``key_index`` walking this version's images while
+    another thread images more tables must neither fail nor miss."""
+    db = Database({f"t{i}": [{"a": i}, {"a": i}] for i in range(200)})
+    errors = []
+
+    def probe(stop):
+        while not stop.is_set():
+            try:
+                assert db.key_index([]) is None
+            except Exception as error:  # reported below, in the main thread
+                errors.append(error)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            db.touch()
+            stop = threading.Event()
+            worker = threading.Thread(target=probe, args=(stop,))
+            worker.start()
+            for name in db.tables:
+                db.column_image(name)
+            stop.set()
+            worker.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert index_of(db, "t199", "a") == {199: [0, 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +412,11 @@ def test_images_survive_fills_hits_spills_faults_and_result_mutation(tmp_path):
     cache.invalidate()  # recompute from the images, not from cached batches
     assert [session.execute_batch(batch).rows for batch in batches] == kept
     check_images()
+    # The joins probed base-table indexes only: no cached materialization
+    # (filled, hit or faulted back in) is an image column.
+    indexes = dict(db._images[2])
+    assert indexes
+    for key in cache.keys():
+        for values in cache.get_batch(key).columns.values():
+            assert db.key_index(values) is None
+    assert db._images[2] == indexes

@@ -9,6 +9,8 @@ so a test that pins its behaviour pins the columnar backend's too.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expressions import (
     AggregateExpr,
@@ -21,7 +23,7 @@ from repro.algebra.properties import SortOrder
 from repro.execution import ColumnarExecutor, ExecutionError, Executor
 from repro.execution.columnar import ColumnBatch, filter_indices
 from repro.execution.data import Database
-from repro.execution.evaluate import ColumnNotFound
+from repro.execution.evaluate import ColumnNotFound, total_order_key
 from repro.optimizer.plan import PhysicalOp, PhysicalPlan
 
 BOTH_BACKENDS = [Executor, ColumnarExecutor]
@@ -348,3 +350,55 @@ class TestOperatorParity:
             PhysicalOp.FILTER, children=(scan("t"),), predicate=lt(col("t.a"), 10)
         )
         assert backend(db).execute(node) == [{"t.a": 1, "t.b": 2}, {"t.a": 3}]
+
+
+# ---------------------------------------------------------------------------
+# Sort keys: raw values where a column has one comparable type
+# ---------------------------------------------------------------------------
+
+SHARED_NAN = float("nan")
+NUMBERS = st.one_of(
+    st.sampled_from(
+        [True, False, 0, 1, -1, 0.0, -0.0, 0.5, SHARED_NAN, float("inf"),
+         2**63, 2.0**63, 2**53 + 1, float(2**53), -(2**70)]
+    ),
+    st.integers(),
+    st.floats(),
+    st.builds(float, st.just("nan")),  # a fresh NaN object every draw
+)
+TEXT = st.text(max_size=3)
+#: int + str and None-bearing columns: only total_order_key orders them.
+MIXED = st.one_of(NUMBERS, TEXT, st.none())
+
+
+@st.composite
+def sort_inputs(draw):
+    """A batch with one or two sort columns of any kind, optionally masked,
+    plus a ``t.i`` column that records where each row came from."""
+    n = draw(st.integers(0, 12))
+    columns, masks = {"t.i": list(range(n))}, {}
+    for index in range(draw(st.integers(1, 2))):
+        name = f"t.c{index}"
+        kind = draw(st.sampled_from([NUMBERS, TEXT, MIXED]))
+        columns[name] = draw(st.lists(kind, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            masks[name] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return ColumnBatch(columns, n, masks)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sort_inputs())
+def test_sort_permutation_equals_total_order_key_sort(batch):
+    names = [name for name in batch.columns if name != "t.i"]
+    node = plan(PhysicalOp.SORT, order=SortOrder(tuple(col(name) for name in names)))
+
+    def key(i):
+        return tuple(
+            total_order_key(
+                batch.columns[name][i] if batch.masks.get(name, [True] * batch.length)[i] else None
+            )
+            for name in names
+        )
+
+    expected = sorted(range(batch.length), key=key)
+    assert ColumnarExecutor._sort_batch(batch, node).columns["t.i"] == expected

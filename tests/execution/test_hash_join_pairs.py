@@ -1,13 +1,15 @@
 """``ColumnarExecutor._hash_join_pairs`` against the bucket loop it replaced.
 
-The join builds on a side whose non-NULL keys are unique when there is one
-(one dict, one probe) and keeps a bucket table on the right otherwise.  Every
-path must emit exactly the pairs, in exactly the order, of the plain
-build-on-the-right-and-probe loop kept below as the reference: left-major,
-ascending right positions within each left row.  Key values cover what dict
-equality makes subtle — NULLs, absent (masked) cells, ``1 == 1.0 == True``,
-one NaN object repeated and distinct NaN objects — on one- and two-column
-keys, with empty and single-row operands.
+The join probes a larger right side that is an unfiltered scan's key column
+through the database's per-version key index, builds one dict when the
+right side's non-NULL keys are unique, and keeps a bucket table on the
+right otherwise.  Every path must emit exactly the pairs, in exactly the
+order, of the plain build-on-the-right-and-probe loop kept below as the
+reference: left-major, ascending right positions within each left row.  Key
+values cover what dict equality makes subtle — NULLs, absent (masked)
+cells, ``1 == 1.0 == True``, one NaN object repeated and distinct NaN
+objects — on one- and two-column keys, with empty and single-row operands,
+and with the right operand either a plain batch or a scan view of a table.
 """
 
 from typing import Dict, List
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.algebra.expressions import col
 from repro.execution import ColumnarExecutor
 from repro.execution.columnar import ColumnBatch
+from repro.execution.data import Database
 
 NAN = float("nan")
 NAN_B = float("nan")
@@ -107,24 +110,42 @@ def operand(draw, alias, width, size):
     return ColumnBatch(columns, size, masks)
 
 
+def scan_view(batch):
+    """``batch``'s rows as table ``t`` of a database, and the executor plus
+    the unfiltered scan view (alias ``r``) that shares its column image."""
+    db = Database()
+    db.add_table("t", [{name[2:]: value for name, value in row.items()} for row in batch.to_rows()])
+    executor = ColumnarExecutor(db)
+    return executor, executor._table_batch("t", "r", None)
+
+
+def pairs(left, right, equi):
+    return ColumnarExecutor(Database())._hash_join_pairs(left, right, equi)
+
+
 @st.composite
 def join_inputs(draw):
     width = draw(st.integers(1, 2))
     sizes = st.one_of(st.integers(0, 1), st.integers(0, 12))
+    view = draw(st.booleans())
     left = draw(operand("l", width, draw(sizes)))
-    right = draw(operand("r", width, draw(sizes)))
+    right = draw(operand("r", width, draw(st.integers(1, 12) if view else sizes)))
+    executor = ColumnarExecutor(Database())
+    # A scan view needs every key column present in some row of the table.
+    if view and all(any(right.masks.get(name) or [True]) for name in right.columns):
+        executor, right = scan_view(right)
     equi = []
     for index in range(width):
         pair = (col(f"l.k{index}"), col(f"r.k{index}"))
         equi.append(pair if draw(st.booleans()) else pair[::-1])
-    return left, right, equi
+    return executor, left, right, equi
 
 
 @settings(max_examples=400, deadline=None)
 @given(join_inputs())
 def test_pairs_equal_the_bucket_loop(inputs):
-    left, right, equi = inputs
-    assert ColumnarExecutor._hash_join_pairs(left, right, equi) == reference_pairs(
+    executor, left, right, equi = inputs
+    assert executor._hash_join_pairs(left, right, equi) == reference_pairs(
         left, right, equi
     )
 
@@ -155,11 +176,32 @@ def test_named_cases(left_keys, right_keys):
     left, right = batch("l", left_keys), batch("r", right_keys)
     equi = [(col("l.k0"), col("r.k0"))]
     expected = reference_pairs(left, right, equi)
-    assert ColumnarExecutor._hash_join_pairs(left, right, equi) == expected
+    assert pairs(left, right, equi) == expected
 
 
 def test_masked_cells_match_nothing():
     left = batch("l", [1, 1, 2], mask=[True, False, True])
     right = batch("r", [1, 2, 2], mask=[True, True, False])
     equi = [(col("l.k0"), col("r.k0"))]
-    assert ColumnarExecutor._hash_join_pairs(left, right, equi) == ([0, 2], [0, 1])
+    assert pairs(left, right, equi) == ([0, 2], [0, 1])
+
+
+def test_scan_view_probes_the_key_index():
+    left = batch("l", [2, None, 1.0, NAN, 7])
+    executor, right = scan_view(batch("r", [True, 2, None, 2, NAN, 1, 2.0, NAN_B]))
+    equi = [(col("r.k0"), col("l.k0"))]
+    assert executor._hash_join_pairs(left, right, equi) == reference_pairs(left, right, equi)
+    (index,) = executor.database._images[2].values()
+    assert index[2].tolist() == [1, 3, 6]
+
+
+def test_masked_scan_view_falls_back():
+    """A heterogeneous table's key column has a mask, so it gets no index."""
+    executor, right = scan_view(
+        batch("r", [1, 2, 2, None, 1, 3], mask=[True, True, False, True, False, True])
+    )
+    assert "r.k0" in right.masks
+    left = batch("l", [2, 1])
+    equi = [(col("l.k0"), col("r.k0"))]
+    assert executor._hash_join_pairs(left, right, equi) == reference_pairs(left, right, equi)
+    assert executor.database._images[2] == {}
