@@ -34,7 +34,7 @@ from ..algebra.expressions import (
     referenced_qualifiers,
     single_column,
 )
-from ..algebra.logical import Query, QueryBatch
+from ..algebra.logical import LogicalPlan, Query, QueryBatch
 from ..catalog.catalog import Catalog
 from ..cost.cardinality import CatalogResolver, SelectivityEstimator
 from .blocks import QueryBlock, bind_block, normalize_query
@@ -164,6 +164,9 @@ class DagBuilder:
         self.block_roots: List[int] = []
         # Relaxed p1 ∨ p2 groups created per source set (budget accounting).
         self._or_groups_created: Dict[FrozenSet, int] = {}
+        # intern_query's answers per plan: the memo only grows, so a known
+        # plan's groups stay exactly where the first interning put them.
+        self._interned: Dict[LogicalPlan, Tuple[int, Tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------ API
 
@@ -186,14 +189,20 @@ class DagBuilder:
         re-interning a structurally identical query finds all of its groups
         already present (fingerprint unification) and adds nothing — the
         serving layer detects reuse by checking that :attr:`Memo.version`
-        did not move.
+        did not move.  A plan equal to one interned before (dict equality,
+        like the memo's own signatures) is answered from a per-builder
+        table without normalizing, binding or expanding it again.
         """
+        interned = self._interned.get(query.plan)
+        if interned is not None:
+            return interned
         block = bind_block(normalize_query(query), self.catalog)
         start = len(self.block_roots)
         root = self._build_block(block)
         blocks = tuple(self.block_roots[start:])
         del self.block_roots[start:]
-        return root, blocks
+        interned = self._interned[query.plan] = (root, blocks)
+        return interned
 
     def add_batch(self, batch: QueryBatch) -> Dict[str, int]:
         for query in batch:

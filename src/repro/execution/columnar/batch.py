@@ -36,17 +36,116 @@ every scan of a base table shares the lists of that table's column image
 (:meth:`~repro.execution.data.Database.column_image`), and a cached
 materialization shares its lists with every read of it, so one mutated
 list would corrupt every later result that reads it.
+
+The same immutability lets a long-lived batch carry a :class:`KeyIndex`:
+per-column ``{key: positions}`` tables that hash joins probe instead of
+reading the column.  Base-table images and cached materializations get one
+(:meth:`ColumnBatch.indexed`); :meth:`select` views and alias-qualified
+scan views share it; :meth:`take` and every operator output start without
+one, so a per-call intermediate never pays for an index.
 """
 
 from __future__ import annotations
 
+import threading
+from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..evaluate import AmbiguousColumn, ColumnNotFound
 
-__all__ = ["ColumnBatch"]
+__all__ = ["ColumnBatch", "KeyIndex"]
 
 Row = Dict[str, object]
+
+#: ``(unique, table)``: ``{key: position}`` when the column's non-NULL keys
+#: are pairwise distinct, else ``{key: array('l') of ascending positions}``.
+Index = Tuple[bool, Dict[object, object]]
+
+#: What building a column's index costs, in C-level scans of that column
+#: (a ``map`` over its keys plus a comprehension over the hits): 1.3 with
+#: 40 distinct keys and 2.2 with 640, measured on 3 800-row cached join
+#: results.  An index that only *replaces* such scans (the join's probe
+#: side) is bought once the scans already paid for that column reach this
+#: price: rent-or-buy.
+BUILD_COST_IN_SCANS = 2
+
+_ATTACH = threading.Lock()
+
+
+def build_index(keys: Sequence[object]) -> Index:
+    """The index of one key column; a NULL key (``None``) is never entered,
+    because it matches nothing.  Keys group by dict equality (``1 == 1.0 ==
+    True``; a NaN object equals only itself), exactly like a hash join.
+    Buckets are ``array('l')``: compact, and invisible to the cyclic GC."""
+    head = [key for key in keys[:32] if key is not None]
+    if len(set(head)) == len(head):  # a repeat this early rules out unique
+        positions = dict(zip(keys, range(len(keys))))
+        nulls = 0
+        if None in positions:
+            del positions[None]
+            nulls = keys.count(None)
+        if len(positions) == len(keys) - nulls:
+            return True, positions
+    buckets: Dict[object, array] = {}
+    get = buckets.get
+    for position, key in enumerate(keys):
+        bucket = get(key)
+        if bucket is None:
+            buckets[key] = array("l", (position,))
+        else:
+            bucket.append(position)
+    buckets.pop(None, None)
+    return False, buckets
+
+
+class KeyIndex:
+    """The lazily built key indexes of one batch's columns.
+
+    Held by a base-table image or a cached materialization and shared by
+    every view of it; a column is recognized by the identity of its value
+    list, so an alias-qualified view finds its image's index under a
+    different name.  ``scans`` counts the index-less scans each
+    column has paid so far; the disk tier keeps that dict beside a spilled
+    entry, so an entry faulted back in remembers what it has paid.
+
+    Concurrent joins may build the same index twice; both builds are
+    equal, and the last one is kept.
+    """
+
+    __slots__ = ("_columns", "_built", "scans", "__weakref__")
+
+    def __init__(self, batch: "ColumnBatch", scans: Optional[Dict[str, int]] = None):
+        # Holding each list keeps its id from being reused by another.
+        self._columns = {
+            id(values): (name, values, batch.masks.get(name))
+            for name, values in batch.columns.items()
+        }
+        self._built: Dict[str, Index] = {}
+        self.scans: Dict[str, int] = scans if scans is not None else {}
+
+    def lookup(self, values: List[object], buy: bool) -> Tuple[Optional[Index], bool]:
+        """``(index, built now)`` for a column of this batch, else ``(None,
+        False)``.  ``buy`` builds a missing index at once; otherwise the
+        caller scans instead (counted as paid) until the column's paid scans
+        reach :data:`BUILD_COST_IN_SCANS`.
+        """
+        known = self._columns.get(id(values))
+        if known is None:
+            return None, False
+        name, _, mask = known
+        index = self._built.get(name)
+        if index is not None:
+            return index, False
+        if not buy:
+            paid = self.scans.get(name, 0)
+            if paid < BUILD_COST_IN_SCANS:
+                self.scans[name] = paid + 1
+                return None, False
+        keys: Sequence[object] = values
+        if mask is not None:
+            keys = [value if present else None for value, present in zip(values, mask)]
+        index = self._built[name] = build_index(keys)
+        return index, True
 
 
 class ColumnBatch:
@@ -58,15 +157,18 @@ class ColumnBatch:
         masks: per-column validity (presence) list, or ``None`` for columns
             every row has.  Only heterogeneous inputs ever carry masks.
         length: number of rows in the batch.
+        key_index: the :class:`KeyIndex` of the long-lived batch whose
+            value lists this one shares, or None (not part of the data).
     """
 
-    __slots__ = ("columns", "masks", "length", "__weakref__")
+    __slots__ = ("columns", "masks", "length", "key_index", "__weakref__")
 
     def __init__(
         self,
         columns: "Dict[str, List[object]]",
         length: int,
         masks: "Optional[Dict[str, Optional[List[bool]]]]" = None,
+        key_index: Optional[KeyIndex] = None,
     ):
         self.columns = columns
         self.length = length
@@ -75,6 +177,17 @@ class ColumnBatch:
         self.masks: Dict[str, Optional[List[bool]]] = (
             dict(masks) if masks is not None else {}
         )
+        self.key_index = key_index
+
+    def indexed(self, scans: Optional[Dict[str, int]] = None) -> "ColumnBatch":
+        """This batch, carrying a :class:`KeyIndex` from now on (for a batch
+        that outlives the call that made it: an image, a cache entry).
+        ``scans`` seeds the rent-or-buy history of a fresh holder."""
+        if self.key_index is None:
+            with _ATTACH:  # two readers of one cache entry get one holder
+                if self.key_index is None:
+                    self.key_index = KeyIndex(self, scans)
+        return self
 
     # ------------------------------------------------------------ construction
 
@@ -181,7 +294,8 @@ class ColumnBatch:
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Gather the given row positions into a new batch (the row order of
-        ``indices`` becomes the output order; duplicates are allowed)."""
+        ``indices`` becomes the output order; duplicates are allowed).  The
+        gathered lists are new, so the result carries no key index."""
         columns = {
             name: [values[i] for i in indices] for name, values in self.columns.items()
         }
@@ -195,13 +309,13 @@ class ColumnBatch:
         """A batch with just the named columns, **sharing** the value lists.
 
         Used for column pruning: dropping unused columns costs nothing
-        because nothing is copied.
+        because nothing is copied — the :class:`KeyIndex` included.
         """
         columns = {name: self.columns[name] for name in names}
         masks = {
             name: self.masks[name] for name in columns if self.masks.get(name) is not None
         }
-        return ColumnBatch(columns, self.length, masks)
+        return ColumnBatch(columns, self.length, masks, self.key_index)
 
     # -------------------------------------------------------------------- misc
 

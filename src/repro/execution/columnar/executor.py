@@ -12,19 +12,24 @@ the store and goes to ``fill_listener`` as one), where
 
 Three things make this fast where the interpreter is slow:
 
-* **one transposition and one key index per table, column and data
-  version**: a scan is a zero-copy, alias-qualified view of the table's
-  column image (:meth:`~repro.execution.data.Database.column_image`), and
-  a hash join whose larger right side is such a view's key column probes
-  the smaller side into that column's prebuilt ``{value: positions}``
-  index (:meth:`~repro.execution.data.Database.key_index`) instead of
-  reading every right row; the database builds both once per
-  :attr:`~repro.execution.data.Database.version` and drops them on the
-  next change;
+* **one transposition per table and data version, and key indexes on
+  every batch that outlives a call**: a scan is a zero-copy,
+  alias-qualified view of the table's column image
+  (:meth:`~repro.execution.data.Database.column_image`).  Images and cached
+  materializations carry a :class:`~repro.execution.columnar.batch
+  .KeyIndex` that their views share, and a hash join whose larger side is
+  such a batch's key column probes the smaller side into that column's
+  ``{value: positions}`` index instead of reading every larger-side row.
+  On the right an index replaces the table the join would build there, so
+  it is built at the first probe; on the left it replaces a C-level scan
+  that costs less than a build, so it is built once the column's scans
+  have paid for it (rent-or-buy).  An index dies with its batch: an image
+  at the next data version, a cache entry when it is invalidated, evicted
+  or spilled;
 * **one resolution / compilation pass per batch** instead of per row —
   predicates go through :func:`~repro.execution.columnar.compile
-  .filter_indices` (selection vectors), other joins hash raw key columns
-  (one dict when the right side's keys are unique) and emit index pairs
+  .filter_indices` (selection vectors), other joins hash the right side's
+  raw key columns (one dict when its keys are unique) and emit index pairs
   before gathering any payload, sorts compare a column's raw values when
   it holds only numbers or only ``str`` (the order
   :func:`~repro.execution.evaluate.total_order_key` gives them), and
@@ -53,10 +58,12 @@ from ...algebra.expressions import (
     referenced_columns,
 )
 from ...optimizer.plan import PhysicalOp, PhysicalPlan
-from ..data import Row
+from ...obs import Observability
+from ...obs.metrics import Counter
+from ..data import Database, Row
 from ..evaluate import AmbiguousColumn, ColumnNotFound, total_order_key
 from ..executor import ExecutionError, Executor
-from .batch import ColumnBatch
+from .batch import ColumnBatch, Index, build_index
 from .compile import filter_indices
 
 __all__ = ["ColumnarExecutor"]
@@ -82,15 +89,24 @@ _NUMBERS = frozenset({bool, int, float})
 _TEXT = frozenset({str})
 
 
-def _unique_positions(keys: Sequence[object]) -> Optional[Dict[object, int]]:
-    """``{key: position}`` over the non-NULL keys when no two are equal (dict
-    equality: ``1 == 1.0 == True``; a NaN equals only itself), else None."""
-    positions = dict(zip(keys, range(len(keys))))
-    nulls = 0
-    if None in positions:  # NULL keys match nothing
-        del positions[None]
-        nulls = keys.count(None)
-    return positions if len(positions) == len(keys) - nulls else None
+def _probe(index: Index, keys: Sequence[object]) -> Tuple[List[int], List[int]]:
+    """Every ``(probe position, indexed position)`` pair with equal keys:
+    probe-major, ascending indexed positions within each probe row.  A NULL
+    probe key finds nothing (the index holds none)."""
+    unique, table = index
+    if unique:
+        hits = list(map(table.get, keys))
+        probe_idx = [i for i, hit in enumerate(hits) if hit is not None]
+        return probe_idx, list(map(hits.__getitem__, probe_idx))
+    probe_idx: List[int] = []
+    indexed_idx: List[int] = []
+    get = table.get
+    for i, key in enumerate(keys):
+        bucket = get(key)
+        if bucket is not None:
+            indexed_idx.extend(bucket)
+            probe_idx.extend([i] * len(bucket))
+    return probe_idx, indexed_idx
 
 
 def _extend(needed: Needed, refs) -> Needed:
@@ -107,6 +123,18 @@ class ColumnarExecutor(Executor):
     #: this backend consumes ``ColumnBatch`` store values directly and hands
     #: its materializations out as batches (``fill_listener`` / ``observer``).
     prefers_batches = True
+
+    def __init__(self, database: Database):
+        super().__init__(database)
+        self.key_index_builds = Counter("execution_key_index_builds")
+        self.key_index_probes = Counter("execution_key_index_probes")
+
+    def bind_observability(self, obs: Observability) -> None:
+        """Also count key-index builds and the joins answered through an
+        index into ``obs``'s registry."""
+        super().bind_observability(obs)
+        self.key_index_builds = obs.counter("execution_key_index_builds")
+        self.key_index_probes = obs.counter("execution_key_index_probes")
 
     # ------------------------------------------------------------- overrides
 
@@ -192,6 +220,7 @@ class ColumnarExecutor(Executor):
             {name: image.columns[name[cut:]] for name in names},
             image.length,
             {name: image.masks[name[cut:]] for name in names if name[cut:] in image.masks},
+            image.key_index,
         )
 
     @staticmethod
@@ -292,7 +321,8 @@ class ColumnarExecutor(Executor):
         right: ColumnBatch,
         equi: List[Tuple[ColumnRef, ColumnRef]],
     ) -> Tuple[List[int], List[int]]:
-        """Build-and-probe on raw key columns, emitting index pairs only."""
+        """Build-and-probe on raw key columns, emitting index pairs only:
+        left-major, ascending right positions within each left row."""
         left_refs: List[ColumnRef] = []
         right_refs: List[ColumnRef] = []
         for a, b in equi:
@@ -344,43 +374,32 @@ class ColumnarExecutor(Executor):
                 keys.append(tuple(key) if key is not None else None)
             return keys
 
-        left_keys = key_rows(left, left_refs)
-
-        # Every path emits the pairs in the same order: left-major, ascending
-        # right positions within each left row.  A larger right side that is
-        # an unfiltered scan's key column comes with its buckets prebuilt
-        # (the database's per-version key index), so only the left is read.
-        buckets: Optional[Dict[object, Sequence[int]]] = None
-        if len(right_refs) == 1 and len(left_keys) < right.length:
-            buckets = self.database.key_index(right.column(right.resolve(right_refs[0])))
-        if buckets is None:
-            right_keys = key_rows(right, right_refs)
-            # Unique non-NULL keys on the right: one dict, one probe.
-            position = _unique_positions(right_keys)
-            if position is not None:
-                of_left = list(map(position.get, left_keys))
-                left_idx = [li for li, ri in enumerate(of_left) if ri is not None]
-                return left_idx, list(map(of_left.__getitem__, left_idx))
-            buckets = {}
-            for i, key in enumerate(right_keys):
-                if key is None:
-                    continue
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [i]
-                else:
-                    bucket.append(i)
-
-        left_idx, right_idx = [], []
-        get = buckets.get
-        for li, key in enumerate(left_keys):
-            if key is None:
-                continue
-            bucket = get(key)
-            if bucket is not None:
-                right_idx.extend(bucket)
-                left_idx.extend([li] * len(bucket))
-        return left_idx, right_idx
+        # The smaller side probes the larger side's key index when the larger
+        # side is a long-lived batch (an image or a cached materialization)
+        # or a view of one.  On the right — the side the fallback builds its
+        # table on — the index replaces that build, so it is built at the
+        # first probe; on the left it replaces a scan of the left keys, so
+        # the column rents scans until they have paid for it.
+        index: Optional[Index] = None
+        indexed_left = right.length < left.length
+        larger, larger_refs = (left, left_refs) if indexed_left else (right, right_refs)
+        holder = larger.key_index
+        if holder is not None and len(larger_refs) == 1 and left.length != right.length:
+            values = larger.column(larger.resolve(larger_refs[0]))
+            index, built = holder.lookup(values, buy=not indexed_left)
+            if index is not None:
+                self.key_index_probes.inc()
+                if built:
+                    self.key_index_builds.inc()
+        if index is None:
+            index, indexed_left = build_index(key_rows(right, right_refs)), False
+        if not indexed_left:
+            return _probe(index, key_rows(left, left_refs))
+        # Probed right-major: restore left-major order, ascending right
+        # positions within each left row (the generation order breaks ties).
+        right_idx, left_idx = _probe(index, key_rows(right, right_refs))
+        order = sorted(range(len(left_idx)), key=left_idx.__getitem__)
+        return [left_idx[i] for i in order], [right_idx[i] for i in order]
 
     @staticmethod
     def _gather_merged(
@@ -512,6 +531,9 @@ class ColumnarExecutor(Executor):
             # Rows handed in by the caller: transposed once per call (the
             # store is this call's own dict).
             batch = store[plan.group] = ColumnBatch.from_rows(batch)
+        # What plans read back outlives the operator that made it: it is a
+        # cache entry or this call's own materialization.
+        batch = batch.indexed()
         if needed is not None:
             batch = batch.select(_prune_names(list(batch.columns), needed))
         return batch

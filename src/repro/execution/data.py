@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -35,10 +34,11 @@ class Database:
     :class:`~repro.service.matcache.MaterializationCache` — compare versions
     to detect that their contents have gone stale.  The same bump drops the
     per-table column images (:meth:`column_image`) the columnar executor
-    scans and the per-column key indexes (:meth:`key_index`) its hash joins
-    probe.  Code that mutates table lists in place must call :meth:`touch`
-    afterwards: until it does, the change is invisible to columnar scans as
-    well as to the caches.
+    scans, and with each image the key indexes its hash joins built on it
+    (the image's :class:`~repro.execution.columnar.batch.KeyIndex`).  Code
+    that mutates table lists in place must call :meth:`touch` afterwards:
+    until it does, the change is invisible to columnar scans as well as to
+    the caches.
     """
 
     tables: Dict[str, List[Row]] = field(default_factory=dict)
@@ -46,11 +46,10 @@ class Database:
     _fingerprint: Optional[Tuple[int, str]] = field(
         default=None, repr=False, compare=False
     )
-    # (version, {table: image}, {(table, column): key index}) on the object,
-    # so images and indexes die with it.
-    _images: Optional[
-        Tuple[int, Dict[str, "ColumnBatch"], Dict[Tuple[str, str], Dict[object, array]]]
-    ] = field(default=None, init=False, repr=False, compare=False)
+    # (version, {table: image}) on the object, so images die with it.
+    _images: Optional[Tuple[int, Dict[str, "ColumnBatch"]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def version(self) -> int:
@@ -59,64 +58,33 @@ class Database:
 
     def touch(self) -> int:
         """Record an out-of-band data change (in-place row mutation) and drop
-        the column images and key indexes."""
+        the column images."""
         self._version += 1
         self._images = None
         return self._version
 
-    def _derived(self):
-        """This version's ``(version, images, indexes)``."""
-        # Same idiom as fingerprint(): stamp with the version captured BEFORE
-        # reading the rows, so a build that a change raced is filed under
-        # the old version and the next call rebuilds.
-        version = self._version
-        derived = self._images
-        if derived is None or derived[0] != version:
-            derived = self._images = (version, {}, {})
-        return derived
-
     def column_image(self, name: str) -> "ColumnBatch":
         """The table transposed once per :attr:`version`: a ``ColumnBatch``
-        with the rows' own (unqualified) keys, masks where rows differ.
+        with the rows' own (unqualified) keys, masks where rows differ, and
+        a :class:`~repro.execution.columnar.batch.KeyIndex` its scan views
+        share.
 
         Every columnar scan of the table shares its value lists, so nobody
         may mutate them (the :class:`ColumnBatch` immutability contract).
         """
-        images = self._derived()[1]
-        image = images.get(name)
+        # Same idiom as fingerprint(): stamp with the version captured BEFORE
+        # reading the rows, so a build that a change raced is filed under
+        # the old version and the next call rebuilds.
+        version = self._version
+        images = self._images
+        if images is None or images[0] != version:
+            images = self._images = (version, {})
+        image = images[1].get(name)
         if image is None:
             from .columnar.batch import ColumnBatch  # the package imports this module
 
-            image = images[name] = ColumnBatch.from_rows(self.table(name))
+            image = images[1][name] = ColumnBatch.from_rows(self.table(name)).indexed()
         return image
-
-    def key_index(self, values: List[object]) -> Optional[Dict[object, array]]:
-        """``{value: ascending positions}`` over ``values`` when that list
-        *is* an unmasked column of one of this version's column images, else
-        None.  Built once per ``(table, column)`` and :attr:`version`.
-
-        Keys follow dict equality (``1 == 1.0 == True``; a NaN object equals
-        only itself), exactly as a hash join's build side groups them, so
-        the index serves as that build side prebuilt.
-        """
-        _, images, indexes = self._derived()
-        # A snapshot: concurrent executions image other tables meanwhile.
-        for name, image in list(images.items()):
-            for column, image_values in image.columns.items():
-                if image_values is not values or column in image.masks:
-                    continue
-                index = indexes.get((name, column))
-                if index is None:
-                    index = {}
-                    for position, value in enumerate(values):
-                        bucket = index.get(value)
-                        if bucket is None:
-                            index[value] = array("l", (position,))
-                        else:
-                            bucket.append(position)
-                    indexes[(name, column)] = index
-                return index
-        return None
 
     def fingerprint(self) -> str:
         """A stable content hash of the data: equal bytes ⇒ equal fingerprint.

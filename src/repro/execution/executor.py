@@ -23,7 +23,7 @@ from ..algebra.expressions import (
     Predicate,
     conjuncts,
 )
-from ..obs import NULL_TRACER
+from ..obs import NULL_TRACER, Observability
 from ..optimizer.plan import PhysicalOp, PhysicalPlan
 from ..optimizer.volcano import BestCostResult
 from .data import Database, Row
@@ -57,6 +57,11 @@ class Executor:
 
     def __init__(self, database: Database):
         self.database = database
+
+    def bind_observability(self, obs: Observability) -> None:
+        """Send backend-internal spans to ``obs`` (the serving layer calls
+        this in ``attach_database``)."""
+        self.tracer = obs.tracer
 
     # ------------------------------------------------------------------ API
 

@@ -295,7 +295,10 @@ class MaterializationCache:
         Callers get a shared, immutable-by-convention view (the columnar
         executor never mutates received columns, and converts to fresh row
         dicts at its boundary); a row-filled entry is transposed once and
-        memoized, a batch-filled or faulted one is served as stored.
+        memoized, a batch-filled or faulted one is served as stored.  The
+        key index a columnar read attaches to the served batch
+        (:meth:`~repro.execution.columnar.batch.ColumnBatch.indexed`) is
+        never accounted in :attr:`current_bytes` and dies with the entry.
         """
         with self._lock:
             entry = self._hit_locked(key)

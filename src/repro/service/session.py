@@ -356,8 +356,9 @@ class OptimizerSession:
             self._database = database
             self._executor = self._executor_cls(database)
             # Backends that do their own deferred work (the SQL oracles
-            # reload tables lazily) emit spans through the session's tracer.
-            self._executor.tracer = self.obs.tracer
+            # reload tables lazily) emit spans through the session's tracer;
+            # the columnar one counts its key-index use in its registry.
+            self._executor.bind_observability(self.obs)
             self.matcache.ensure_token(self._data_token())
             if self.feedback is not None:
                 self.feedback.ensure_token(self._data_token())

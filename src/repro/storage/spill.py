@@ -44,7 +44,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..analysis.sanitizer import record_io
 from ..obs import Observability, metric_field
@@ -102,6 +102,14 @@ class _DiskEntry:
     path: Path
     file_bytes: int
     token: object
+    #: The spilled batch's rent-or-buy history (``KeyIndex.scans``),
+    #: handed to the batch a fault decodes; its indexes are not kept.
+    scans: Optional[Dict[str, int]] = None
+
+
+def _scans(entry: _Entry) -> Optional[Dict[str, int]]:
+    holder = getattr(entry.batch, "key_index", None)
+    return holder.scans if holder is not None else None
 
 
 def _spill_filename(key: CacheKey) -> str:
@@ -273,6 +281,7 @@ class SpillingMaterializationCache(MaterializationCache):
             # holds exactly these rows (it was the fault-in source): keeping
             # it makes hot/warm exchange of a larger-than-RAM working set
             # cheap.
+            existing.scans = _scans(entry)
             self._disk.move_to_end(key)
             return
         path = self.spill_dir / _spill_filename(key)
@@ -316,7 +325,8 @@ class SpillingMaterializationCache(MaterializationCache):
             self._drop_disk_locked(key)
             return
         self._disk[key] = _DiskEntry(
-            path=path, file_bytes=written, token=wire_token(self._token)
+            path=path, file_bytes=written, token=wire_token(self._token),
+            scans=_scans(entry),
         )
         self._disk.move_to_end(key)
         self._disk_bytes += written
@@ -402,7 +412,7 @@ class SpillingMaterializationCache(MaterializationCache):
         size = header.accounted_bytes
         if size is None:  # written before the header carried it
             size = estimate_batch_bytes(batch)
-        return _Entry(None, batch, size, max(header.cost, 0.0))
+        return _Entry(None, batch.indexed(disk.scans), size, max(header.cost, 0.0))
 
     def _drop_disk_locked(self, key: CacheKey) -> None:
         entry = self._disk.pop(key, None)

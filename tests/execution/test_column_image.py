@@ -1,21 +1,20 @@
-"""The per-version column images and key indexes a ``Database`` keeps.
+"""The per-version column images a ``Database`` keeps, and their key indexes.
 
 ``Database.column_image(table)`` transposes a table once per data version;
 every ``TABLE_SCAN`` / ``INDEX_SCAN`` / ``INDEX_NL_JOIN`` inner of the
 columnar backend is an alias-qualified view of it that shares its value
-lists.  ``Database.key_index(values)`` maps one of those lists, by
-identity, to its ``{value: ascending positions}`` index, which hash joins
-probe.  These tests pin the lifecycle of both (they go stale with the same
-version bump as the caches, live and die with their database, and a change
-racing their construction is never cached under the new version) and the
-immutability contract that makes sharing the lists safe.  The row executor
-is the oracle throughout.
+lists and its :class:`~repro.execution.columnar.batch.KeyIndex`, which maps
+one of those lists, by identity, to its ``{value: positions}`` index for
+hash joins to probe.  These tests pin the lifecycle of both (they go stale
+with the same version bump as the caches, live and die with their database,
+and a change racing their construction is never cached under the new
+version) and the immutability contract that makes sharing the lists safe.
+The row executor is the oracle throughout.  The holder's life on cached
+materializations is pinned in ``test_key_index.py``.
 """
 
 import copy
 import gc
-import sys
-import threading
 import weakref
 
 from repro.algebra.expressions import col, eq, lt
@@ -91,9 +90,15 @@ def assert_image_matches_table(db, name):
 
 
 def index_of(db, name, column):
-    """The key index of a current image column, as plain lists."""
-    index = db.key_index(db.column_image(name).columns[column])
-    return {value: positions.tolist() for value, positions in index.items()}
+    """The key index of a current image column, as ``{value: [positions]}``."""
+    image = db.column_image(name)
+    (unique, table), _ = image.key_index.lookup(image.columns[column], buy=True)
+    return {value: [at] if unique else list(at) for value, at in table.items()}
+
+
+def lookup(image, column):
+    """What an image's holder answers for ``column`` (building it if missing)."""
+    return image.key_index.lookup(column, buy=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +110,17 @@ def test_in_place_mutation_is_seen_after_touch():
     db = small_database()
     before = assert_backends_agree(db)
     image = db.column_image("t")
-    index = db.key_index(image.columns["a"])
+    index = lookup(image, image.columns["a"])
     assert index_of(db, "t", "a") == {0: [0, 3], 1: [1, 4], 2: [2, 5]}
     db.tables["t"][0]["b"] = 100
     db.tables["t"].append({"a": 0, "b": 1, "c": "new"})
     # Unannounced, the change is invisible to columnar scans (documented).
     assert db.column_image("t") is image
-    assert db.key_index(image.columns["a"]) is index
+    assert lookup(db.column_image("t"), image.columns["a"]) is index
     db.touch()
     assert db.column_image("t") is not image
-    assert db.key_index(image.columns["a"]) is None
+    assert db.column_image("t").key_index is not image.key_index
+    assert lookup(db.column_image("t"), image.columns["a"]) is None
     assert index_of(db, "t", "a") == {0: [0, 3, 6], 1: [1, 4], 2: [2, 5]}
     assert_image_matches_table(db, "t")
     assert assert_backends_agree(db) != before
@@ -124,17 +130,17 @@ def test_add_table_and_replace_table_restale_the_image():
     db = small_database()
     assert_backends_agree(db)
     image = db.column_image("t")
-    assert db.key_index(image.columns["a"]) is not None
+    assert lookup(image, image.columns["a"]) is not None
     db.replace_table("t", [{"a": 2, "b": 9, "c": "r"}, {"a": 0, "b": 2, "c": "s"}])
     assert db.column_image("t") is not image
-    assert db.key_index(image.columns["a"]) is None
+    assert lookup(db.column_image("t"), image.columns["a"]) is None
     assert db.column_image("t").columns["c"] == ["r", "s"]
     assert index_of(db, "t", "a") == {2: [0], 0: [1]}
     assert_backends_agree(db)
     image = db.column_image("t")
     db.add_table("t", [{"a": 1, "b": 1, "c": "added"}])
     assert db.column_image("t") is not image
-    assert db.key_index(image.columns["a"]) is None
+    assert lookup(db.column_image("t"), image.columns["a"]) is None
     assert index_of(db, "t", "a") == {1: [0]}
     assert_image_matches_table(db, "t")
     assert_backends_agree(db)
@@ -175,12 +181,14 @@ def test_self_join_aliases_share_the_image_lists():
     for key in ("a", "b", "c"):
         assert x.columns[f"x.{key}"] is image.columns[key]
         assert y.columns[f"y.{key}"] is image.columns[key]
-    assert db.key_index(x.columns["x.a"]) is db.key_index(y.columns["y.a"])
+    assert x.key_index is y.key_index is image.key_index
+    assert lookup(x, x.columns["x.a"]) is lookup(y, y.columns["y.a"])
     # A gathered copy holds equal values but is no image column.
     copied = x.take(range(x.length))
     assert copied.columns["x.a"] == image.columns["a"]
-    assert db.key_index(copied.columns["x.a"]) is None
-    assert set(db._images[2]) == {("t", "a")}
+    assert copied.key_index is None
+    assert lookup(image, copied.columns["x.a"]) is None
+    assert set(image.key_index._built) == {"a"}
     assert_backends_agree(db)
 
 
@@ -246,32 +254,39 @@ def test_attach_database_never_reads_the_old_objects_image():
     def stale_read(name):
         raise AssertionError(f"read the detached database's image of {name!r}")
 
+    class StaleHolder:
+        def lookup(self, *args, **kwargs):
+            raise AssertionError("probed the detached database's key index")
+
     old.column_image = stale_read
     session.attach_database(new)
-    old.key_index = stale_read
+    for image in old._images[1].values():
+        image.key_index = StaleHolder()
     session.matcache.invalidate()  # same content, same token: force real scans
     assert session.execute_batch(batch).rows == expected
     assert new._images is not None
-    assert new._images[2]  # the new object's joins probed its own indexes
+    # The new object's joins probed its own indexes.
+    assert any(image.key_index._built for image in new._images[1].values())
 
 
 def test_image_dies_with_its_database():
     db = small_database()
     assert_backends_agree(db)
     image = weakref.ref(db.column_image("t"))
-    bucket = weakref.ref(db.key_index(db.column_image("t").columns["a"])[0])
-    assert image() is not None and bucket() is not None
+    holder = weakref.ref(db.column_image("t").key_index)
+    assert index_of(db, "t", "a")
+    assert image() is not None and holder() is not None
     del db
     gc.collect()
     assert image() is None
-    assert bucket() is None
+    assert holder() is None
 
 
 def test_image_is_not_part_of_equality_or_repr():
     a, b = small_database(), small_database()
     text = repr(a)
     a.column_image("t")
-    a.key_index(a.column_image("t").columns["a"])
+    assert index_of(a, "t", "a")
     assert a == b
     assert repr(a) == text
 
@@ -321,49 +336,20 @@ def test_touch_racing_the_transpose_is_not_cached_under_the_new_version():
     db.add_table("k", [{"k": 1}, {"k": key}, {"k": 1}])
     image = db.column_image("k")
     started = db.version
-    raced = db.key_index(image.columns["k"])
+    raced = lookup(image, image.columns["k"])
     assert db.version == started + 1
-    assert raced[1].tolist() == [0, 2] and raced[key].tolist() == [1]
+    # Built over the image's own (immutable) list, so it is right for it...
+    assert not raced[0]
+    assert {value: list(at) for value, at in raced[1].items()} == {1: [0, 2], key: [1]}
     assert db._images is None or db._images[0] != db.version
-    # The raced index went with its version: the old list is no image now.
-    assert db.key_index(image.columns["k"]) is None
-    rebuilt = db.key_index(db.column_image("k").columns["k"])
+    # ...and it went with its version: the new image has its own holder.
+    rebuilt_image = db.column_image("k")
+    assert rebuilt_image is not image
+    assert rebuilt_image.key_index._built == {}
+    rebuilt = lookup(rebuilt_image, rebuilt_image.columns["k"])
     assert rebuilt is not raced
     assert db._images[0] == db.version
-    assert db.key_index(db.column_image("k").columns["k"]) is rebuilt
-
-
-def test_key_index_beside_concurrent_image_builds():
-    """Scheduler workers execute side by side and image tables lazily after
-    every version bump: a ``key_index`` walking this version's images while
-    another thread images more tables must neither fail nor miss."""
-    db = Database({f"t{i}": [{"a": i}, {"a": i}] for i in range(200)})
-    errors = []
-
-    def probe(stop):
-        while not stop.is_set():
-            try:
-                assert db.key_index([]) is None
-            except Exception as error:  # reported below, in the main thread
-                errors.append(error)
-                return
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(40):
-            db.touch()
-            stop = threading.Event()
-            worker = threading.Thread(target=probe, args=(stop,))
-            worker.start()
-            for name in db.tables:
-                db.column_image(name)
-            stop.set()
-            worker.join()
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == []
-    assert index_of(db, "t199", "a") == {199: [0, 1]}
+    assert lookup(db.column_image("k"), db.column_image("k").columns["k"]) is rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +398,15 @@ def test_images_survive_fills_hits_spills_faults_and_result_mutation(tmp_path):
     cache.invalidate()  # recompute from the images, not from cached batches
     assert [session.execute_batch(batch).rows for batch in batches] == kept
     check_images()
-    # The joins probed base-table indexes only: no cached materialization
-    # (filled, hit or faulted back in) is an image column.
-    indexes = dict(db._images[2])
-    assert indexes
+    # Base-table indexes were built, and no cached materialization (filled,
+    # hit or faulted back in) is an image column: each carries a holder of
+    # its own.
+    built = {name: dict(image.key_index._built) for name, image in images.items()}
+    assert any(built.values())
     for key in cache.keys():
-        for values in cache.get_batch(key).columns.values():
-            assert db.key_index(values) is None
-    assert db._images[2] == indexes
+        cached = cache.get_batch(key)
+        assert cached.key_index is not None
+        for values in cached.columns.values():
+            for image in images.values():
+                assert image.key_index.lookup(values, buy=True) == (None, False)
+    assert {name: image.key_index._built for name, image in images.items()} == built

@@ -1,15 +1,18 @@
 """``ColumnarExecutor._hash_join_pairs`` against the bucket loop it replaced.
 
-The join probes a larger right side that is an unfiltered scan's key column
-through the database's per-version key index, builds one dict when the
-right side's non-NULL keys are unique, and keeps a bucket table on the
-right otherwise.  Every path must emit exactly the pairs, in exactly the
-order, of the plain build-on-the-right-and-probe loop kept below as the
-reference: left-major, ascending right positions within each left row.  Key
-values cover what dict equality makes subtle — NULLs, absent (masked)
-cells, ``1 == 1.0 == True``, one NaN object repeated and distinct NaN
-objects — on one- and two-column keys, with empty and single-row operands,
-and with the right operand either a plain batch or a scan view of a table.
+The join probes the smaller side into the larger side's key index when the
+larger side carries a :class:`~repro.execution.columnar.batch.KeyIndex` (a
+column image, a cached materialization, or a view of either), builds one
+dict when the right side's non-NULL keys are unique, and keeps a bucket
+table on the right otherwise.  Every path must emit exactly the pairs, in
+exactly the order, of the plain build-on-the-right-and-probe loop kept below
+as the reference: left-major, ascending right positions within each left
+row.  Key values cover what dict equality makes subtle — NULLs, absent
+(masked) cells, ``1 == 1.0 == True``, ``-0.0 == 0.0``, one NaN object
+repeated and distinct NaN objects — on one- and two-column keys, with empty
+and single-row operands, and with either operand a plain batch, an indexed
+batch, a column-pruned view of one, or a scan view of a table.  Each input
+is joined three times, so the index is rented, bought and then reused.
 """
 
 from typing import Dict, List
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.expressions import col
+from repro.algebra.expressions import col, lt
 from repro.execution import ColumnarExecutor
 from repro.execution.columnar import ColumnBatch
 from repro.execution.data import Database
@@ -27,7 +30,7 @@ NAN = float("nan")
 NAN_B = float("nan")
 
 VALUES = st.one_of(
-    st.sampled_from([None, 0, 1, 1.0, True, False, 2, 2.0, 3, "a", "b", NAN]),
+    st.sampled_from([None, 0, 0.0, -0.0, 1, 1.0, True, False, 2, 2.0, 3, "a", "b", NAN]),
     st.builds(float, st.just("nan")),  # a fresh NaN object every draw
 )
 
@@ -110,13 +113,12 @@ def operand(draw, alias, width, size):
     return ColumnBatch(columns, size, masks)
 
 
-def scan_view(batch):
-    """``batch``'s rows as table ``t`` of a database, and the executor plus
-    the unfiltered scan view (alias ``r``) that shares its column image."""
+def scan_view(batch, alias):
+    """``batch``'s rows as table ``t`` of a database, read back through the
+    unfiltered scan view (alias ``alias``) that shares its column image."""
     db = Database()
     db.add_table("t", [{name[2:]: value for name, value in row.items()} for row in batch.to_rows()])
-    executor = ColumnarExecutor(db)
-    return executor, executor._table_batch("t", "r", None)
+    return ColumnarExecutor(db)._table_batch("t", alias, None)
 
 
 def pairs(left, right, equi):
@@ -124,30 +126,53 @@ def pairs(left, right, equi):
 
 
 @st.composite
-def join_inputs(draw):
-    width = draw(st.integers(1, 2))
-    sizes = st.one_of(st.integers(0, 1), st.integers(0, 12))
-    view = draw(st.booleans())
-    left = draw(operand("l", width, draw(sizes)))
-    right = draw(operand("r", width, draw(st.integers(1, 12) if view else sizes)))
-    executor = ColumnarExecutor(Database())
+def held(draw, batch, alias):
+    """``batch`` as a plain batch, an indexed one (a cached materialization),
+    a column-pruned view of an indexed one, or a scan view of a table."""
+    kind = draw(st.sampled_from(["plain", "indexed", "selected", "view"]))
+    if kind == "indexed":
+        return batch.indexed()
+    if kind == "selected":
+        return batch.indexed().select(list(batch.columns))
     # A scan view needs every key column present in some row of the table.
-    if view and all(any(right.masks.get(name) or [True]) for name in right.columns):
-        executor, right = scan_view(right)
+    if kind == "view" and batch.length and all(
+        any(batch.masks.get(name) or [True]) for name in batch.columns
+    ):
+        return scan_view(batch, alias)
+    return batch
+
+
+@st.composite
+def join_inputs(draw):
+    width = draw(st.sampled_from([1, 1, 2]))
+    small, large = draw(st.integers(0, 4)), draw(st.integers(0, 12))
+    sizes = (large, small) if draw(st.booleans()) else (small, large)
+    left = draw(held(draw(operand("l", width, sizes[0])), "l"))
+    right = draw(held(draw(operand("r", width, sizes[1])), "r"))
     equi = []
     for index in range(width):
         pair = (col(f"l.k{index}"), col(f"r.k{index}"))
         equi.append(pair if draw(st.booleans()) else pair[::-1])
-    return executor, left, right, equi
+    return left, right, equi
 
 
 @settings(max_examples=400, deadline=None)
 @given(join_inputs())
 def test_pairs_equal_the_bucket_loop(inputs):
-    executor, left, right, equi = inputs
-    assert executor._hash_join_pairs(left, right, equi) == reference_pairs(
-        left, right, equi
-    )
+    left, right, equi = inputs
+    expected = reference_pairs(left, right, equi)
+    executor = ColumnarExecutor(Database())
+    for _ in range(3):
+        assert executor._hash_join_pairs(left, right, equi) == expected
+    larger = left if right.length < left.length else right
+    if larger.key_index is not None and len(equi) == 1 and left.length != right.length:
+        # Bought at the first probe on the right; on the left two scans are
+        # paid first, so only the third call probes an index.
+        probes = 1 if larger is left else 3
+        assert executor.key_index_probes.value == probes
+        assert executor.key_index_builds.value <= 1
+    else:
+        assert executor.key_index_probes.value == 0
 
 
 def batch(alias, keys, mask=None):
@@ -188,20 +213,68 @@ def test_masked_cells_match_nothing():
 
 def test_scan_view_probes_the_key_index():
     left = batch("l", [2, None, 1.0, NAN, 7])
-    executor, right = scan_view(batch("r", [True, 2, None, 2, NAN, 1, 2.0, NAN_B]))
+    right = scan_view(batch("r", [True, 2, None, 2, NAN, 1, 2.0, NAN_B]), "r")
     equi = [(col("r.k0"), col("l.k0"))]
-    assert executor._hash_join_pairs(left, right, equi) == reference_pairs(left, right, equi)
-    (index,) = executor.database._images[2].values()
-    assert index[2].tolist() == [1, 3, 6]
+    assert pairs(left, right, equi) == reference_pairs(left, right, equi)
+    ((unique, table),) = right.key_index._built.values()
+    assert not unique
+    assert {key: list(at) for key, at in table.items()} == {
+        True: [0, 5], 2: [1, 3, 6], NAN: [4], NAN_B: [7]
+    }
 
 
-def test_masked_scan_view_falls_back():
-    """A heterogeneous table's key column has a mask, so it gets no index."""
-    executor, right = scan_view(
-        batch("r", [1, 2, 2, None, 1, 3], mask=[True, True, False, True, False, True])
+def test_masked_scan_view_indexes_present_cells():
+    """A heterogeneous table's key column has a mask: its absent cells, like
+    its NULLs, never enter the index."""
+    right = scan_view(
+        batch("r", [1, 2, 2, None, 1, 3], mask=[True, True, False, True, False, True]), "r"
     )
     assert "r.k0" in right.masks
     left = batch("l", [2, 1])
     equi = [(col("l.k0"), col("r.k0"))]
-    assert executor._hash_join_pairs(left, right, equi) == reference_pairs(left, right, equi)
-    assert executor.database._images[2] == {}
+    assert pairs(left, right, equi) == reference_pairs(left, right, equi) == ([0, 1], [1, 0])
+    (index,) = right.key_index._built.values()
+    assert index == (True, {1: 0, 2: 1, 3: 5})
+
+
+def test_larger_left_rents_then_buys():
+    """On the left an index replaces a scan, so the column pays scans until
+    they reach the build's price (two); on the right it replaces the build,
+    so it is built at once.  Either way the pairs stay left-major."""
+    executor = ColumnarExecutor(Database())
+    cached = batch("l", [3, 1, 3, 2, 1, 3, None, 2]).indexed()
+    small = batch("r", [3, 2, 3])
+    equi = [(col("l.k0"), col("r.k0"))]
+    expected = reference_pairs(cached, small, equi)
+    assert expected == ([0, 0, 2, 2, 3, 5, 5, 7], [0, 2, 0, 2, 1, 0, 2, 1])
+    counts = []
+    for _ in range(4):
+        assert executor._hash_join_pairs(cached, small, equi) == expected
+        counts.append((executor.key_index_builds.value, executor.key_index_probes.value))
+    assert counts == [(0, 0), (0, 0), (1, 1), (1, 2)]
+    assert cached.key_index.scans == {"l.k0": 2}
+
+    flipped = [(col("r.k0"), col("l.k0"))]
+    executor = ColumnarExecutor(Database())
+    right = batch("l", [3, 1, 3, 2, 1, 3, None, 2]).indexed()
+    assert executor._hash_join_pairs(small, right, flipped) == reference_pairs(
+        small, right, flipped
+    )
+    assert (executor.key_index_builds.value, executor.key_index_probes.value) == (1, 1)
+    assert right.key_index.scans == {}
+
+
+def test_take_and_filter_outputs_never_build_an_index():
+    cached = batch("l", list(range(10)) * 3).indexed()
+    taken = cached.take(range(cached.length))
+    filtered = ColumnarExecutor._filter_batch(cached, lt(col("l.k0"), 8))
+    assert taken.key_index is None and filtered.key_index is None
+    small = batch("r", [1, 4])
+    equi = [(col("l.k0"), col("r.k0"))]
+    executor = ColumnarExecutor(Database())
+    for operand in (taken, filtered) * 3:
+        assert executor._hash_join_pairs(operand, small, equi) == reference_pairs(
+            operand, small, equi
+        )
+    assert (executor.key_index_builds.value, executor.key_index_probes.value) == (0, 0)
+    assert cached.key_index._built == {} and cached.key_index.scans == {}
