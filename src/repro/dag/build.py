@@ -323,18 +323,20 @@ class DagBuilder:
         group.rows = max(rows, 1.0)
         group.row_width = max(width, 1.0)
 
-        splits = list(self._enumerate_splits(aliases, predicates))
+        # Every split reads each predicate's sources; work them out once.
+        sourced = [(p, referenced_qualifiers(p)) for p in predicates]
+        splits = list(self._enumerate_splits(aliases, sourced))
         connected = [s for s in splits if s[3]]
         chosen = connected if (connected and self.config.avoid_cross_products) else splits
         for left_aliases, right_aliases, cross_preds, _ in chosen:
             left_id = self._expand_spj(
                 {a: infos[a] for a in left_aliases},
-                self._predicates_within(predicates, left_aliases),
+                self._predicates_within(sourced, left_aliases),
                 estimator,
             )
             right_id = self._expand_spj(
                 {a: infos[a] for a in right_aliases},
-                self._predicates_within(predicates, right_aliases),
+                self._predicates_within(sourced, right_aliases),
                 estimator,
             )
             join_pred = (
@@ -358,21 +360,20 @@ class DagBuilder:
 
     @staticmethod
     def _predicates_within(
-        predicates: FrozenSet[Predicate], aliases: FrozenSet[str]
+        sourced: Sequence[Tuple[Predicate, FrozenSet[str]]], aliases: FrozenSet[str]
     ) -> FrozenSet[Predicate]:
-        """Predicates that only reference sources inside ``aliases``."""
-        result = []
-        for predicate in predicates:
-            quals = referenced_qualifiers(predicate)
-            if quals and quals <= aliases:
-                result.append(predicate)
-        return frozenset(result)
+        """Predicates that only reference sources inside ``aliases``.
+
+        ``sourced`` pairs every predicate with its referenced qualifiers.
+        """
+        return frozenset(p for p, quals in sourced if quals and quals <= aliases)
 
     def _enumerate_splits(
-        self, aliases: FrozenSet[str], predicates: FrozenSet[Predicate]
+        self, aliases: FrozenSet[str], sourced: Sequence[Tuple[Predicate, FrozenSet[str]]]
     ) -> Iterable[Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[Predicate], bool]]:
         """All unordered two-way splits of the source set.
 
+        ``sourced`` pairs every predicate with its referenced qualifiers.
         Yields ``(left, right, cross_predicates, well_connected)`` where
         ``well_connected`` means the split is joined by at least one
         predicate and each side is itself connected in the join graph —
@@ -387,27 +388,26 @@ class DagBuilder:
                 right = aliases - left
                 cross = frozenset(
                     p
-                    for p in predicates
-                    if (quals := referenced_qualifiers(p))
-                    and quals & left
-                    and quals & right
-                    and quals <= aliases
+                    for p, quals in sourced
+                    if quals and quals & left and quals & right and quals <= aliases
                 )
                 well_connected = (
                     bool(cross)
-                    and self._is_connected(left, predicates)
-                    and self._is_connected(right, predicates)
+                    and self._is_connected(left, sourced)
+                    and self._is_connected(right, sourced)
                 )
                 yield left, right, cross, well_connected
 
     @staticmethod
-    def _is_connected(aliases: FrozenSet[str], predicates: FrozenSet[Predicate]) -> bool:
+    def _is_connected(
+        aliases: FrozenSet[str], sourced: Sequence[Tuple[Predicate, FrozenSet[str]]]
+    ) -> bool:
         """Whether the join graph restricted to ``aliases`` is connected."""
         if len(aliases) <= 1:
             return True
         adjacency: Dict[str, set] = {a: set() for a in aliases}
-        for predicate in predicates:
-            quals = referenced_qualifiers(predicate) & aliases
+        for _, quals in sourced:
+            quals = quals & aliases
             if len(quals) < 2:
                 continue
             quals = sorted(quals)

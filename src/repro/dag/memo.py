@@ -14,7 +14,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from ..algebra.expressions import AggregateExpr, ColumnRef, Predicate
+from ..algebra.expressions import (
+    AggregateExpr,
+    ColumnRef,
+    Comparison,
+    ComparisonOp,
+    Predicate,
+    conjuncts,
+)
 from .fingerprint import (
     AggregateSignature,
     FilterSignature,
@@ -30,6 +37,7 @@ __all__ = [
     "AggregateMExpr",
     "MExpr",
     "mexpr_children",
+    "equijoin_keys",
     "Group",
     "Memo",
 ]
@@ -111,6 +119,27 @@ def mexpr_children(mexpr: MExpr) -> Tuple[int, ...]:
     if isinstance(mexpr, AggregateMExpr):
         return (mexpr.child,)
     raise TypeError(f"unknown multi-expression type: {type(mexpr).__name__}")
+
+
+def equijoin_keys(mexpr: JoinMExpr) -> Tuple[List[ColumnRef], List[ColumnRef]]:
+    """Split the equi-join columns of a join predicate between its operands."""
+    left_keys: List[ColumnRef] = []
+    right_keys: List[ColumnRef] = []
+    if mexpr.predicate is None:
+        return left_keys, right_keys
+    for predicate in conjuncts(mexpr.predicate):
+        if not isinstance(predicate, Comparison) or predicate.op is not ComparisonOp.EQ:
+            continue
+        if not isinstance(predicate.right, ColumnRef):
+            continue
+        a, b = predicate.left, predicate.right
+        if a.qualifier in mexpr.left_aliases and b.qualifier in mexpr.right_aliases:
+            left_keys.append(a)
+            right_keys.append(b)
+        elif a.qualifier in mexpr.right_aliases and b.qualifier in mexpr.left_aliases:
+            left_keys.append(b)
+            right_keys.append(a)
+    return left_keys, right_keys
 
 
 # ---------------------------------------------------------------------------

@@ -214,31 +214,11 @@ class BatchDag:
         should be stored with (the PQDAG-level physical property handling of
         Roy et al., reduced to sort orders).
         """
-        from ..algebra.expressions import ColumnRef, Comparison, ComparisonOp, conjuncts
         from ..algebra.properties import SortOrder
-        from .memo import AggregateMExpr, JoinMExpr, SelectMExpr
+        from .memo import AggregateMExpr, JoinMExpr, SelectMExpr, equijoin_keys
 
         scoped = sorted(self.scoped_groups())
         requested: Dict[int, List[SortOrder]] = {gid: [] for gid in scoped}
-
-        def equijoin_keys(mexpr: JoinMExpr):
-            left_keys, right_keys = [], []
-            if mexpr.predicate is None:
-                return left_keys, right_keys
-            for predicate in conjuncts(mexpr.predicate):
-                if (
-                    isinstance(predicate, Comparison)
-                    and predicate.op is ComparisonOp.EQ
-                    and isinstance(predicate.right, ColumnRef)
-                ):
-                    a, b = predicate.left, predicate.right
-                    if a.qualifier in mexpr.left_aliases and b.qualifier in mexpr.right_aliases:
-                        left_keys.append(a)
-                        right_keys.append(b)
-                    elif a.qualifier in mexpr.right_aliases and b.qualifier in mexpr.left_aliases:
-                        left_keys.append(b)
-                        right_keys.append(a)
-            return left_keys, right_keys
 
         # Direct requests from joins and aggregations.
         for gid in scoped:

@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..cost.model import CostModel
 from ..dag.sharing import BatchDag
-from .volcano import BestCostResult, PlanTable, VolcanoOptimizer, split_candidate
+from .volcano import BestCostResult, PlanTable, VolcanoOptimizer
 
 __all__ = ["BestCostEngine", "EngineStatistics"]
 
@@ -40,7 +40,9 @@ class EngineStatistics:
     ``incremental_evaluations`` from a remembered one; of the latter's
     entries ``invalidated_entries`` were re-derived.  ``dp_entries_recomputed``
     counts every entry derived (either way) and ``dp_entries_reused`` the
-    entries of the evaluated tables that were taken over as they were.
+    entries of the evaluated tables that were taken over as they were, and
+    ``candidates_skipped`` the candidates whose static lower bound could not
+    beat an entry's incumbent, so their inputs were never read.
     ``plans_extracted`` counts the results whose plan trees were read.
     """
 
@@ -51,6 +53,7 @@ class EngineStatistics:
     invalidated_entries: int = 0
     dp_entries_recomputed: int = 0
     dp_entries_reused: int = 0
+    candidates_skipped: int = 0
     plans_extracted: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -138,10 +141,7 @@ class BestCostEngine:
         """
         self.evaluate(frozenset())  # the decomposition's bc(∅) query; builds ∅'s table
         table = self._empty if self.incremental else PlanTable()
-        return {
-            element: self.optimizer.materialization_cost(*split_candidate(element), table)
-            for element in universe
-        }
+        return self.optimizer.materialization_costs(universe, table)
 
     # ------------------------------------------------------------- internals
 
@@ -153,6 +153,7 @@ class BestCostEngine:
         statistics.invalidated_entries += table.invalidated
         statistics.dp_entries_recomputed += table.recomputed
         statistics.dp_entries_reused += table.size() - table.recomputed
+        statistics.candidates_skipped += table.skipped
         self._results[key] = (result, table if self.incremental else None)
         while len(self._results) > self.max_cached_results:
             self._results.popitem(last=False)

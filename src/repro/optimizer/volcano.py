@@ -23,11 +23,23 @@ Only one thing about a DP state depends on ``S``: whether its own group can
 be read back from disk.  Everything else — which states feed an operator,
 what the operator itself costs, which order it delivers — is worked out once
 per optimizer (:class:`_Alternative`, sort orders interned to ints with
-``satisfies`` as a table), and the DP is over costs: evaluating a state is a
-few additions and a ``min``, and moving a :class:`PlanTable` from one ``S`` to
-another (:meth:`VolcanoOptimizer.best_cost` with ``cache=``) recomputes the
-states of the toggled groups and then only those consumers, in topological
-order, whose inputs' cost or delivered order really changed.  Plan trees are
+``satisfies`` as a table).  States are numbered densely in creation order,
+each candidate is one flat tuple over input state ids, and a
+:class:`PlanTable` is a list indexed by state id plus a dict of deltas, so
+the DP is over costs: evaluating a state is a few list reads, additions and
+a ``min``.  Moving a table from one ``S`` to another
+(:meth:`VolcanoOptimizer.best_cost` with ``cache=``) recomputes the states
+of the toggled groups and then only those consumers, in topological order,
+whose inputs' cost or delivered order really changed.
+
+Every state and candidate carries a static lower bound (``lb``, built with
+the state): a candidate's sums its inputs' bounds the way :meth:`_compute`
+sums their entry costs and adds the operator's own cost (and the sort
+enforcer when the operator can never deliver the required order); a state's
+is the least of its candidates' and of reading the group back.  IEEE
+addition is monotone, so every entry is at least its state's bound, and a
+candidate whose bound is not below the incumbent is skipped unread: it
+could at most tie, and the first cheapest candidate wins.  Plan trees are
 built from the winning candidates (:meth:`VolcanoOptimizer.extract`), once
 per set somebody reads as trees.
 """
@@ -37,24 +49,12 @@ from __future__ import annotations
 import heapq
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from ..algebra.expressions import (
-    ColumnRef,
-    Comparison,
-    ComparisonOp,
-    conjuncts,
-    conjunction,
-)
+from ..algebra.expressions import ColumnRef, Comparison, conjuncts, conjunction
 from ..algebra.properties import ANY_ORDER, SortOrder
 from ..cost.cardinality import CatalogResolver, SelectivityEstimator
 from ..cost.model import CostModel
-from ..dag.memo import (
-    AggregateMExpr,
-    Group,
-    JoinMExpr,
-    MExpr,
-    ScanMExpr,
-    SelectMExpr,
-)
+from ..dag.memo import AggregateMExpr, Group, JoinMExpr, MExpr, ScanMExpr, SelectMExpr
+from ..dag.memo import equijoin_keys
 from ..dag.sharing import BatchDag, MaterializationChoice
 from .plan import PhysicalOp, PhysicalPlan
 
@@ -138,46 +138,56 @@ class BestCostResult:
 
 
 class PlanTable:
-    """The plan-DP entries of one materialization set: state -> ``(cost,
+    """The plan-DP entries of one materialization set: state id -> ``(cost,
     delivered order id, choice, presorted)``, ``choice`` being the winning
-    candidate of the state (or the stored :class:`SortOrder` read back) and
+    candidate of the state (or the id of the stored order read back) and
     ``cost`` including the sort enforcer a choice that is not ``presorted``
     needs.  An entry names the input *states* of its choice, not their plans.
 
-    Entries live in two layers: ``own`` belongs to this table and shadows
-    ``shared``, which every table forked (directly or not) from the same
-    first table reads and none writes.  The first :meth:`fork` of a table
-    moves its entries into the shared layer, so a fork copies only what its
-    source holds *on top of* the table they both descend from, and a table
-    moved to another set by :meth:`VolcanoOptimizer.best_cost` keeps in
-    ``own`` just the entries that differ from that first table.
+    Entries live in two layers: ``own`` maps state ids to the entries of
+    this table and shadows ``base``, a list indexed by state id (``None``:
+    no entry) that every table forked (directly or not) from the same first
+    table reads and none writes.  The first :meth:`fork` of a table freezes
+    its entries into that list, so a fork copies only what its source holds
+    *on top of* the table they both descend from, and a table moved to
+    another set by :meth:`VolcanoOptimizer.best_cost` keeps in ``own`` just
+    the entries that differ from that first table.  A call reads the two
+    layers merged into one working list it drops when it returns.
 
-    ``stored`` is the (normalized) set the entries are valid for;
-    ``recomputed`` / ``invalidated`` count the entries derived, and the
-    existing entries re-derived, since the table was created.
+    ``stored`` is the set the entries are valid for, as ``{group id: stored
+    order ids}`` in :func:`normalize_materialized`'s order; ``added`` counts
+    the entries of ``own`` that ``base`` has none for; ``recomputed`` /
+    ``invalidated`` count the entries derived, and the existing entries
+    re-derived, since the table was created, and ``skipped`` the candidates
+    their lower bound ruled out.
     """
 
-    __slots__ = ("stored", "shared", "own", "recomputed", "invalidated")
+    __slots__ = ("stored", "base", "own", "added", "recomputed", "invalidated", "skipped")
 
-    def __init__(self, stored: Optional[Dict[int, Tuple[SortOrder, ...]]] = None):
+    def __init__(self, stored: Optional[Dict[int, Tuple[int, ...]]] = None):
         self.stored = stored if stored is not None else {}
-        self.shared: Dict[_State, _Entry] = {}
-        self.own: Dict[_State, _Entry] = {}
+        self.base: List[Optional[_Entry]] = []
+        self.own: Dict[int, _Entry] = {}
+        self.added = 0
         self.recomputed = 0
         self.invalidated = 0
+        self.skipped = 0
 
     def size(self) -> int:
         """How many states have an entry."""
-        shared = self.shared
-        return len(shared) + sum(1 for state in self.own if state not in shared)
+        return len(self.base) - self.base.count(None) + self.added
 
     def fork(self) -> "PlanTable":
         """A table that starts with this one's entries and shares their storage."""
-        if not self.shared:
-            self.shared, self.own = self.own, {}
+        if not self.base and self.own:
+            base: List[Optional[_Entry]] = [None] * (max(self.own) + 1)
+            for state_id, entry in self.own.items():
+                base[state_id] = entry
+            self.base, self.own, self.added = base, {}, 0
         table = PlanTable(self.stored)
-        table.shared = self.shared
+        table.base = self.base
         table.own = dict(self.own)
+        table.added = self.added
         return table
 
 
@@ -219,32 +229,45 @@ class _GroupCosts:
         self.alternatives: List[_Alternative] = []
 
 
-class _State:
-    """One DP state ``(group, required order id)`` — the key of a :class:`PlanTable`.
+#: A candidate, the flat tuple ``_compute`` reads: ``(lb, local, order, fits,
+#: sort, alternative, input id, input id)``, ``None`` for an absent input;
+#: ``fits`` tells whether it delivers the required order (``None``: its first
+#: input's plan decides) and ``lb`` bounds every total it can cost.
+_Candidate = Tuple[
+    float, float, Optional[int], Optional[bool], float, _Alternative, Optional[int], Optional[int]
+]
 
-    ``candidates`` are ``(alternative, input states, fits)`` in candidate
-    order, ``fits`` telling whether the alternative delivers the required
-    order (``None``: that depends on its first input's plan), and
-    ``position`` sorts every state after all of its inputs.  States refer to
-    their inputs only, never upward: an optimizer nobody holds any more is
-    freed at once, without waiting for the cycle collector.
+
+class _State:
+    """One DP state ``(group, required order id)``, numbered ``id`` densely in
+    creation order: the index of its entry in a :class:`PlanTable`.
+
+    ``candidates`` are in candidate order and ``lb`` is at most every entry
+    the state can get.  States refer to their inputs only, by id, never
+    upward: an optimizer nobody holds any more is freed at once, without
+    waiting for the cycle collector.
     """
 
-    __slots__ = ("gid", "required", "group", "position", "candidates")
+    __slots__ = ("gid", "required", "group", "id", "lb", "candidates")
 
-    def __init__(self, gid: int, required: int, group: _GroupCosts, position):
+    def __init__(self, gid: int, required: int, group: _GroupCosts, state_id: int):
         self.gid = gid
         self.required = required
         self.group = group
-        self.position: Tuple[int, int] = position
-        self.candidates: List[Tuple[_Alternative, Tuple[_State, ...], Optional[bool]]] = []
+        self.id = state_id
+        self.lb = group.read
+        self.candidates: List[_Candidate] = []
 
 
 #: ``(cost, delivered order id, choice, presorted)``, see :class:`PlanTable`.
 _Entry = Tuple[float, int, object, bool]
-_Built = Dict[_State, PhysicalPlan]
+#: A call's merged view of a :class:`PlanTable`, indexed by state id.
+_Work = List[Optional[_Entry]]
+_Built = Dict[int, PhysicalPlan]
 #: The id every optimizer interns :data:`ANY_ORDER` to.
 _ANY = 0
+#: A state's topological heap key is ``rank << _ID_BITS | id``.
+_ID_BITS, _ID_MASK = 32, (1 << 32) - 1
 
 
 def _sort_over(plan: PhysicalPlan, order: SortOrder, local: float) -> PhysicalPlan:
@@ -260,6 +283,21 @@ def _sort_over(plan: PhysicalPlan, order: SortOrder, local: float) -> PhysicalPl
     )
 
 
+def _candidate(alternative: _Alternative, inputs: List[_State], fits) -> _Candidate:
+    """A candidate over input states, its bound summed as ``_compute`` sums costs."""
+    lb, first, second = alternative.local, None, None
+    if inputs:
+        lb, first = inputs[0].lb, inputs[0].id
+        if len(inputs) > 1:
+            (other,) = inputs[1:]  # operators are at most binary
+            lb, second = lb + other.lb, other.id
+        lb += alternative.local
+    if fits is False:
+        lb += alternative.sort
+    local, sort = alternative.local, alternative.sort
+    return lb, local, alternative.order, fits, sort, alternative, first, second
+
+
 class VolcanoOptimizer:
     """The plan-extraction DP over a :class:`~repro.dag.sharing.BatchDag`."""
 
@@ -271,11 +309,13 @@ class VolcanoOptimizer:
         self.plans_extracted = 0  # sets whose trees :meth:`extract` built
         # Everything below is independent of the materialized set and grows
         # to at most one entry per group / DP state / pair of sort orders of
-        # the batch's scope.
+        # the batch's scope.  The lists are indexed by state id.
         self._groups: Dict[int, _GroupCosts] = {}
         self._states: Dict[Tuple[int, int], _State] = {}
         self._states_of: Dict[int, List[_State]] = {}
-        self._consumers: Dict[_State, List[_State]] = {}
+        self._by_id: List[_State] = []
+        self._keys: List[int] = []
+        self._consumers: List[List[int]] = []
         self._orders: List[SortOrder] = [ANY_ORDER]
         self._order_ids: Dict[SortOrder, int] = {ANY_ORDER: _ANY}
         self._satisfied: Dict[Tuple[int, int], bool] = {(_ANY, _ANY): True}
@@ -295,129 +335,155 @@ class VolcanoOptimizer:
         change propagation and is valid for ``S`` afterwards.
         """
         original = frozenset(materialized)
-        stored = normalize_materialized(original)
+        stored = self._stored(original)
         table = cache if cache is not None else PlanTable(stored)
-        if table.stored != stored:
-            self._propagate(table, stored)
+        roots = [self._state(root, _ANY) for root in self.dag.query_roots.values()]
+        writes = self._writes(stored)
+        work = self._working(table)
+        self._propagate(table, stored, work)
         use_cost = 0.0
-        for root in self.dag.query_roots.values():
-            use_cost += self._entry(self._state(root, _ANY), table)[0]
+        for state in roots:
+            use_cost += self._entry(state.id, table, work)[0]
         overhead = 0.0
-        for gid in sorted(stored):
-            for stored_order in stored[gid]:
-                overhead += self.materialization_cost(gid, stored_order, table)
+        for state, stored_order in writes:
+            compute = self._materialization(state, stored_order, table, work)[0]
+            overhead += compute + state.group.write
         return BestCostResult(original, use_cost, overhead, (self, table))
 
     def extract(self, materialized: FrozenSet, table: PlanTable):
         """The ``(query plans, materialization plans)`` of ``bestCost(Q, S)``, from
         the table ``S`` was evaluated on (a fork is moved back if it has moved on)."""
-        stored = normalize_materialized(materialized)
+        stored = self._stored(materialized)
+        roots = {name: self._state(root, _ANY) for name, root in self.dag.query_roots.items()}
+        writes = self._writes(stored)
         if table.stored != stored:
             table = table.fork()
-            self._propagate(table, stored)
+        work = self._working(table)
+        self._propagate(table, stored, work)
         self.plans_extracted += 1
         built: _Built = {}  # one walk: a state several plans share is one subtree
         query_plans = {
-            name: self._plan(self._state(root, _ANY), table, built)
-            for name, root in self.dag.query_roots.items()
+            name: self._plan(state.id, table, work, built) for name, state in roots.items()
         }
-        materialization_plans = {
-            gid: self.materialization_plan(gid, stored_order, table, built)
-            for gid in sorted(stored)
-            for stored_order in stored[gid]
-        }
+        materialization_plans = {}
+        for state, stored_order in writes:  # compute (no read of itself), sort as stored, write
+            entry = self._materialization(state, stored_order, table, work)
+            order, costs = self._orders[stored_order], state.group
+            compute = self._tree(state, entry, order, table, work, built)
+            materialization_plans[state.gid] = PhysicalPlan(
+                op=PhysicalOp.MATERIALIZE,
+                group=state.gid,
+                cost=compute.cost + costs.write,
+                local_cost=costs.write,
+                rows=costs.rows,
+                width=costs.width,
+                order=order,
+                children=(compute,),
+            )
         return query_plans, materialization_plans
 
-    def materialization_cost(self, group_id: int, stored_order: SortOrder, table: PlanTable):
-        """What :meth:`materialization_plan`'s tree costs."""
-        state, entry = self._materialization(group_id, stored_order, table)
-        return entry[0] + state.group.write
-
-    def materialization_plan(
-        self, group_id: int, stored_order: SortOrder, table: PlanTable, built: _Built
-    ) -> PhysicalPlan:
-        """Compute a node (it may not read itself), sort it as stored, write it;
-        ``built`` holds the subtrees of the walk this tree belongs to (or ``{}``)."""
-        state, entry = self._materialization(group_id, stored_order, table)
-        compute = self._tree(state, entry, stored_order, table, built)
-        costs = state.group
-        return PhysicalPlan(
-            op=PhysicalOp.MATERIALIZE,
-            group=group_id,
-            cost=compute.cost + costs.write,
-            local_cost=costs.write,
-            rows=costs.rows,
-            width=costs.width,
-            order=stored_order,
-            children=(compute,),
-        )
+    def materialization_costs(self, elements: Iterable, table: PlanTable) -> Dict:
+        """What computing each element's node (it may not read itself), sorting
+        it as stored and writing it costs under the table's set."""
+        writes = {element: self._writes(self._stored((element,)))[0] for element in elements}
+        work = self._working(table)
+        return {
+            element: self._materialization(state, stored_order, table, work)[0] + state.group.write
+            for element, (state, stored_order) in writes.items()
+        }
 
     def optimize_group(
         self, group_id: int, materialized: Iterable = (), order: SortOrder = ANY_ORDER
     ) -> PhysicalPlan:
         """Best plan for one equivalence node (public, mostly for tests/examples)."""
-        table = PlanTable(normalize_materialized(materialized))
-        return self._plan(self._state(group_id, self._order_id(order)), table, {})
+        table = PlanTable(self._stored(materialized))
+        state = self._state(group_id, self._order_id(order))
+        return self._plan(state.id, table, self._working(table), {})
 
     def optimize_query(self, name: str, materialized: Iterable = ()) -> PhysicalPlan:
         return self.optimize_group(self.dag.query_roots[name], materialized)
 
     # --------------------------------------------------------------- plan DP
 
-    def _entry(self, state: _State, table: PlanTable) -> _Entry:
+    def _stored(self, materialized: Iterable) -> Dict[int, Tuple[int, ...]]:
+        """A set as a :class:`PlanTable` holds it: ``{group id: stored order ids}``."""
+        return {
+            gid: tuple(map(self._order_id, orders))
+            for gid, orders in normalize_materialized(materialized).items()
+        }
+
+    def _writes(self, stored: Dict[int, Tuple[int, ...]]) -> List[Tuple[_State, int]]:
+        """``(state computing the node, stored order id)`` per element of the set, sorted."""
+        return [(self._state(gid, _ANY), order) for gid in sorted(stored) for order in stored[gid]]
+
+    def _working(self, table: PlanTable) -> _Work:
+        """The call's list of the table's entries, one slot per state created so far."""
+        base = table.base
+        work = base + [None] * (len(self._by_id) - len(base))
+        for state_id, entry in table.own.items():
+            work[state_id] = entry
+        return work
+
+    def _entry(self, state_id: int, table: PlanTable, work: _Work) -> _Entry:
         """The table's entry for a state, derived (recursively) when missing."""
-        entry = table.own.get(state) or table.shared.get(state)
+        entry = work[state_id]
         if entry is None:
-            entry = table.own[state] = self._compute(state, table)
+            entry = self._compute(self._by_id[state_id], table, work)
+            work[state_id] = table.own[state_id] = entry
+            table.added += 1
             table.recomputed += 1
         return entry
 
-    def _compute(self, state: _State, table: PlanTable, reads: bool = True) -> _Entry:
+    def _compute(self, state: _State, table: PlanTable, work: _Work, reads: bool = True) -> _Entry:
         """The cheapest entry for a state given the table's entries for its inputs."""
         required = state.required
         group = state.group
-        own, shared, satisfied = table.own, table.shared, self._satisfied
+        satisfied = self._satisfied
         # The first cheapest candidate wins, reads of the node's stored
-        # copies first: ``choice`` is a stored order or one of the candidates.
+        # copies first: ``choice`` is a stored order id or one of the candidates.
         choice, best, order, presorted = None, 0.0, _ANY, True
         if reads:
-            for stored_order in table.stored.get(state.gid, ()):
-                have = self._order_id(stored_order)
+            for have in table.stored.get(state.gid, ()):
                 fits = satisfied[have, required]
                 cost = group.read if fits else group.read + group.sort
                 if choice is None or cost < best:
-                    choice, best, order, presorted = stored_order, cost, have, fits
+                    choice, best, order, presorted = have, cost, have, fits
+        skipped = 0
         for candidate in state.candidates:
-            alternative, inputs, fits = candidate
-            have = alternative.order
-            if inputs:
-                first = own.get(inputs[0]) or shared.get(inputs[0]) or self._entry(inputs[0], table)
+            if candidate[0] >= best and choice is not None:
+                skipped += 1  # it could at most tie, and ties keep the incumbent
+                continue
+            _, local, have, fits, sort, _, first_id, second_id = candidate
+            if first_id is None:
+                cost = local
+            else:
+                first = work[first_id] or self._entry(first_id, table, work)
                 cost = first[0]
-                for other in inputs[1:]:
-                    cost += (own.get(other) or shared.get(other) or self._entry(other, table))[0]
-                cost += alternative.local
+                if second_id is not None:
+                    cost += (work[second_id] or self._entry(second_id, table, work))[0]
+                cost += local
                 if have is None:
                     have = first[1]
                     if fits is None:
                         fits = satisfied[have, required]
-            else:
-                cost = alternative.local
-            total = cost if fits else cost + alternative.sort
+            total = cost if fits else cost + sort
             if choice is None or total < best:
                 choice, best, order, presorted = candidate, total, have, fits
+        table.skipped += skipped
         if choice is None:
             raise RuntimeError(f"group G{state.gid} has no implementable alternative")
         return best, order if presorted else required, choice, presorted
 
-    def _materialization(self, group_id: int, stored_order: SortOrder, table: PlanTable):
-        """``(state, entry)`` computing a node without reading it, sorted as stored."""
-        state = self._state(group_id, _ANY)
-        cost, order, choice, _ = self._compute(state, table, reads=False)
-        if self._satisfied[order, self._order_id(stored_order)]:
-            return state, (cost, order, choice, True)
-        return state, (cost + choice[0].sort, order, choice, False)
+    def _materialization(
+        self, state: _State, stored_order: int, table: PlanTable, work: _Work
+    ) -> _Entry:
+        """The entry computing a node without reading it, sorted as stored."""
+        cost, order, choice, _ = self._compute(state, table, work, reads=False)
+        if self._satisfied[order, stored_order]:
+            return cost, order, choice, True
+        return cost + choice[4], order, choice, False
 
-    def _propagate(self, table: PlanTable, stored: Dict[int, Tuple[SortOrder, ...]]) -> None:
+    def _propagate(self, table: PlanTable, stored: Dict[int, Tuple[int, ...]], work: _Work) -> None:
         """Move ``table`` to the materialized set ``stored`` (paper §5.1).
 
         The states of every group whose stored copies differ are recomputed;
@@ -428,52 +494,61 @@ class VolcanoOptimizer:
         same cost and in the same order gets its new entry and the walk stops.
         """
         before = table.stored
+        if before == stored:
+            return
         table.stored = stored
-        queue: List[Tuple[Tuple[int, int], _State]] = []
-        queued = set()
-        for gid in sorted(before.keys() | stored.keys()):
-            if before.get(gid) != stored.get(gid):
-                for state in self._states_of.get(gid, ()):
-                    queued.add(state)
-                    heapq.heappush(queue, (state.position, state))
-        own, shared = table.own, table.shared
+        keys, consumers = self._keys, self._consumers
+        queue = [
+            keys[state.id]
+            for gid in sorted(before.keys() | stored.keys())
+            if before.get(gid) != stored.get(gid)
+            for state in self._states_of.get(gid, ())
+        ]
+        heapq.heapify(queue)
+        queued = set(queue)
+        own, base, by_id = table.own, table.base, self._by_id
+        frozen = len(base)
         while queue:
-            _, state = heapq.heappop(queue)
-            old = own.get(state) or shared.get(state)
+            state = by_id[heapq.heappop(queue) & _ID_MASK]
+            state_id = state.id  # not the masked int: a table's keys allocate nothing
+            old = work[state_id]
             if old is None:
                 continue  # a state this table never needed
-            entry = self._compute(state, table)
+            entry = self._compute(state, table, work)
             table.recomputed += 1
             table.invalidated += 1
             if entry == old:
                 continue
-            if shared.get(state) == entry:
-                del own[state]  # back to what the first table holds
+            work[state_id] = entry
+            if state_id < frozen and base[state_id] == entry:
+                del own[state_id]  # back to what the first table holds
             else:
-                own[state] = entry
+                own[state_id] = entry
             if entry[0] != old[0] or entry[1] != old[1]:
-                for consumer in self._consumers.get(state, ()):
-                    if consumer not in queued:
-                        queued.add(consumer)
-                        heapq.heappush(queue, (consumer.position, consumer))
+                for consumer in consumers[state_id]:
+                    key = keys[consumer]
+                    if key not in queued:
+                        queued.add(key)
+                        heapq.heappush(queue, key)
 
     # ------------------------------------------------------- plan extraction
 
-    def _plan(self, state: _State, table: PlanTable, built: _Built) -> PhysicalPlan:
+    def _plan(self, state_id: int, table: PlanTable, work: _Work, built: _Built) -> PhysicalPlan:
         """The plan tree of the table's entry for a state, built once per walk."""
-        plan = built.get(state)
+        plan = built.get(state_id)
         if plan is None:
-            entry, required = self._entry(state, table), self._orders[state.required]
-            plan = built[state] = self._tree(state, entry, required, table, built)
+            state = self._by_id[state_id]
+            entry, required = self._entry(state_id, table, work), self._orders[state.required]
+            plan = built[state_id] = self._tree(state, entry, required, table, work, built)
         return plan
 
     def _tree(
-        self, state: _State, entry: _Entry, required: SortOrder, table: PlanTable, built: _Built
+        self, state: _State, entry: _Entry, required: SortOrder, table, work: _Work, built: _Built
     ) -> PhysicalPlan:
         """The tree an entry stands for, its costs summed the way ``_compute`` did."""
         _, _, choice, presorted = entry
         group = state.group
-        if isinstance(choice, SortOrder):
+        if isinstance(choice, int):
             sort = group.sort
             plan = PhysicalPlan(
                 op=PhysicalOp.READ_MATERIALIZED,
@@ -482,24 +557,22 @@ class VolcanoOptimizer:
                 local_cost=group.read,
                 rows=group.rows,
                 width=group.width,
-                order=choice,
+                order=self._orders[choice],
             )
         else:
-            alternative, inputs, _ = choice
-            sort = alternative.sort
-            children = tuple(self._plan(child, table, built) for child in inputs)
-            cost = alternative.local
+            _, local, delivers, _, sort, alternative, *inputs = choice
+            children = tuple(self._plan(i, table, work, built) for i in inputs if i is not None)
+            cost = local
             if children:
                 cost = children[0].cost
                 for child in children[1:]:
                     cost += child.cost
-                cost += alternative.local
-            delivers = alternative.order
+                cost += local
             plan = PhysicalPlan(
                 op=alternative.op,
                 group=state.gid,
                 cost=cost,
-                local_cost=alternative.local,
+                local_cost=local,
                 order=children[0].order if delivers is None else self._orders[delivers],
                 children=children,
                 **alternative.fields,
@@ -522,23 +595,30 @@ class VolcanoOptimizer:
         state = self._states.get((gid, required))
         if state is None:
             group = self._group(gid)
-            # Consumers rank strictly above their inputs, so (rank, age) is a
-            # topological order that does not depend on hashing.
-            state = _State(gid, required, group, (self.dag.rank(gid), len(self._states)))
+            state_id = len(self._by_id)
+            state = _State(gid, required, group, state_id)
             self._states[gid, required] = state
             self._states_of.setdefault(gid, []).append(state)
+            self._by_id.append(state)
+            # Consumers rank strictly above their inputs, so (rank, id) is a
+            # topological order that does not depend on hashing.
+            self._keys.append(self.dag.rank(gid) << _ID_BITS | state_id)
+            self._consumers.append([])
+            candidates, states = state.candidates, self._states
             for alternative in group.alternatives:
                 if alternative.order is None:
                     fits = None if required else True
                 else:
                     fits = self._satisfied[alternative.order, required]
-                inputs = tuple(self._state(*source) for source in alternative.inputs)
-                state.candidates.append((alternative, inputs, fits))
+                sources = alternative.inputs
+                inputs = [states.get(source) or self._state(*source) for source in sources]
+                candidates.append(_candidate(alternative, inputs, fits))
                 if alternative.passes_order and required:
-                    ordered = (self._state(inputs[0].gid, required),)
-                    state.candidates.append((alternative, ordered, None))
-            for source in dict.fromkeys(s for _, inputs, _ in state.candidates for s in inputs):
-                self._consumers.setdefault(source, []).append(state)
+                    ordered = [self._state(sources[0][0], required)]
+                    candidates.append(_candidate(alternative, ordered, None))
+            state.lb = min([group.read] + [candidate[0] for candidate in candidates])
+            for source in dict.fromkeys(i for c in candidates for i in c[6:] if i is not None):
+                self._consumers[source].append(state_id)
         return state
 
     def _group(self, group_id: int) -> _GroupCosts:
@@ -565,20 +645,12 @@ class VolcanoOptimizer:
         clustered = self.catalog.clustered_index(mexpr.table)
         scan_order = SortOrder()
         if clustered is not None:
-            scan_order = SortOrder(
-                tuple(ColumnRef(c, mexpr.alias) for c in clustered.columns)
-            )
+            scan_order = SortOrder(tuple(ColumnRef(c, mexpr.alias) for c in clustered.columns))
+        local = self.cost_model.table_scan(costs.rows, costs.width)
+        fields = dict(rows=costs.rows, width=costs.width, table=mexpr.table, alias=mexpr.alias)
         return [
             _Alternative(
-                PhysicalOp.TABLE_SCAN,
-                (),
-                self.cost_model.table_scan(costs.rows, costs.width),
-                self._order_id(scan_order),
-                costs.sort,
-                rows=costs.rows,
-                width=costs.width,
-                table=mexpr.table,
-                alias=mexpr.alias,
+                PhysicalOp.TABLE_SCAN, (), local, self._order_id(scan_order), costs.sort, **fields
             )
         ]
 
@@ -626,19 +698,12 @@ class VolcanoOptimizer:
         estimator = SelectivityEstimator(CatalogResolver(self.catalog, {alias: table}))
         selectivity = estimator.selectivity(conjunction(index_conjuncts))
         stats = self.catalog.table_statistics(table)
+        model = self.cost_model
+        local = model.indexed_selection(stats.row_count, child_group.row_width, selectivity)
+        order = self._order_id(SortOrder(tuple(ColumnRef(c, alias) for c in clustered.columns)))
+        fields = dict(rows=costs.rows, width=costs.width, table=table, alias=alias)
         return _Alternative(
-            PhysicalOp.INDEX_SCAN,
-            (),
-            self.cost_model.indexed_selection(
-                stats.row_count, child_group.row_width, selectivity
-            ),
-            self._order_id(SortOrder(tuple(ColumnRef(c, alias) for c in clustered.columns))),
-            costs.sort,
-            rows=costs.rows,
-            width=costs.width,
-            table=table,
-            alias=alias,
-            predicate=mexpr.predicate,
+            PhysicalOp.INDEX_SCAN, (), local, order, costs.sort, predicate=mexpr.predicate, **fields
         )
 
     def _implement_join(self, mexpr: JoinMExpr, costs: _GroupCosts) -> List[_Alternative]:
@@ -647,7 +712,7 @@ class VolcanoOptimizer:
         right_group = self.memo.get(mexpr.right)
         left_any = (mexpr.left, _ANY)
         right_any = (mexpr.right, _ANY)
-        left_keys, right_keys = self._equijoin_keys(mexpr)
+        left_keys, right_keys = equijoin_keys(mexpr)
         common = dict(rows=costs.rows, width=costs.width, predicate=mexpr.predicate)
         alternatives: List[_Alternative] = []
 
@@ -656,10 +721,7 @@ class VolcanoOptimizer:
             left_order = self._order_id(SortOrder(tuple(left_keys)))
             right_order = self._order_id(SortOrder(tuple(right_keys)))
             local = model.merge_join(
-                left_group.rows,
-                left_group.row_width,
-                right_group.rows,
-                right_group.row_width,
+                left_group.rows, left_group.row_width, right_group.rows, right_group.row_width,
                 costs.rows,
             )
             alternatives.append(
@@ -679,10 +741,7 @@ class VolcanoOptimizer:
             (right_any, left_any, right_group, left_group),
         ):
             local = model.nested_loop_join(
-                outer_group.rows,
-                outer_group.row_width,
-                inner_group.rows,
-                inner_group.row_width,
+                outer_group.rows, outer_group.row_width, inner_group.rows, inner_group.row_width,
                 inner_is_stored=inner_group.is_relation,
             )
             alternatives.append(
@@ -700,16 +759,11 @@ class VolcanoOptimizer:
                 probe = self._index_probe(outer_group, inner_group, inner_keys)
                 if probe is not None:
                     local, table = probe
+                    alias = inner_group.signature.alias
                     alternatives.append(
                         _Alternative(
-                            PhysicalOp.INDEX_NL_JOIN,
-                            (outer,),
-                            local,
-                            None,
-                            costs.sort,
-                            table=table,
-                            alias=inner_group.signature.alias,
-                            **common,
+                            PhysicalOp.INDEX_NL_JOIN, (outer,), local, None, costs.sort,
+                            table=table, alias=alias, **common,
                         )
                     )
         return alternatives
@@ -733,31 +787,7 @@ class VolcanoOptimizer:
         )
         return local, table
 
-    def _equijoin_keys(
-        self, mexpr: JoinMExpr
-    ) -> Tuple[List[ColumnRef], List[ColumnRef]]:
-        """Split the equi-join columns of a join predicate between its operands."""
-        left_keys: List[ColumnRef] = []
-        right_keys: List[ColumnRef] = []
-        if mexpr.predicate is None:
-            return left_keys, right_keys
-        for predicate in conjuncts(mexpr.predicate):
-            if not isinstance(predicate, Comparison) or predicate.op is not ComparisonOp.EQ:
-                continue
-            if not isinstance(predicate.right, ColumnRef):
-                continue
-            a, b = predicate.left, predicate.right
-            if a.qualifier in mexpr.left_aliases and b.qualifier in mexpr.right_aliases:
-                left_keys.append(a)
-                right_keys.append(b)
-            elif a.qualifier in mexpr.right_aliases and b.qualifier in mexpr.left_aliases:
-                left_keys.append(b)
-                right_keys.append(a)
-        return left_keys, right_keys
-
-    def _implement_aggregate(
-        self, mexpr: AggregateMExpr, costs: _GroupCosts
-    ) -> List[_Alternative]:
+    def _implement_aggregate(self, mexpr: AggregateMExpr, costs: _GroupCosts) -> List[_Alternative]:
         model = self.cost_model
         child_group = self.memo.get(mexpr.child)
         if not mexpr.group_by:

@@ -3,7 +3,9 @@
 The same numbers ``python3 -m benchmarks.perf run --trace 1`` reports for
 ``tpcd_cold`` and ``star_serving``: they are functions of the code alone (no
 timing, no hash seed), so a change that moves one of them unannounced fails
-here rather than in a CI artifact somebody has to read.
+here rather than in a CI artifact somebody has to read.  The DP entry counts
+depend on the plan DP's lower-bound skipping (a skipped candidate's inputs
+are never derived); the oracle counts and the memo size do not.
 """
 
 from repro.algebra.logical import QueryBatch
@@ -29,8 +31,13 @@ def test_cold_bq2():
     assert counters["evaluations"] == 370
     assert counters["result_cache_hits"] == 188
     assert counters["full_evaluations"] == 1
-    assert counters["invalidated_entries"] == 3893
+    assert counters["invalidated_entries"] == 2618
+    assert counters["dp_entries_recomputed"] == 2824
+    assert counters["dp_entries_reused"] == 35754
+    assert counters["candidates_skipped"] == 18716
     assert counters["plans_extracted"] == 1
+    memo = session.memo.stats()
+    assert (memo["groups"], memo["mexprs"]) == (108, 355)
     assert len(result.materialized) == 2
     assert result.total_cost / result.volcano_cost == 0.9672905891496855
 
@@ -49,6 +56,9 @@ def test_star_serving_trace():
     counters = optimizer_counters(session)
     assert counters["evaluations"] == 4475
     assert counters["evaluations"] - counters["result_cache_hits"] == 2125
-    assert counters["invalidated_entries"] == 35725
+    assert counters["invalidated_entries"] == 35617
+    assert counters["dp_entries_recomputed"] == 39428
+    assert counters["dp_entries_reused"] == 154289
+    assert counters["candidates_skipped"] == 142618
     assert counters["plans_extracted"] == 45
     assert materialized == 45

@@ -43,12 +43,13 @@ def marginal_gain_and_bound(engine, chosen, element):
     without = engine.evaluate(chosen)
     table = engine._results[chosen][1]  # white-box: X's plan table, for C_X(e, r)
     optimizer = engine.optimizer
-    assert table.stored == {c.group: (c.order,) for c in chosen}  # not moved on
+    assert table.stored == {c.group: (optimizer._order_id(c.order),) for c in chosen}  # not moved on
     costs = optimizer._group(element.group)
     stored = optimizer._order_id(element.order)
     per_state = []
+    entries = optimizer._working(table)  # the table's entries by state id
     for state in optimizer._states_of[element.group]:
-        entry = table.own.get(state) or table.shared.get(state)
+        entry = entries[state.id]
         if entry is not None:
             fits = optimizer._satisfied[stored, state.required]
             per_state.append(entry[0] - (costs.read if fits else costs.read + costs.sort))
