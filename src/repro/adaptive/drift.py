@@ -35,12 +35,6 @@ class AdaptiveConfig:
             for the estimator overlay to use an observed value verbatim.
         ewma_alpha / epoch_decay: forwarded to the
             :class:`~repro.adaptive.stats.FeedbackStatsStore`.
-        correct_row_width: also correct the drifted group's row width from
-            the observed bytes-per-row, not just its cardinality.
-        benefit_cache_policy: give the session's materialization cache the
-            benefit-aware admission/eviction policy
-            (:class:`~repro.adaptive.policy.BenefitAwarePolicy`) fed from
-            the same store.
     """
 
     enabled: bool = True
@@ -49,8 +43,6 @@ class AdaptiveConfig:
     min_confidence: float = 0.5
     ewma_alpha: float = 0.5
     epoch_decay: float = 0.5
-    correct_row_width: bool = True
-    benefit_cache_policy: bool = True
 
 
 @dataclass(frozen=True)

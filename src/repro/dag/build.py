@@ -118,8 +118,6 @@ class DagConfig:
             selection constant on the same column.
         max_block_sources: guard against runaway expansion — blocks with more
             sources than this raise instead of enumerating an enormous space.
-        avoid_cross_products: only enumerate splits connected by a join
-            predicate when any such split exists.
         max_or_groups_per_sources: budget of relaxed ``p1 ∨ p2`` groups the
             subsumption passes may *create* per source set over the life of
             one memo (a relaxation whose group already exists is wired up
@@ -137,7 +135,6 @@ class DagConfig:
     enable_subsumption: bool = True
     enable_or_subsumption: bool = True
     max_block_sources: int = 12
-    avoid_cross_products: bool = True
     max_or_groups_per_sources: int = 8
 
 
@@ -327,7 +324,7 @@ class DagBuilder:
         sourced = [(p, referenced_qualifiers(p)) for p in predicates]
         splits = list(self._enumerate_splits(aliases, sourced))
         connected = [s for s in splits if s[3]]
-        chosen = connected if (connected and self.config.avoid_cross_products) else splits
+        chosen = connected or splits
         for left_aliases, right_aliases, cross_preds, _ in chosen:
             left_id = self._expand_spj(
                 {a: infos[a] for a in left_aliases},

@@ -277,11 +277,7 @@ class OptimizerSession:
                 min_observations=config.min_observations,
                 min_confidence=config.min_confidence,
             )
-        policy = (
-            BenefitAwarePolicy(self.feedback)
-            if config is not None and config.benefit_cache_policy
-            else None
-        )
+        policy = BenefitAwarePolicy(self.feedback) if config is not None else None
         if matcache is None and self.spill_dir is not None:
             # Imported here, not at module level: repro.storage builds on
             # this package, so the reverse import must stay lazy.
@@ -887,16 +883,15 @@ class OptimizerSession:
 
     def _apply_drift_locked(self, drifted: Dict[int, DriftEvent]) -> None:
         """Correct drifted estimates and invalidate everything derived from them."""
-        assert self._estimator is not None and self.adaptive_config is not None
+        assert self._estimator is not None
         tracer = self.obs.tracer
         memo = self._builder.memo
         for gid, event in drifted.items():
             group = memo.get(gid)
             group.rows = max(self._estimator.estimate_rows(event.key, group.rows), 1.0)
-            if self.adaptive_config.correct_row_width:
-                width = self._estimator.observed_width(event.key)
-                if width is not None:
-                    group.row_width = max(width, 1.0)
+            width = self._estimator.observed_width(event.key)
+            if width is not None:
+                group.row_width = max(width, 1.0)
             self.statistics.drift_events += 1
             if tracer.enabled:
                 tracer.event("adaptive.drift", group=gid, key=event.key[:16])

@@ -1,4 +1,4 @@
-"""Built-in row-correctness oracles: every perf run is a differential run.
+"""Row-correctness oracles: replay served requests and compare the rows.
 
 A :class:`CorrectnessOracle` owns one *independent* reference
 :class:`~repro.service.session.OptimizerSession` per oracle backend —
@@ -14,9 +14,9 @@ replays sampled requests against it, comparing rows:
   ``tests/execution/test_sql_differential.py`` — engines sum and emit in
   different orders.
 
-Replays happen *between* drift steps (the run controller drains the
-scheduler first), so the reference always executes against the same data
-version the serving stack answered from.
+A driver calls :meth:`CorrectnessOracle.verify` only after the scheduler
+has drained and before the next drift step, so the reference always
+executes against the same data version the serving stack answered from.
 """
 
 from __future__ import annotations
@@ -61,15 +61,6 @@ class OracleMismatch:
     tenant: str
     backend: str
     detail: str
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "request_index": self.request_index,
-            "template": self.template_id,
-            "tenant": self.tenant,
-            "backend": self.backend,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -157,11 +148,3 @@ class CorrectnessOracle:
                 )
             )
 
-    def report(self) -> Dict[str, object]:
-        return {
-            "backends": list(self.backends),
-            "serving_backend": self.serving_backend,
-            "checked": self.checked,
-            "mismatches": self.mismatch_count,
-            "mismatch_details": [m.as_dict() for m in self.mismatches],
-        }

@@ -1,8 +1,8 @@
 """Scale-factor control: parameterized databases + catalogs for the harness.
 
 A :class:`ScaleSpec` fixes the *shape* of the data — base row counts, key
-fanouts, value skew — and one ``scale`` multiplier sizes it, so a harness
-run is reproducible byte-for-byte from ``(seed, spec)`` alone.
+fanouts, value skew — and one ``scale`` multiplier sizes it, so a world's
+data is reproducible byte-for-byte from ``(seed, spec)`` alone.
 :func:`build_world` turns a spec into a :class:`HarnessWorld`: the catalog
 the optimizer plans against, the :class:`~repro.execution.data.Database`
 the executors run on, and — when the workload contains the star tables —
@@ -22,7 +22,7 @@ Three workloads:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 from ...catalog.catalog import Catalog
@@ -98,10 +98,6 @@ class ScaleSpec:
     def suppliers(self) -> int:
         return self._scaled(self.tpcd_suppliers)
 
-    def at_scale(self, scale: float) -> "ScaleSpec":
-        """The same shape at a different multiplier."""
-        return replace(self, scale=scale)
-
 
 @dataclass
 class HarnessWorld:
@@ -138,13 +134,21 @@ class HarnessWorld:
         data change — a drifted run that kept serving stale cached rows
         would fail its correctness oracle, which replays against the same
         database *after* the step.
+
+        Raises:
+            RuntimeError: the world has no star tables, or every one of the
+                ``max_drift_steps`` it was built with is spent.
         """
         if self._drift is None:
             raise RuntimeError(
                 f"workload {self.workload!r} has no star tables to drift; "
-                "use the star or mixed workload for --drift-at runs"
+                "use the star or mixed workload"
             )
-        next(self._drift)
+        if next(self._drift, None) is None:
+            raise RuntimeError(
+                f"drift budget spent after {self.drift_steps_applied} step(s); "
+                "build the world with a larger max_drift_steps"
+            )
         self.drift_steps_applied += 1
 
 
@@ -170,10 +174,10 @@ def build_world(
 ) -> HarnessWorld:
     """Generate the catalog + database (+ drift handle) for one setting.
 
-    ``max_drift_steps`` pre-sizes the drifting generator; calling
-    :meth:`HarnessWorld.inject_drift` more often than that raises
-    ``StopIteration`` — the run controller derives it from its drift
-    schedule, so a CLI run can never outrun its generator.
+    ``max_drift_steps`` pre-sizes the drifting generator: a driver that
+    drifts the data mid-run passes the number of steps its schedule takes,
+    and calling :meth:`HarnessWorld.inject_drift` more often than that
+    raises ``RuntimeError``.
     """
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; expected one of {WORKLOADS}")
@@ -199,8 +203,6 @@ def build_world(
             hot_fraction=spec.hot_fraction,
         )
         database = next(drift)
-        if max_drift_steps == 0:
-            drift = None  # exhausted: pass 0 was the only one
         catalog = star_catalog
         if workload == "mixed":
             tpcd = _tpcd_database(spec, seed)

@@ -26,6 +26,7 @@ the same traffic, byte for byte, whatever machine replays it:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -136,6 +137,8 @@ def parse_arrival(spec: str) -> Tuple[str, Tuple[float, ...]]:
         values = tuple(float(a) for a in args)
     except ValueError:
         raise ValueError(f"non-numeric arrival parameter in {spec!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"non-finite arrival parameter in {spec!r}")
     if kind == "closed":
         if values:
             raise ValueError("closed arrivals take no parameters")
@@ -192,7 +195,7 @@ def star_templates(
     Each template fixes a dimension subset, the aggregation key and the
     filtered dimension (drawn once from ``seed``); instantiation draws only
     the selection threshold, so one template's instances share their join
-    structure — the signature routing and cache reuse the harness measures.
+    structure, which signature routing and cache reuse depend on.
     """
     if count < 1:
         raise ValueError("count must be positive")

@@ -74,7 +74,6 @@ class TestConfig:
         config = AdaptiveConfig()
         assert config.enabled
         assert config.drift_threshold == 2.0
-        assert config.benefit_cache_policy
 
     def test_disabled_config_flag(self):
         assert not AdaptiveConfig(enabled=False).enabled

@@ -21,8 +21,10 @@ from repro.adaptive import AdaptiveConfig, BenefitAwarePolicy, CostLRUPolicy
 from repro.algebra import builder as qb
 from repro.algebra.expressions import col, eq
 from repro.algebra.logical import QueryBatch
+from repro.dag.fingerprint import canonical_key
 from repro.execution import Executor
 from repro.execution.data import example1_database
+from repro.obs import InMemorySink, Observability, Tracer
 from repro.service import MaterializationCache, OptimizerSession
 from repro.workloads.synthetic import example1_batch, example1_catalog
 
@@ -154,6 +156,29 @@ class TestAdaptationEnabled:
         stale_cost = engine.evaluate(frozenset(stale.result.materialized)).total_cost
         assert reoptimized.result.total_cost < stale_cost
 
+    def test_drift_corrects_the_row_width_from_observed_bytes(self, catalog, database):
+        sink = InMemorySink()
+        session = OptimizerSession(
+            catalog,
+            database=database,
+            adaptive=AdaptiveConfig(drift_threshold=THRESHOLD),
+            obs=Observability(tracer=Tracer(sink)),
+        )
+        session.execute_batch(example1_batch())
+        drift_b(database)
+        session.execute_batch(example1_batch())
+        drifted = [
+            event["attrs"]["group"]
+            for record in sink.records
+            for event in record.get("events", ())
+            if event["name"] == "adaptive.drift"
+        ]
+        assert drifted
+        for gid in drifted:
+            observed = session.feedback.get(canonical_key(session.memo.signature_of(gid)))
+            assert observed.row_width is not None
+            assert session.memo.get(gid).row_width == max(observed.row_width, 1.0)
+
     def test_reoptimized_rows_match_a_fresh_executor(self, catalog, database):
         session = self.make_session(catalog, database)
         session.execute_batch(example1_batch())
@@ -280,8 +305,6 @@ class TestObservationHygiene:
         assert root_plan.op is PhysicalOp.READ_MATERIALIZED, (
             "the twin queries' shared root should be materialized and re-read"
         )
-        from repro.dag.fingerprint import canonical_key
-
         key = canonical_key(session.memo.signature_of(root_plan.group))
         after_cold = session.feedback.get(key)
         assert after_cold.elapsed > 0.0, "the materialization itself was timed"

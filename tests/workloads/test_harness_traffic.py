@@ -100,7 +100,19 @@ def test_closed_arrivals_are_all_zero():
 
 @pytest.mark.parametrize(
     "bad",
-    ["poisson", "poisson:0", "poisson:-5", "poisson:1:2", "bursty:1:2", "closed:1", "sine:3", "poisson:x"],
+    [
+        "poisson",
+        "poisson:0",
+        "poisson:-5",
+        "poisson:1:2",
+        "bursty:1:2",
+        "closed:1",
+        "sine:3",
+        "poisson:x",
+        "poisson:nan",
+        "bursty:1:2:nan",
+        "poisson:inf",
+    ],
 )
 def test_arrival_spec_validation(bad):
     with pytest.raises(ValueError):
@@ -148,6 +160,21 @@ def test_tpcd_world_refuses_drift():
     assert not world.supports_drift
     with pytest.raises(RuntimeError, match="no star tables"):
         world.inject_drift()
+
+
+def test_star_world_without_drift_budget_names_max_drift_steps():
+    world = build_world(ScaleSpec(), "star", seed=4)
+    with pytest.raises(RuntimeError, match="max_drift_steps"):
+        world.inject_drift()
+    assert world.drift_steps_applied == 0
+
+
+def test_drift_past_budget_names_max_drift_steps():
+    world = build_world(ScaleSpec(), "star", seed=4, max_drift_steps=1)
+    world.inject_drift()
+    with pytest.raises(RuntimeError, match="max_drift_steps"):
+        world.inject_drift()
+    assert world.drift_steps_applied == 1
 
 
 def test_value_skew_concentrates_fact_keys():
