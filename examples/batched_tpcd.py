@@ -15,7 +15,9 @@ Run with::
 import argparse
 
 from repro.catalog.tpcd import tpcd_catalog
-from repro.core.mqo import MultiQueryOptimizer
+from repro.core.mqo import run_strategy
+from repro.dag.sharing import build_batch_dag
+from repro.optimizer.best_cost import BestCostEngine
 from repro.workloads.batches import composite_batch
 
 
@@ -27,17 +29,16 @@ def main() -> None:
 
     catalog = tpcd_catalog(args.scale)
     batch = composite_batch(args.batch)
-    optimizer = MultiQueryOptimizer(catalog)
 
-    dag = optimizer.build_dag(batch)
+    dag = build_batch_dag(batch, catalog)
     print(f"Combined DAG for {batch.name}: {dag.summary()}")
     print()
 
     results = {}
     for strategy in ("volcano", "greedy", "marginal-greedy"):
-        engine = optimizer.make_engine(dag)
-        results[strategy] = optimizer.optimize_with(
-            dag, engine, batch_name=batch.name, strategy=strategy
+        # A fresh engine per strategy: no strategy inherits another's warm caches.
+        results[strategy] = run_strategy(
+            dag, BestCostEngine(dag), batch_name=batch.name, strategy=strategy
         )
         print(f"--- {strategy}")
         print(results[strategy].summary())

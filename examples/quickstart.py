@@ -14,8 +14,8 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.core.mqo import MultiQueryOptimizer
 from repro.execution import Executor, example1_database
+from repro.service import OptimizerSession
 from repro.workloads.synthetic import example1_batch, example1_catalog
 
 
@@ -27,8 +27,8 @@ def main() -> None:
     print(batch.pretty())
     print()
 
-    optimizer = MultiQueryOptimizer(catalog)
-    results = optimizer.compare(batch, strategies=("volcano", "greedy", "marginal-greedy"))
+    session = OptimizerSession(catalog)
+    results = session.compare(batch, strategies=("volcano", "greedy", "marginal-greedy"))
 
     for strategy, result in results.items():
         print(f"--- {strategy}")

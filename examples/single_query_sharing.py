@@ -15,7 +15,9 @@ Run with::
 import argparse
 
 from repro.catalog.tpcd import tpcd_catalog
-from repro.core.mqo import MultiQueryOptimizer
+from repro.core.mqo import run_strategy
+from repro.dag.sharing import build_batch_dag
+from repro.optimizer.best_cost import BestCostEngine
 from repro.workloads.tpcd_queries import standalone_workloads
 
 
@@ -25,13 +27,11 @@ def main() -> None:
     args = parser.parse_args()
 
     catalog = tpcd_catalog(args.scale)
-    optimizer = MultiQueryOptimizer(catalog)
 
     for name, workload in standalone_workloads().items():
-        dag = optimizer.build_dag(workload)
-        engine = optimizer.make_engine(dag)
-        result = optimizer.optimize_with(
-            dag, engine, batch_name=name, strategy="marginal-greedy"
+        dag = build_batch_dag(workload, catalog)
+        result = run_strategy(
+            dag, BestCostEngine(dag), batch_name=name, strategy="marginal-greedy"
         )
         print(f"=== {name}")
         print(f"  no-sharing cost : {result.volcano_cost / 1000.0:10.1f} s")

@@ -11,9 +11,9 @@ setup(
     version="1.0.0",
     description=(
         "Reproduction of 'Efficient and Provable Multi-Query Optimization' "
-        "(Kathuria & Sudarshan, PODS 2017) with a pluggable strategy "
-        "registry and a persistent cross-batch serving layer that executes "
-        "plans through a fingerprint-keyed materialization cache"
+        "(Kathuria & Sudarshan, PODS 2017) with a persistent cross-batch "
+        "optimizer session that executes plans through a fingerprint-keyed "
+        "materialization cache"
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),

@@ -9,10 +9,11 @@ This package provides:
 
 * the UNSM algorithms themselves (:mod:`repro.core`),
 * a complete Volcano-style query-optimization substrate — catalog,
-  relational algebra, AND-OR DAG / memo, transformation rules, cost model,
-  plan extraction (:mod:`repro.catalog`, :mod:`repro.algebra`,
-  :mod:`repro.dag`, :mod:`repro.rules`, :mod:`repro.cost`,
+  relational algebra, AND-OR DAG / memo with its expansion and subsumption
+  rules, cost model, plan extraction (:mod:`repro.catalog`,
+  :mod:`repro.algebra`, :mod:`repro.dag`, :mod:`repro.cost`,
   :mod:`repro.optimizer`),
+* the optimizer session every batch goes through (:mod:`repro.service`),
 * an in-memory execution engine for validating shared plans
   (:mod:`repro.execution`),
 * the TPCD workloads of the paper's evaluation (:mod:`repro.workloads`), and
@@ -21,13 +22,13 @@ This package provides:
 
 Quick start::
 
-    from repro import MultiQueryOptimizer, workloads
+    from repro import OptimizerSession, workloads
     from repro.catalog.tpcd import tpcd_catalog
 
     catalog = tpcd_catalog(scale_factor=1)
     batch = workloads.composite_batch(2)          # BQ2: Q3 and Q5, twice each
-    optimizer = MultiQueryOptimizer(catalog)
-    result = optimizer.optimize(batch, strategy="marginal-greedy")
+    session = OptimizerSession(catalog)
+    result = session.optimize(batch, strategy="marginal-greedy")
     print(result.summary())
 """
 
@@ -43,14 +44,10 @@ __all__ = ["core", "__version__"]
 def __getattr__(name):  # pragma: no cover - thin lazy-import shim
     """Lazily expose heavyweight entry points at the package top level.
 
-    ``MultiQueryOptimizer`` pulls in the whole optimizer stack; importing it
+    ``OptimizerSession`` pulls in the whole optimizer stack; importing it
     lazily keeps ``import repro`` cheap for users who only need the
     submodular toolkit.
     """
-    if name == "MultiQueryOptimizer":
-        from .core.mqo import MultiQueryOptimizer
-
-        return MultiQueryOptimizer
     if name == "OptimizerSession":
         from .service.session import OptimizerSession
 

@@ -1,4 +1,4 @@
-"""Admission/eviction policies for the materialization cache.
+"""Eviction policies for the materialization cache.
 
 The serving layer's :class:`~repro.service.matcache.MaterializationCache`
 historically scored entries by *estimated* recomputation cost — the same
@@ -11,8 +11,7 @@ decision pluggable:
   from the :class:`~repro.adaptive.stats.FeedbackStatsStore`: entries are
   scored by observed recomputation seconds × hit recency ÷ observed bytes,
   so the cache keeps the row sets that demonstrably save the most wall
-  time per byte, and can refuse to admit entries whose measured
-  recomputation is too cheap to be worth caching at all.
+  time per byte.
 
 A policy sees the cache's private entry records; it must treat them as
 read-only.
@@ -45,12 +44,7 @@ def _fingerprint_of(key: Hashable) -> str:
 
 
 class CachePolicy(Protocol):
-    """Decides what the materialization cache admits and evicts first."""
-
-    def admit(self, key: Hashable, size: int, cost: float) -> bool:
-        """Whether a fill for ``key`` (``size`` bytes, estimated recompute
-        ``cost``) should be stored at all."""
-        ...  # pragma: no cover
+    """Decides what the materialization cache evicts first."""
 
     def score(self, key: Hashable, entry, clock: int) -> float:
         """Retention score of a cached entry; the lowest score is evicted
@@ -65,9 +59,6 @@ class CostLRUPolicy:
     the formula the cache used before policies became pluggable, so a cache
     constructed with the default policy behaves bit-for-bit the same.
     """
-
-    def admit(self, key: Hashable, size: int, cost: float) -> bool:
-        return True
 
     def score(self, key: Hashable, entry, clock: int) -> float:
         return entry.cost * (1.0 + entry.hits) / max(entry.bytes, 1)
@@ -87,9 +78,6 @@ class BenefitAwarePolicy:
     Args:
         store: the feedback store supplying observed timings and byte sizes.
         fallback: policy used for entries without observed timings.
-        min_benefit_seconds: fills whose *measured* recomputation time is
-            below this are not admitted (0.0 admits everything); re-deriving
-            them is cheaper than the cache space they would occupy.
         recency_half_life: cache-clock ticks after which an unused entry's
             recency factor halves.
     """
@@ -99,16 +87,12 @@ class BenefitAwarePolicy:
         store: FeedbackStatsStore,
         *,
         fallback: Optional[CachePolicy] = None,
-        min_benefit_seconds: float = 0.0,
         recency_half_life: float = 16.0,
     ):
-        if min_benefit_seconds < 0.0:
-            raise ValueError("min_benefit_seconds must be non-negative")
         if recency_half_life <= 0.0:
             raise ValueError("recency_half_life must be positive")
         self.store = store
         self.fallback = fallback if fallback is not None else CostLRUPolicy()
-        self.min_benefit_seconds = min_benefit_seconds
         self.recency_half_life = recency_half_life
 
     def _observed(self, key: Hashable) -> Optional[ObservedStats]:
@@ -116,12 +100,6 @@ class BenefitAwarePolicy:
         if entry is None or entry.elapsed <= 0.0:
             return None
         return entry
-
-    def admit(self, key: Hashable, size: int, cost: float) -> bool:
-        observed = self._observed(key)
-        if observed is None:
-            return True
-        return observed.elapsed >= self.min_benefit_seconds
 
     def score(self, key: Hashable, entry, clock: int) -> float:
         observed = self._observed(key)

@@ -13,10 +13,10 @@ This package contains the algorithmic core of the reproduction:
   (the Section 4 hardness construction),
 * :mod:`repro.core.benefit` — the materialization-benefit oracle bridging
   the optimizer's ``bestCost`` to UNSM,
-* :mod:`repro.core.strategies` — the pluggable strategy registry and the
-  built-in materialization-selection strategies,
-* :mod:`repro.core.mqo` — the user-facing :class:`MultiQueryOptimizer`
-  facade (see :mod:`repro.service` for the persistent serving layer).
+* :mod:`repro.core.strategies` — the materialization-selection strategies,
+  looked up by name,
+* :mod:`repro.core.mqo` — :func:`run_strategy` and its :class:`MQOResult`
+  (see :mod:`repro.service` for the optimizer session that calls it).
 """
 
 from .set_functions import (
@@ -62,16 +62,8 @@ from .benefit import (
     mqo_decomposition,
     standalone_materialization_costs,
 )
-from .mqo import MQOResult, MultiQueryOptimizer, run_strategy
-from .strategies import (
-    Strategy,
-    StrategyContext,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    resolve_strategy,
-    unregister_strategy,
-)
+from .mqo import MQOResult, run_strategy
+from .strategies import Strategy, StrategyContext, available_strategies, get_strategy
 
 __all__ = [
     "BestCostFunction",
@@ -81,16 +73,11 @@ __all__ = [
     "mqo_decomposition",
     "standalone_materialization_costs",
     "MQOResult",
-    "MultiQueryOptimizer",
-    "STRATEGIES",
     "run_strategy",
     "Strategy",
     "StrategyContext",
     "available_strategies",
     "get_strategy",
-    "register_strategy",
-    "resolve_strategy",
-    "unregister_strategy",
     "AdditiveFunction",
     "CachedSetFunction",
     "CallCountingFunction",
@@ -125,13 +112,3 @@ __all__ = [
     "random_instance",
 ]
 
-
-def __getattr__(name):
-    # Keep ``repro.core.STRATEGIES`` a live view of the strategy registry
-    # (an eager from-import here would freeze an import-time snapshot and
-    # miss strategies registered later by third-party code).
-    if name == "STRATEGIES":
-        from .strategies import available_strategies
-
-        return available_strategies()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

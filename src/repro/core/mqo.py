@@ -1,52 +1,25 @@
-"""The user-facing multi-query optimizer facade.
+"""The outcome of one strategy run, and the runner that produces it.
 
-:class:`MultiQueryOptimizer` is a thin, backward-compatible facade over a
-private one-shot :class:`~repro.service.session.OptimizerSession`: the
-session owns the shared memo, the ``bestCost`` engines and the result
-caches, so repeated ``optimize``/``compare`` calls on one optimizer reuse
-all prior work (the serving layer exposes the same machinery for long-lived
-cross-batch reuse).
-
-Strategies are dispatched through the pluggable registry of
-:mod:`repro.core.strategies`; ``STRATEGIES`` is derived from that registry,
-so strategies registered by third-party code show up automatically:
-
->>> from repro.core import mqo
->>> mqo.STRATEGIES
-('volcano', 'greedy', 'marginal-greedy', 'share-all', 'exhaustive')
+:func:`run_strategy` runs one materialization-selection strategy against a
+batch DAG and its ``bestCost`` engine and assembles the :class:`MQOResult`.
+The serving layer (:class:`~repro.service.session.OptimizerSession`) calls
+it for every batch; a one-shot optimization pairs it with
+:func:`~repro.dag.sharing.build_batch_dag` and a fresh
+:class:`~repro.optimizer.best_cost.BestCostEngine`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
-from ..algebra.logical import Query, QueryBatch
-from ..catalog.catalog import Catalog
-from ..cost.model import CostModel
-from ..dag.build import DagConfig
-from ..dag.sharing import BatchDag, build_batch_dag
+from ..dag.sharing import BatchDag
 from ..optimizer.best_cost import BestCostEngine
 from ..optimizer.volcano import BestCostResult
-from .strategies import (
-    Strategy,
-    StrategyContext,
-    available_strategies,
-    ordered_selection,
-    resolve_strategy,
-)
+from .strategies import StrategyContext, get_strategy, ordered_selection
 
-__all__ = ["MQOResult", "MultiQueryOptimizer", "STRATEGIES", "run_strategy"]
-
-
-def __getattr__(name: str):
-    # STRATEGIES is computed from the live strategy registry so that
-    # strategies registered after import are reflected; ``from repro.core.mqo
-    # import STRATEGIES`` snapshots the tuple at import time as before.
-    if name == "STRATEGIES":
-        return available_strategies()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["MQOResult", "run_strategy"]
 
 
 @dataclass
@@ -63,9 +36,9 @@ class MQOResult:
     oracle_calls: int
     query_costs: Dict[str, float]
     plan: BestCostResult
-    dag_summary: Dict[str, int] = field(default_factory=dict)
-    #: uid of the memo the plans' group ids refer to (None on legacy results).
-    memo_uid: Optional[int] = None
+    dag_summary: Dict[str, int]
+    #: uid of the memo the plans' group ids refer to.
+    memo_uid: int
 
     @property
     def benefit(self) -> float:
@@ -104,19 +77,18 @@ def run_strategy(
     engine: BestCostEngine,
     *,
     batch_name: str,
-    strategy: Union[str, "Strategy"] = "marginal-greedy",
+    strategy: str = "marginal-greedy",
     lazy: bool = True,
     cardinality: Optional[int] = None,
     decomposition: str = "use-cost",
 ) -> MQOResult:
     """Run one strategy against a pre-built DAG and engine.
 
-    This is the shared runner behind the facade and the serving layer: it
-    resolves the strategy through the registry, evaluates the selection,
-    falls back to the no-sharing plan when materializing does not pay off,
-    and assembles the :class:`MQOResult`.
+    It looks the strategy up by name, evaluates the selection, falls back
+    to the no-sharing plan when materializing does not pay off, and
+    assembles the :class:`MQOResult`.
     """
-    strat = resolve_strategy(strategy)
+    strategy_cls = get_strategy(strategy)
     start = time.perf_counter()
     calls_before = engine.statistics.evaluations
 
@@ -128,10 +100,10 @@ def run_strategy(
         cardinality=cardinality,
         decomposition=decomposition,
     )
-    selected = ordered_selection(strat.select(context))
+    selected = ordered_selection(strategy_cls().select(context))
 
     result = engine.evaluate(frozenset(selected))
-    if result.total_cost > volcano_cost and strat.name != "volcano":
+    if result.total_cost > volcano_cost and strategy != "volcano":
         # The final plan choice is cost-based: if the selected
         # materializations do not pay off (possible for share-all, and in
         # principle for marginal-greedy whose additive cost part is only
@@ -142,7 +114,7 @@ def run_strategy(
     calls = engine.statistics.evaluations - calls_before
 
     return MQOResult(
-        strategy=strat.name,
+        strategy=strategy,
         batch_name=batch_name,
         total_cost=result.total_cost,
         volcano_cost=volcano_cost,
@@ -155,112 +127,3 @@ def run_strategy(
         dag_summary=dag.summary(),
         memo_uid=dag.memo.uid,
     )
-
-
-class MultiQueryOptimizer:
-    """Facade: build the DAG for a batch and pick the nodes to materialize."""
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        cost_model: Optional[CostModel] = None,
-        dag_config: Optional[DagConfig] = None,
-        *,
-        incremental: bool = True,
-    ):
-        self.catalog = catalog
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.dag_config = dag_config if dag_config is not None else DagConfig()
-        self.incremental = incremental
-        self._session = None
-
-    @property
-    def session(self) -> "OptimizerSession":
-        """The lazily created session backing ``optimize``/``compare``."""
-        if self._session is None:
-            from ..service.session import OptimizerSession
-
-            self._session = OptimizerSession(
-                self.catalog,
-                self.cost_model,
-                self.dag_config,
-                incremental=self.incremental,
-            )
-        return self._session
-
-    # ------------------------------------------------------------------ setup
-
-    def build_dag(self, batch: Union[QueryBatch, Sequence[Query]]) -> BatchDag:
-        """Build a standalone DAG for a batch (a fresh memo, not the session's)."""
-        batch = self._as_batch(batch)
-        return build_batch_dag(batch, self.catalog, self.dag_config)
-
-    def make_engine(self, dag: BatchDag) -> BestCostEngine:
-        return BestCostEngine(dag, self.cost_model, incremental=self.incremental)
-
-    @staticmethod
-    def _as_batch(batch: Union[QueryBatch, Sequence[Query]]) -> QueryBatch:
-        if isinstance(batch, QueryBatch):
-            return batch
-        queries = tuple(batch)
-        return QueryBatch("batch", queries)
-
-    # --------------------------------------------------------------- optimize
-
-    def optimize(
-        self,
-        batch: Union[QueryBatch, Sequence[Query]],
-        strategy: str = "marginal-greedy",
-        *,
-        lazy: bool = True,
-        cardinality: Optional[int] = None,
-        decomposition: str = "use-cost",
-    ) -> MQOResult:
-        """Optimize a batch end to end (through the backing session)."""
-        return self.session.optimize(
-            self._as_batch(batch),
-            strategy=strategy,
-            lazy=lazy,
-            cardinality=cardinality,
-            decomposition=decomposition,
-        )
-
-    def compare(
-        self,
-        batch: Union[QueryBatch, Sequence[Query]],
-        strategies: Sequence[str] = ("volcano", "greedy", "marginal-greedy"),
-        *,
-        lazy: bool = True,
-        cardinality: Optional[int] = None,
-        decomposition: str = "use-cost",
-    ) -> Dict[str, MQOResult]:
-        """Run several strategies on the same batch (sharing the session DAG)."""
-        return self.session.compare(
-            self._as_batch(batch),
-            strategies,
-            lazy=lazy,
-            cardinality=cardinality,
-            decomposition=decomposition,
-        )
-
-    def optimize_with(
-        self,
-        dag: BatchDag,
-        engine: BestCostEngine,
-        *,
-        batch_name: str,
-        strategy: str = "marginal-greedy",
-        lazy: bool = True,
-        cardinality: Optional[int] = None,
-        decomposition: str = "use-cost",
-    ) -> MQOResult:
-        """Run one strategy against a pre-built DAG and engine."""
-        return run_strategy(
-            dag,
-            engine,
-            batch_name=batch_name,
-            strategy=strategy,
-            lazy=lazy,
-            cardinality=cardinality,
-            decomposition=decomposition,
-        )

@@ -1,21 +1,14 @@
-"""Pluggable materialization-selection strategies.
+"""Materialization-selection strategies.
 
 The package splits strategy *selection* (which nodes to materialize) from
 the surrounding machinery (DAG construction, final cost evaluation, result
-assembly).  Built-in strategies register themselves on import; third-party
-code adds strategies with :func:`register_strategy` and they immediately
-become available to :class:`~repro.core.mqo.MultiQueryOptimizer`, the
-serving layer and ``repro.core.mqo.STRATEGIES`` — no core change needed.
+assembly, all in :func:`repro.core.mqo.run_strategy`).  Strategies are
+looked up by name with :func:`get_strategy`; :func:`available_strategies`
+lists the names.
 """
 
 from .base import Strategy, StrategyContext, ordered_selection
-from .registry import (
-    available_strategies,
-    get_strategy,
-    register_strategy,
-    resolve_strategy,
-    unregister_strategy,
-)
+from .registry import available_strategies, get_strategy
 from .builtin import (
     ExhaustiveStrategy,
     GreedyStrategy,
@@ -30,9 +23,6 @@ __all__ = [
     "ordered_selection",
     "available_strategies",
     "get_strategy",
-    "register_strategy",
-    "resolve_strategy",
-    "unregister_strategy",
     "VolcanoStrategy",
     "GreedyStrategy",
     "MarginalGreedyStrategy",

@@ -7,20 +7,8 @@ the DAG, evaluating the final plan, falling back to the no-sharing plan when
 the selection does not pay off, assembling the :class:`~repro.core.mqo.MQOResult`
 — is shared runner logic in :func:`repro.core.mqo.run_strategy`.
 
-Strategies are classes registered under a unique name with
-:func:`~repro.core.strategies.registry.register_strategy`; third-party
-strategies plug in the same way without touching core code::
-
-    from repro.core.strategies import Strategy, StrategyContext, register_strategy
-
-    @register_strategy
-    class TopKByRows(Strategy):
-        name = "top-k-rows"
-
-        def select(self, context: StrategyContext):
-            nodes = context.dag.shareable_nodes()
-            ranked = sorted(nodes, key=lambda g: -context.dag.memo.get(g).rows)
-            return ranked[: context.cardinality or 3]
+Strategies are stateless classes with a unique :attr:`Strategy.name`;
+:mod:`repro.core.strategies.registry` maps the names to the classes.
 """
 
 from __future__ import annotations
@@ -58,13 +46,12 @@ class StrategyContext:
 class Strategy(ABC):
     """A materialization-selection strategy.
 
-    Subclasses set :attr:`name` (the registry key, also shown in results)
+    Subclasses set :attr:`name` (the lookup key, also shown in results)
     and implement :meth:`select`.  Instances must be stateless with respect
-    to the batch — the same instance may be used for many batches, possibly
-    from several threads of the serving layer.
+    to the batch.
     """
 
-    #: Unique registry name, e.g. ``"marginal-greedy"``.
+    #: Unique strategy name, e.g. ``"marginal-greedy"``.
     name: ClassVar[str] = ""
 
     @abstractmethod
@@ -75,9 +62,6 @@ class Strategy(ABC):
         :class:`~repro.dag.sharing.MaterializationChoice` objects; the runner
         normalizes and orders them before the final cost evaluation.
         """
-
-    def describe(self) -> str:
-        return self.name or type(self).__name__
 
 
 def ordered_selection(elements: Iterable) -> Tuple:

@@ -1,7 +1,6 @@
 """The built-in materialization-selection strategies.
 
-These are the five strategies of the reproduction, previously hard-coded in
-``repro.core.mqo``:
+These are the five strategies of the reproduction, by name:
 
 ``"volcano"``
     No sharing at all — every query gets its individually optimal plan
@@ -29,7 +28,6 @@ from ..greedy import greedy, lazy_greedy
 from ..marginal_greedy import lazy_marginal_greedy, marginal_greedy
 from ..set_functions import CallCountingFunction
 from .base import Strategy, StrategyContext, ordered_selection
-from .registry import register_strategy
 
 __all__ = [
     "VolcanoStrategy",
@@ -43,7 +41,6 @@ __all__ = [
 EXHAUSTIVE_MAX_CANDIDATES = 16
 
 
-@register_strategy
 class VolcanoStrategy(Strategy):
     """Materialize nothing: the plain-Volcano no-sharing baseline."""
 
@@ -53,7 +50,6 @@ class VolcanoStrategy(Strategy):
         return ()
 
 
-@register_strategy
 class GreedyStrategy(Strategy):
     """Greedy of Roy et al. driven directly by the ``bestCost`` oracle."""
 
@@ -67,7 +63,6 @@ class GreedyStrategy(Strategy):
         return run.selected
 
 
-@register_strategy
 class MarginalGreedyStrategy(Strategy):
     """The paper's MarginalGreedy on the chosen MQO decomposition."""
 
@@ -81,7 +76,6 @@ class MarginalGreedyStrategy(Strategy):
         return run.selected
 
 
-@register_strategy
 class ShareAllStrategy(Strategy):
     """Materialize every shareable node (cardinality-truncated if bounded)."""
 
@@ -94,7 +88,6 @@ class ShareAllStrategy(Strategy):
         return selected
 
 
-@register_strategy
 class ExhaustiveStrategy(Strategy):
     """Brute-force the optimal materialization set (tiny universes only).
 

@@ -1,101 +1,46 @@
-"""The strategy registry: names → strategy classes.
-
-The registry is the single source of truth for which strategies exist:
-``repro.core.mqo.STRATEGIES`` is derived from it, the
-:class:`~repro.core.mqo.MultiQueryOptimizer` facade and the serving layer
-dispatch through it, and third-party code extends the system by decorating a
-:class:`~repro.core.strategies.base.Strategy` subclass with
-:func:`register_strategy` — no core module needs to change.
-"""
+"""Strategy lookup: the built-in strategy classes by name."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple, Type, Union
+from typing import Dict, Tuple, Type
 
 from .base import Strategy
+from .builtin import (
+    ExhaustiveStrategy,
+    GreedyStrategy,
+    MarginalGreedyStrategy,
+    ShareAllStrategy,
+    VolcanoStrategy,
+)
 
-__all__ = [
-    "register_strategy",
-    "unregister_strategy",
-    "available_strategies",
-    "get_strategy",
-    "resolve_strategy",
-]
+__all__ = ["available_strategies", "get_strategy"]
 
-_REGISTRY: "OrderedDict[str, Type[Strategy]]" = OrderedDict()
-_INSTANCES: Dict[str, Strategy] = {}
-
-
-def register_strategy(
-    cls: Optional[Type[Strategy]] = None, *, name: Optional[str] = None
-) -> Union[Type[Strategy], Callable[[Type[Strategy]], Type[Strategy]]]:
-    """Class decorator registering a strategy under its (unique) name.
-
-    Usable bare (``@register_strategy``, taking the name from the class's
-    ``name`` attribute) or with an explicit name
-    (``@register_strategy(name="my-strategy")``).
-    """
-
-    def decorate(klass: Type[Strategy]) -> Type[Strategy]:
-        key = name or getattr(klass, "name", "")
-        if not key:
-            raise ValueError(
-                f"strategy class {klass.__name__} needs a non-empty 'name' "
-                "attribute (or pass register_strategy(name=...))"
-            )
-        existing = _REGISTRY.get(key)
-        if existing is not None and existing is not klass:
-            raise ValueError(
-                f"strategy name {key!r} is already registered by {existing.__name__}"
-            )
-        klass.name = key
-        _REGISTRY[key] = klass
-        _INSTANCES.pop(key, None)
-        return klass
-
-    if cls is not None:
-        return decorate(cls)
-    return decorate
-
-
-def unregister_strategy(name: str) -> Optional[Type[Strategy]]:
-    """Remove a strategy from the registry (mainly for tests/plugins)."""
-    _INSTANCES.pop(name, None)
-    return _REGISTRY.pop(name, None)
+_STRATEGIES: Dict[str, Type[Strategy]] = {
+    cls.name: cls
+    for cls in (
+        VolcanoStrategy,
+        GreedyStrategy,
+        MarginalGreedyStrategy,
+        ShareAllStrategy,
+        ExhaustiveStrategy,
+    )
+}
 
 
 def available_strategies() -> Tuple[str, ...]:
-    """All registered strategy names, in registration order."""
-    return tuple(_REGISTRY)
+    """Every strategy name, baseline first."""
+    return tuple(_STRATEGIES)
 
 
 def get_strategy(name: str) -> Type[Strategy]:
-    """The strategy class registered under ``name``.
+    """The strategy class called ``name``.
 
     Raises:
         ValueError: with the list of valid names, when unknown.
     """
     try:
-        return _REGISTRY[name]
+        return _STRATEGIES[name]
     except KeyError:
         raise ValueError(
             f"unknown strategy {name!r}; choose one of {available_strategies()}"
         ) from None
-
-
-def resolve_strategy(spec: Union[str, Strategy, Type[Strategy]]) -> Strategy:
-    """Normalize a strategy spec (name, class or instance) to an instance.
-
-    Instances resolved by name are cached — strategies are stateless, so one
-    instance per registered class serves every batch.
-    """
-    if isinstance(spec, Strategy):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, Strategy):
-        return spec()
-    instance = _INSTANCES.get(spec)
-    if instance is None:
-        instance = get_strategy(spec)()
-        _INSTANCES[spec] = instance
-    return instance

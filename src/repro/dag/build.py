@@ -54,7 +54,14 @@ from .memo import (
     SelectMExpr,
 )
 
-__all__ = ["DagConfig", "DagBuilder", "SubsumptionPass", "apply_subsumption", "query_signature"]
+__all__ = [
+    "DagConfig",
+    "DagBuilder",
+    "InternedBatch",
+    "SubsumptionPass",
+    "apply_subsumption",
+    "query_signature",
+]
 
 
 def query_signature(query: Query, catalog: Catalog) -> Signature:
@@ -157,8 +164,6 @@ class DagBuilder:
         self.catalog = catalog
         self.config = config if config is not None else DagConfig()
         self.memo = Memo()
-        self.query_roots: Dict[str, int] = {}
-        self.block_roots: List[int] = []
         # Relaxed p1 ∨ p2 groups created per source set (budget accounting).
         self._or_groups_created: Dict[FrozenSet, int] = {}
         # intern_query's answers per plan: the memo only grows, so a known
@@ -167,50 +172,49 @@ class DagBuilder:
 
     # ------------------------------------------------------------------ API
 
-    def add_query(self, query: Query) -> int:
-        """Normalize, bind and fold one query into the shared memo."""
-        if query.name in self.query_roots:
-            raise ValueError(f"duplicate query name {query.name!r} in batch")
-        root, blocks = self.intern_query(query)
-        self.block_roots.extend(blocks)
-        self.query_roots[query.name] = root
-        return root
+    def intern_batch(self, batch: QueryBatch) -> InternedBatch:
+        """Fold every query of a batch into the shared memo.
+
+        The one path from a batch to its DAG roots: the query roots by
+        name, the block roots in query order, and how many queries the memo
+        already held (their interning left :attr:`Memo.version` unmoved).
+        """
+        roots: Dict[str, int] = {}
+        blocks: List[int] = []
+        reused = 0
+        for query in batch:
+            version = self.memo.version
+            roots[query.name], query_blocks = self.intern_query(query)
+            blocks.extend(query_blocks)
+            reused += self.memo.version == version
+        return InternedBatch(roots, tuple(blocks), reused)
 
     def intern_query(self, query: Query) -> Tuple[int, Tuple[int, ...]]:
-        """Fold one query into the shared memo without registering it.
+        """Fold one query into the shared memo.
 
-        Returns ``(root group id, block root ids)`` for just this query,
-        leaving :attr:`query_roots` and :attr:`block_roots` untouched (a
-        long-lived serving session interns arbitrarily many queries; builder
-        state must not accrete per call).  The call is idempotent:
-        re-interning a structurally identical query finds all of its groups
-        already present (fingerprint unification) and adds nothing — the
-        serving layer detects reuse by checking that :attr:`Memo.version`
-        did not move.  A plan equal to one interned before (dict equality,
-        like the memo's own signatures) is answered from a per-builder
-        table without normalizing, binding or expanding it again.
+        Returns ``(root group id, block root ids)`` for just this query; the
+        builder keeps no per-query state beyond the interned-plan table.
+        The call is idempotent: re-interning a structurally identical query
+        finds all of its groups already present (fingerprint unification)
+        and adds nothing.  A plan equal to one interned before (dict
+        equality, like the memo's own signatures) is answered from a
+        per-builder table without normalizing, binding or expanding it
+        again.
         """
         interned = self._interned.get(query.plan)
         if interned is not None:
             return interned
         block = bind_block(normalize_query(query), self.catalog)
-        start = len(self.block_roots)
-        root = self._build_block(block)
-        blocks = tuple(self.block_roots[start:])
-        del self.block_roots[start:]
-        interned = self._interned[query.plan] = (root, blocks)
+        blocks: List[int] = []
+        root = self._build_block(block, blocks)
+        interned = self._interned[query.plan] = (root, tuple(blocks))
         return interned
-
-    def add_batch(self, batch: QueryBatch) -> Dict[str, int]:
-        for query in batch:
-            self.add_query(query)
-        return dict(self.query_roots)
 
     def finalize(self, scope: Iterable[int]) -> SubsumptionPass:
         """Run the post-build pass (subsumption) over one batch's groups.
 
         ``scope`` is the batch's ``BatchDag.structural_groups()`` — for a
-        one-shot build, every group the registered queries created.  The
+        one-shot build, every group the batch's queries created.  The
         pass is idempotent, so preparing a batch again just runs it again.
         """
         if not self.config.enable_subsumption:
@@ -219,7 +223,8 @@ class DagBuilder:
 
     # ------------------------------------------------------------ block build
 
-    def _build_block(self, block: QueryBlock) -> int:
+    def _build_block(self, block: QueryBlock, blocks: List[int]) -> int:
+        """Expand one block (sources first); append its top group to ``blocks``."""
         if len(block.sources) > self.config.max_block_sources:
             raise ValueError(
                 f"block has {len(block.sources)} sources which exceeds the "
@@ -230,7 +235,7 @@ class DagBuilder:
             if source.is_base:
                 infos[source.alias] = self._base_source(source.table, source.alias)
             else:
-                child_root = self._build_block(source.block)
+                child_root = self._build_block(source.block, blocks)
                 child_group = self.memo.get(child_root)
                 infos[source.alias] = _SourceInfo(
                     alias=source.alias,
@@ -251,7 +256,7 @@ class DagBuilder:
         if block.having:
             top = self._add_filter(top, frozenset(block.having), estimator)
 
-        self.block_roots.append(top)
+        blocks.append(top)
         return top
 
     def _base_source(self, table_name: str, alias: str) -> _SourceInfo:
@@ -500,6 +505,14 @@ class DagBuilder:
 def _is_selection_predicate(predicate: Predicate) -> bool:
     """True for single-source predicates (candidates for relaxation)."""
     return not is_join_predicate(predicate) and len(referenced_qualifiers(predicate)) <= 1
+
+
+class InternedBatch(NamedTuple):
+    """What :meth:`DagBuilder.intern_batch` returns."""
+
+    query_roots: Dict[str, int]
+    block_roots: Tuple[int, ...]
+    reused: int
 
 
 class SubsumptionPass(NamedTuple):

@@ -25,6 +25,10 @@ from .memo import Memo, MExpr, mexpr_children
 
 __all__ = ["MaterializationChoice", "BatchDag", "build_batch_dag"]
 
+#: Sorted materialization variants offered per shareable node (the most
+#: frequently requested interesting orders).
+MAX_SORTED_CANDIDATES = 2
+
 
 @dataclass(frozen=True)
 class MaterializationChoice:
@@ -247,11 +251,11 @@ class BatchDag:
 
         return {gid: tuple(orders) for gid, orders in requested.items()}
 
-    def shareable_candidates(self, max_orders_per_node: int = 2) -> Tuple[MaterializationChoice, ...]:
+    def shareable_candidates(self) -> Tuple[MaterializationChoice, ...]:
         """Materialization candidates: every shareable node, unsorted and sorted.
 
         For each shareable equivalence node the unsorted variant is always a
-        candidate; additionally the ``max_orders_per_node`` most frequently
+        candidate; additionally the :data:`MAX_SORTED_CANDIDATES` most frequently
         requested interesting orders are offered as sorted variants, which
         lets the greedy algorithms trade a one-off sort during
         materialization against per-consumer sorts.
@@ -264,7 +268,7 @@ class BatchDag:
             candidates.append(MaterializationChoice(gid))
             counts = Counter(interesting.get(gid, ()))
             ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
-            for order, _ in ranked[:max_orders_per_node]:
+            for order, _ in ranked[:MAX_SORTED_CANDIDATES]:
                 if order:
                     candidates.append(MaterializationChoice(gid, order))
         return tuple(candidates)
@@ -327,12 +331,12 @@ def build_batch_dag(
 ) -> BatchDag:
     """Build the combined DAG for a batch (normalize, expand, apply subsumption)."""
     builder = DagBuilder(catalog, config)
-    builder.add_batch(batch)
+    interned = builder.intern_batch(batch)
     dag = BatchDag(
         memo=builder.memo,
         catalog=catalog,
-        query_roots=dict(builder.query_roots),
-        block_roots=tuple(builder.block_roots),
+        query_roots=interned.query_roots,
+        block_roots=interned.block_roots,
         config=builder.config,
     )
     # In a fresh memo the structural closure of the roots is every group.

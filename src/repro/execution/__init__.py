@@ -1,6 +1,6 @@
 """In-memory execution engine used to validate shared plans end to end."""
 
-from .backends import DEFAULT_BACKEND, available_backends, create_executor, resolve_backend
+from .backends import DEFAULT_BACKEND, available_backends, resolve_backend
 from .columnar import ColumnBatch, ColumnarExecutor
 from .data import Database, Row, example1_database, tiny_tpcd_database
 from .evaluate import (
@@ -32,6 +32,5 @@ __all__ = [
     "DuckDBExecutor",
     "DEFAULT_BACKEND",
     "available_backends",
-    "create_executor",
     "resolve_backend",
 ]

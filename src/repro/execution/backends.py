@@ -1,9 +1,9 @@
 """The executor-backend registry: name → Executor class.
 
 The serving layer selects its execution backend by name
-(``OptimizerSession(catalog, executor="columnar")``) so sessions, pools and
-the CLI runner can plumb one string through instead of importing executor
-classes.  Four backends ship:
+(``OptimizerSession(catalog, executor="columnar")``) so sessions, the
+benchmark and the CLI runner can plumb one string through instead of
+importing executor classes.  Four backends ship:
 
 * ``"row"`` — the tuple-at-a-time interpreter
   (:class:`~repro.execution.executor.Executor`); slow but transparently
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Type
 
-from .data import Database
 from .executor import Executor
 
-__all__ = ["DEFAULT_BACKEND", "available_backends", "create_executor", "resolve_backend"]
+__all__ = ["DEFAULT_BACKEND", "available_backends", "resolve_backend"]
 
 DEFAULT_BACKEND = "row"
 
@@ -57,8 +56,8 @@ def resolve_backend(name: str) -> Type[Executor]:
     """The executor class registered under ``name``.
 
     Raises ``ValueError`` (listing the valid names) for unknown backends so
-    a typo in a session/pool/CLI flag fails loudly at attach time, not at
-    first execution.
+    a typo in a session argument or CLI flag fails loudly at construction,
+    not at first execution.
     """
     registry = _registry()
     try:
@@ -68,8 +67,3 @@ def resolve_backend(name: str) -> Type[Executor]:
             f"unknown executor backend {name!r}; "
             f"available: {', '.join(sorted(registry))}"
         ) from None
-
-
-def create_executor(name: str, database: Database) -> Executor:
-    """Instantiate the named backend over ``database``."""
-    return resolve_backend(name)(database)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..core.mqo import MQOResult, MultiQueryOptimizer
+from ..core.mqo import MQOResult
+from ..service.session import OptimizerSession
 from ..workloads.synthetic import example1_batch, example1_catalog
 from .reporting import ResultTable
 
@@ -57,8 +58,7 @@ def run_example1(
     """Optimize the Example-1 batch and report both plan costs."""
     catalog = example1_catalog(large_rows=large_rows, small_rows=small_rows)
     batch = example1_batch()
-    optimizer = MultiQueryOptimizer(catalog)
-    results = optimizer.compare(batch, strategies=("volcano", strategy))
+    results = OptimizerSession(catalog).compare(batch, strategies=("volcano", strategy))
     shared = results[strategy]
     return Example1Outcome(
         volcano_cost=results["volcano"].total_cost,

@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from ..execution.backends import DEFAULT_BACKEND, available_backends
 from .example1 import run_example1
 from .experiment1 import run_experiment1
 from .experiment2 import run_experiment2
@@ -38,7 +39,7 @@ def run_serving_demo(
     execute: bool = True,
     adaptive: bool = False,
     spill_dir: Optional[Path] = None,
-    executor: str = "row",
+    executor: str = DEFAULT_BACKEND,
     trace_dir: Optional[Path] = None,
     trace_sample: float = 1.0,
     verbose: bool = True,
@@ -182,8 +183,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=("row", "columnar", "sqlite", "duckdb"),
-        default="row",
+        choices=available_backends(),
+        default=DEFAULT_BACKEND,
         help="execution backend for the serving demo: the tuple-at-a-time row "
         "interpreter (default), the vectorized columnar backend, or the SQL "
         "oracle on stdlib sqlite3 / optional DuckDB "
@@ -207,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.spill_dir is not None and not args.serve:
         parser.error("--spill-dir requires --serve")
-    if args.executor != "row" and not args.serve:
+    if args.executor != DEFAULT_BACKEND and not args.serve:
         parser.error("--executor requires --serve")
     if args.trace_dir is not None and not args.serve:
         parser.error("--trace-dir requires --serve")

@@ -1,7 +1,7 @@
 """The serving layer: persistent cross-batch optimization *and execution*.
 
-Where :class:`~repro.core.mqo.MultiQueryOptimizer` answers "optimize this
-batch", this package answers "serve this *traffic*":
+Every batch reaches the materialization-selection strategies through this
+package, whether it is optimized once or is part of continuous *traffic*:
 
 * :class:`~repro.service.session.OptimizerSession` keeps the catalog, cost
   model, fingerprint-interned memo and warm ``bestCost`` engines alive

@@ -22,7 +22,7 @@ row-filled entry).  Hit, miss and fault accounting is one code path
 
 The cache does byte-size accounting (a deterministic per-row estimate,
 computed once per entry at fill and identical for both representations),
-policy-driven admission and eviction, and token-based invalidation: the
+policy-driven eviction, and token-based invalidation: the
 session stamps every fill with the database's
 :attr:`~repro.execution.data.Database.version`, and a fill whose token no
 longer matches the cache's current token is rejected — a slow execution
@@ -141,7 +141,6 @@ class CacheStatistics(StatisticsView):
     misses = metric_field()
     fills = metric_field()
     rejected_fills = metric_field()
-    policy_rejections = metric_field()
     evictions = metric_field()
     invalidations = metric_field()
 
@@ -168,7 +167,7 @@ class MaterializationCache:
     Args:
         max_bytes: capacity of the cache in (estimated) bytes.
         max_entries: upper bound on the number of cached row sets.
-        policy: the admission/eviction policy; the default
+        policy: the eviction policy; the default
             :class:`~repro.adaptive.policy.CostLRUPolicy` keeps the entry
             with the lowest ``recompute-cost × (1 + hits) / bytes`` score
             shortest (ties broken least-recently-used), i.e. the cache
@@ -360,10 +359,8 @@ class MaterializationCache:
         """Store one materialized row set; returns False if the fill was rejected.
 
         A fill is rejected when its ``token`` no longer matches the cache's
-        current token (the data changed while the rows were being computed),
-        when the row set alone exceeds the cache capacity, or when the
-        policy declines to admit it (e.g. a measured recomputation too cheap
-        to be worth the space).
+        current token (the data changed while the rows were being computed)
+        or when the row set alone exceeds the cache capacity.
         """
         frozen = tuple(dict(row) for row in rows)
         # Size the frozen copy, not the caller's list: the executor merges
@@ -397,9 +394,6 @@ class MaterializationCache:
                 why = "stale_token"
             elif size > self.max_bytes:
                 why = "oversized"
-            elif not self.policy.admit(key, size, cost):
-                why = "policy"
-                self.statistics.policy_rejections += 1
             if why is not None:
                 self.statistics.rejected_fills += 1
                 if self._tracer.enabled:
@@ -424,10 +418,10 @@ class MaterializationCache:
         """
 
     def _store_locked(self, key: CacheKey, entry: _Entry) -> None:
-        """Insert an already-admitted entry and rebalance.
+        """Insert an already-checked entry and rebalance.
 
         Shared by the fills and fault-in promotion (which must not re-run
-        admission or count a fill).  Called with the lock held.
+        the fill checks or count a fill).  Called with the lock held.
         """
         old = self._entries.pop(key, None)
         if old is not None:

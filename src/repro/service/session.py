@@ -22,8 +22,9 @@ Optimizing a previously seen batch is therefore a cache hit; optimizing a
 batch that overlaps prior traffic only pays for its genuinely new queries.
 The subsumption provenance machinery of :mod:`repro.dag` guarantees that
 every batch is optimized exactly as if its DAG had been built fresh, so the
-session returns bit-identical costs and materialization choices to a cold
-:class:`~repro.core.mqo.MultiQueryOptimizer` — and, through the executor's
+session returns bit-identical costs and materialization choices to a
+one-shot :func:`~repro.dag.sharing.build_batch_dag` +
+:func:`~repro.core.mqo.run_strategy` — and, through the executor's
 determinism, :meth:`OptimizerSession.execute_batch` returns bit-identical
 rows warm and cold.
 
@@ -452,24 +453,17 @@ class OptimizerSession:
 
     def _prepare_locked(self, batch: QueryBatch) -> PreparedBatch:
         tracer = self.obs.tracer
-        memo = self._builder.memo
-        roots: Dict[str, int] = {}
-        blocks: list = []
-        reused = 0
         with tracer.span("optimize.intern", batch=batch.name) as span:
-            for query in batch:
-                query_version = memo.version
-                root, query_blocks = self._builder.intern_query(query)
-                roots[query.name] = root
-                blocks.extend(query_blocks)
-                if memo.version == query_version:
-                    reused += 1
-            new = len(batch) - reused
-            span.set(new=new, reused=reused)
+            interned = self._builder.intern_batch(batch)
+            new = len(batch) - interned.reused
+            span.set(new=new, reused=interned.reused)
         self.statistics.queries_interned += new
-        self.statistics.queries_reused += reused
+        self.statistics.queries_reused += interned.reused
 
-        key: BatchKey = (tuple(sorted(roots.items())), tuple(sorted(blocks)))
+        key: BatchKey = (
+            tuple(sorted(interned.query_roots.items())),
+            tuple(sorted(interned.block_roots)),
+        )
         prepared = self._batches.get(key)
         if prepared is not None:
             self.statistics.batch_cache_hits += 1
@@ -477,10 +471,10 @@ class OptimizerSession:
             return prepared
 
         dag = BatchDag(
-            memo=memo,
+            memo=self._builder.memo,
             catalog=self.catalog,
-            query_roots=roots,
-            block_roots=tuple(blocks),
+            query_roots=interned.query_roots,
+            block_roots=interned.block_roots,
             config=self.dag_config,
         )
         # Every batch not prepared before runs the pass over its own groups:
@@ -492,7 +486,7 @@ class OptimizerSession:
         self.statistics.subsumption_pairs += outcome.pairs
         engine = BestCostEngine(dag, self.cost_model, incremental=self.incremental)
         prepared = PreparedBatch(
-            key=key, dag=dag, engine=engine, new_queries=new, reused_queries=reused
+            key=key, dag=dag, engine=engine, new_queries=new, reused_queries=interned.reused
         )
         self._batches[key] = prepared
         self.statistics.batches_prepared += 1
@@ -514,15 +508,14 @@ class OptimizerSession:
         """Optimize one batch with one strategy, reusing all prior session work."""
         batch = _as_batch(batch)
         tracer = self.obs.tracer
-        strategy_name = _strategy_key(strategy)
         start = time.perf_counter()
         try:
             with tracer.span(
-                "session.optimize", batch=batch.name, strategy=strategy_name
+                "session.optimize", batch=batch.name, strategy=strategy
             ), self._lock:
                 self.statistics.batches_served += 1
                 prepared = self._prepare_locked(batch)
-                result_key = (prepared.key, strategy_name, lazy, cardinality, decomposition)
+                result_key = (prepared.key, strategy, lazy, cardinality, decomposition)
                 cached = self._results.get(result_key)
                 if cached is not None:
                     self.statistics.result_cache_hits += 1
@@ -539,7 +532,7 @@ class OptimizerSession:
                     # strategy against the corrected statistics.
                     self.statistics.reoptimizations += 1
                     tracer.event("adaptive.reoptimize")
-                with tracer.span("optimize.best_cost", strategy=strategy_name) as span:
+                with tracer.span("optimize.best_cost", strategy=strategy) as span:
                     extracted = prepared.engine.statistics.plans_extracted
                     result = self._run_strategy_locked(
                         prepared.dag,
@@ -559,7 +552,7 @@ class OptimizerSession:
             self.obs.observe_latency(
                 "session_optimize_seconds",
                 time.perf_counter() - start,
-                strategy=strategy_name,
+                strategy=strategy,
             )
 
     def compare(
@@ -655,7 +648,7 @@ class OptimizerSession:
         # One root span ties the optimize and execute halves into one trace
         # for direct callers; scheduler traffic already activated a trace.
         with self.obs.tracer.span(
-            "session.execute_batch", batch=batch.name, strategy=_strategy_key(strategy)
+            "session.execute_batch", batch=batch.name, strategy=strategy
         ):
             result = self.optimize(
                 batch,
@@ -722,7 +715,7 @@ class OptimizerSession:
                 )
             executor = self._executor
             memo = self._builder.memo
-            if result.memo_uid is not None and result.memo_uid != memo.uid:
+            if result.memo_uid != memo.uid:
                 # Group ids are memo-local: resolving a foreign result's ids
                 # against this memo would read unrelated groups and poison
                 # the fingerprint-keyed cache with wrong rows.
@@ -939,8 +932,3 @@ def _as_batch(batch: Union[QueryBatch, Sequence[Query]]) -> QueryBatch:
         return batch
     return QueryBatch("batch", tuple(batch))
 
-
-def _strategy_key(strategy) -> str:
-    """A hashable identity for the strategy part of a result-cache key."""
-    name = getattr(strategy, "name", None)
-    return name if isinstance(name, str) and name else str(strategy)

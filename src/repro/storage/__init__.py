@@ -23,17 +23,14 @@ still hot.
 """
 
 from .codec import (
-    SPILL_FORMAT,
     SPILL_FORMAT_COLUMNAR,
     SpillCodecError,
     SpillError,
     SpillFormatError,
     SpillHeader,
     decode_batch,
-    decode_rows,
     decode_value,
     encode_batch,
-    encode_rows,
     encode_value,
     read_spill_batch,
     read_spill_header,
@@ -43,7 +40,6 @@ from .codec import (
 from .spill import SpillConfig, SpillStatistics, SpillingMaterializationCache
 
 __all__ = [
-    "SPILL_FORMAT",
     "SPILL_FORMAT_COLUMNAR",
     "SpillCodecError",
     "SpillConfig",
@@ -53,10 +49,8 @@ __all__ = [
     "SpillStatistics",
     "SpillingMaterializationCache",
     "decode_batch",
-    "decode_rows",
     "decode_value",
     "encode_batch",
-    "encode_rows",
     "encode_value",
     "read_spill_batch",
     "read_spill_header",

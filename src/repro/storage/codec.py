@@ -21,11 +21,11 @@ vectors, bulk-packed when a column is all int64, all float or all ``str``
 otherwise, with an explicit presence bitmap for heterogeneous rows — and
 :func:`read_spill_batch` decodes it straight into the
 :class:`~repro.execution.columnar.batch.ColumnBatch` the cache keeps; rows
-are converted at the edge.  **Format 1** (one tagged list of dict rows, what
-releases before the columnar layout wrote) is still *read*, through the
-value codec that generic columns and feedback snapshots use anyway, so an
-old spill directory keeps being served.  Either way a decoded row set
-compares ``==`` to what was encoded and has the identical
+are converted at the edge.  A file of any other format (such as the row
+layout, format 1, that releases before the columnar layout wrote) fails
+header validation like any corrupt file, so recovery drops it and the
+entry is a clean miss.  A decoded row set compares ``==`` to what was
+encoded and has the identical
 :func:`~repro.service.matcache.estimate_rows_bytes` accounting — the
 property tests assert both.
 
@@ -55,17 +55,14 @@ from itertools import accumulate
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
-    "SPILL_FORMAT",
     "SPILL_FORMAT_COLUMNAR",
     "SpillCodecError",
     "SpillError",
     "SpillFormatError",
     "SpillHeader",
     "decode_batch",
-    "decode_rows",
     "decode_value",
     "encode_batch",
-    "encode_rows",
     "encode_value",
     "read_spill_batch",
     "read_spill_header",
@@ -75,14 +72,9 @@ __all__ = [
 
 Row = Dict[str, object]
 
-#: Format 1: the original row layout (one encoded list of dict rows).
-#: Read, never written.
-SPILL_FORMAT = 1
-#: Format 2: the columnar layout (per-column type-tagged vectors, see
-#: :func:`encode_batch`) — what every spill file is written as.
+#: The columnar layout (per-column type-tagged vectors, see
+#: :func:`encode_batch`) — the one format spill files are written and read in.
 SPILL_FORMAT_COLUMNAR = 2
-
-_KNOWN_FORMATS = (SPILL_FORMAT, SPILL_FORMAT_COLUMNAR)
 
 MAGIC = b"REPRO-SPILL\n"
 
@@ -267,19 +259,6 @@ def decode_value(payload: bytes) -> object:
     return value
 
 
-def encode_rows(rows: Sequence[Row]) -> bytes:
-    """Encode a materialized row set (a list of string-keyed dict rows)."""
-    return encode_value(list(rows))
-
-
-def decode_rows(payload: bytes) -> List[Row]:
-    """Decode a row set, verifying the expected list-of-dicts shape."""
-    value = decode_value(payload)
-    if not isinstance(value, list) or any(not isinstance(row, dict) for row in value):
-        raise SpillFormatError("payload is not a row set (list of dict rows)")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Columnar payload (format 2): per-column type-tagged vectors.
 # ---------------------------------------------------------------------------
@@ -301,8 +280,8 @@ def decode_rows(payload: bytes) -> List[Row]:
 #             string's length in *code points*, then blob_len and the UTF-8
 #             encoding of the concatenated strings — used when every value
 #             is a plain str (decoded once, then sliced);
-#       b"g"  generic: row_count recursively tagged values (the format-1
-#             value codec), which covers None, bool, big ints, strings,
+#       b"g"  generic: row_count recursively tagged values (the value
+#             codec of encode_value), which covers None, bool, big ints, strings,
 #             bytes, containers — everything, exactly.
 #
 # Absent cells (presence bit clear) hold None in the value vector, matching
@@ -508,9 +487,8 @@ class SpillHeader:
     row_count: int
     payload_bytes: int
     checksum: str
-    #: Payload layout: :data:`SPILL_FORMAT` (rows, old files only) or
-    #: :data:`SPILL_FORMAT_COLUMNAR` (per-column vectors).
-    format: int = SPILL_FORMAT
+    #: Payload layout; always :data:`SPILL_FORMAT_COLUMNAR`.
+    format: int = SPILL_FORMAT_COLUMNAR
     #: The byte size the cache accounted the entry at when it was filled
     #: (``None``: the writer did not record one).
     accounted_bytes: Optional[int] = None
@@ -558,7 +536,7 @@ def _parse_header(line: bytes) -> SpillHeader:
         raw = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpillFormatError(f"corrupt spill header: {exc}") from None
-    if not isinstance(raw, dict) or raw.get("format") not in _KNOWN_FORMATS:
+    if not isinstance(raw, dict) or raw.get("format") != SPILL_FORMAT_COLUMNAR:
         raise SpillFormatError(f"unsupported spill format {raw.get('format')!r}")
     key = raw.get("key")
     if (
@@ -621,15 +599,10 @@ def read_spill_batch(source: BinaryIO):
 
     Raises :class:`SpillFormatError` on any inconsistency: bad magic,
     truncated header or payload, checksum mismatch, undecodable payload, or
-    a row count that disagrees with the header.  Format-2 payloads decode
-    straight into their batch; a format-1 file (an older release's) is
-    decoded as rows and transposed.  Returns ``(header, batch)``.
+    a row count that disagrees with the header.  Returns ``(header, batch)``.
     """
     header, payload = _read_verified_payload(source)
-    if header.format == SPILL_FORMAT_COLUMNAR:
-        batch = decode_batch(payload)
-    else:
-        batch = _column_batch_cls().from_rows(decode_rows(payload))
+    batch = decode_batch(payload)
     if batch.length != header.row_count:
         raise SpillFormatError(
             f"row count mismatch: header says {header.row_count}, "

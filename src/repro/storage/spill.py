@@ -5,13 +5,14 @@
 under the **same** keys and invalidation rules:
 
 * the hot tier is the unchanged memory cache — byte accounting,
-  policy-driven admission and eviction, token invalidation;
+  policy-driven eviction, token invalidation;
 * a victim the hot tier evicts is **spilled** to a per-entry file in
   ``spill_dir`` (atomically: temp file + ``os.replace``), named by a stable
   hash of its ``cache_key(signature, order)`` and stamped with the
   data-version token it was filled under and the byte size it is accounted
   at.  There is one layout: the codec's columnar format 2, written from the
   entry's ``ColumnBatch`` (a row-filled entry is transposed at this edge);
+  a file in any other format is dropped at recovery like a corrupt one;
 * a ``get`` / ``get_batch`` that misses the hot tier **faults** the entry
   back in from disk — verifying the file's checksum, key and token first —
   and promotes it *as the decoded batch*, at the size in its header, so hot

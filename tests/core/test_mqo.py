@@ -1,4 +1,4 @@
-"""Tests for the MultiQueryOptimizer facade and the MQO benefit oracles."""
+"""Tests for optimizing batches end to end and the MQO benefit oracles."""
 
 import pytest
 
@@ -12,8 +12,13 @@ from repro.core.benefit import (
     UseCostBenefit,
     mqo_decomposition,
 )
-from repro.core.mqo import STRATEGIES, MultiQueryOptimizer
+from repro.core.mqo import MQOResult, run_strategy
+from repro.core.strategies import available_strategies
+from repro.core.strategies.builtin import GreedyStrategy
 from repro.dag.build import DagConfig
+from repro.dag.sharing import build_batch_dag
+from repro.optimizer.best_cost import BestCostEngine
+from repro.service import OptimizerSession
 from repro.workloads.batches import composite_batch
 from repro.workloads.synthetic import example1_batch, example1_catalog
 
@@ -38,16 +43,15 @@ def batch():
 
 
 @pytest.fixture(scope="module")
-def mqo(catalog, request):
+def session(catalog, request):
     # Indirectly parametrizable with a DagConfig; the default config otherwise.
-    return MultiQueryOptimizer(catalog, dag_config=getattr(request, "param", None))
+    return OptimizerSession(catalog, dag_config=getattr(request, "param", None))
 
 
 class TestBenefitOracles:
     @pytest.fixture(scope="class")
-    def engine(self, mqo, batch):
-        dag = mqo.build_dag(batch)
-        return mqo.make_engine(dag)
+    def engine(self, catalog, batch):
+        return BestCostEngine(build_batch_dag(batch, catalog))
 
     def test_best_cost_function(self, engine):
         bc = BestCostFunction(engine)
@@ -81,18 +85,18 @@ class TestBenefitOracles:
             mqo_decomposition(engine, kind="nope")
 
 
-class TestMultiQueryOptimizer:
+class TestOptimizeBatches:
     @pytest.mark.parametrize(
-        "mqo",
+        "session",
         [DagConfig(enable_or_subsumption=True), DagConfig(enable_or_subsumption=False)],
         ids=["or-nodes", "no-or-nodes"],
         indirect=True,
     )
-    def test_all_strategies_run(self, mqo, batch):
+    def test_all_strategies_run(self, session, batch):
         # BQ1 repeats Q3 with two constants: the only input here whose DAG
         # gains relaxed OR nodes when OR subsumption is on.
         for workload in (batch, composite_batch(1)):
-            results = mqo.compare(
+            results = session.compare(
                 workload, strategies=("volcano", "greedy", "marginal-greedy", "share-all")
             )
             volcano = results["volcano"].total_cost
@@ -101,42 +105,76 @@ class TestMultiQueryOptimizer:
                 assert result.batch_name == workload.name
             assert results["volcano"].materialized_count == 0
 
-    def test_unknown_strategy_rejected(self, mqo, batch):
+    def test_unknown_strategy_rejected(self, session, batch):
         with pytest.raises(ValueError):
-            mqo.optimize(batch, strategy="magic")
+            session.optimize(batch, strategy="magic")
 
-    def test_accepts_plain_query_sequence(self, mqo):
+    def test_accepts_plain_query_sequence(self, session):
         query = (
             qb.scan("orders")
             .filter(lt(col("o_orderdate"), 19950101))
             .aggregate([], [("count", None, "n")])
             .query("single")
         )
-        result = mqo.optimize([query], strategy="volcano")
+        result = session.optimize([query], strategy="volcano")
         assert result.total_cost > 0
 
-    def test_cardinality_limits_materializations(self, mqo, batch):
-        limited = mqo.optimize(batch, strategy="greedy", cardinality=1)
+    def test_cardinality_limits_materializations(self, session, batch):
+        limited = session.optimize(batch, strategy="greedy", cardinality=1)
         assert limited.materialized_count <= 1
 
-    def test_eager_variants(self, mqo, batch):
-        lazy = mqo.optimize(batch, strategy="greedy", lazy=True)
-        eager = mqo.optimize(batch, strategy="greedy", lazy=False)
+    def test_eager_variants(self, session, batch):
+        lazy = session.optimize(batch, strategy="greedy", lazy=True)
+        eager = session.optimize(batch, strategy="greedy", lazy=False)
         assert lazy.total_cost == pytest.approx(eager.total_cost, rel=1e-9)
 
     def test_exhaustive_matches_or_beats_greedy_on_small_universe(self):
         catalog = example1_catalog()
         batch = example1_batch()
-        optimizer = MultiQueryOptimizer(catalog)
-        results = optimizer.compare(batch, strategies=("greedy", "exhaustive"))
+        results = OptimizerSession(catalog).compare(batch, strategies=("greedy", "exhaustive"))
         assert results["exhaustive"].total_cost <= results["greedy"].total_cost + 1e-6
 
-    def test_summary_lists_materializations(self, mqo, batch):
-        result = mqo.optimize(batch, strategy="greedy")
+    def test_summary_lists_materializations(self, session, batch):
+        result = session.optimize(batch, strategy="greedy")
         summary = result.summary()
         assert "strategy" in summary
         if result.materialized_count:
             assert result.materialized_labels[0].split(":")[0] in summary
 
     def test_strategies_constant(self):
-        assert "marginal-greedy" in STRATEGIES
+        assert "marginal-greedy" in available_strategies()
+
+
+class TestRunStrategy:
+    def test_result_records_the_memo_it_refers_to(self):
+        dag = build_batch_dag(example1_batch(), example1_catalog())
+        result = run_strategy(dag, BestCostEngine(dag), batch_name="ex1", strategy="greedy")
+        assert result.memo_uid == dag.memo.uid
+        assert result.batch_name == "ex1"
+        assert result.benefit == pytest.approx(result.volcano_cost - result.total_cost)
+
+    def test_memo_uid_is_required(self):
+        """Execution's foreign-memo guard compares ``memo_uid``; a result
+        without one cannot be built."""
+        with pytest.raises(TypeError, match="memo_uid"):
+            MQOResult(
+                strategy="volcano",
+                batch_name="b",
+                total_cost=1.0,
+                volcano_cost=1.0,
+                materialized=(),
+                materialized_labels=(),
+                optimization_time=0.0,
+                oracle_calls=0,
+                query_costs={},
+                plan=None,
+                dag_summary={},
+            )
+
+    @pytest.mark.parametrize(
+        "strategy", [GreedyStrategy, GreedyStrategy()], ids=["class", "instance"]
+    )
+    def test_takes_strategy_names_only(self, strategy):
+        dag = build_batch_dag(example1_batch(), example1_catalog())
+        with pytest.raises(ValueError, match="unknown strategy"):
+            run_strategy(dag, BestCostEngine(dag), batch_name="ex1", strategy=strategy)

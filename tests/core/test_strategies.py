@@ -1,16 +1,12 @@
-"""The strategy registry: round-trips, error messages, third-party plug-ins."""
+"""Strategy lookup: names, classes, error messages, names only."""
 
 import pytest
 
-from repro.core import mqo
 from repro.core.strategies import (
     Strategy,
     StrategyContext,
     available_strategies,
     get_strategy,
-    register_strategy,
-    resolve_strategy,
-    unregister_strategy,
 )
 from repro.core.strategies.builtin import (
     ExhaustiveStrategy,
@@ -19,6 +15,8 @@ from repro.core.strategies.builtin import (
     ShareAllStrategy,
     VolcanoStrategy,
 )
+from repro.service import OptimizerSession
+from repro.workloads.synthetic import example1_batch, example1_catalog
 
 BUILTIN = ("volcano", "greedy", "marginal-greedy", "share-all", "exhaustive")
 
@@ -26,9 +24,6 @@ BUILTIN = ("volcano", "greedy", "marginal-greedy", "share-all", "exhaustive")
 class TestRegistry:
     def test_builtins_registered_in_order(self):
         assert available_strategies() == BUILTIN
-
-    def test_strategies_tuple_derived_from_registry(self):
-        assert mqo.STRATEGIES == available_strategies()
 
     def test_get_strategy_returns_classes(self):
         assert get_strategy("volcano") is VolcanoStrategy
@@ -45,64 +40,18 @@ class TestRegistry:
         for name in BUILTIN:
             assert name in message
 
-    def test_resolve_accepts_name_class_and_instance(self):
-        assert isinstance(resolve_strategy("volcano"), VolcanoStrategy)
-        assert isinstance(resolve_strategy(VolcanoStrategy), VolcanoStrategy)
-        instance = GreedyStrategy()
-        assert resolve_strategy(instance) is instance
+    def test_strategy_instances_are_not_names(self):
+        """A ``Strategy`` object is rejected, even one named like a built-in:
+        the result cache keys on the name, so accepting it would serve the
+        built-in's cached plan for a different selection."""
 
-
-class TestRoundTrip:
-    def test_register_and_unregister_roundtrip(self):
-        @register_strategy
-        class NothingStrategy(Strategy):
-            name = "test-nothing"
+        class Nothing(Strategy):
+            name = "greedy"
 
             def select(self, context: StrategyContext):
                 return ()
 
-        try:
-            assert "test-nothing" in available_strategies()
-            assert "test-nothing" in mqo.STRATEGIES
-            assert get_strategy("test-nothing") is NothingStrategy
-        finally:
-            assert unregister_strategy("test-nothing") is NothingStrategy
-        assert available_strategies() == BUILTIN
-        assert mqo.STRATEGIES == BUILTIN
-
-    def test_third_party_strategy_runs_through_optimizer(self):
-        from repro.core.mqo import MultiQueryOptimizer
-        from repro.workloads.synthetic import example1_batch, example1_catalog
-
-        @register_strategy
-        class FirstShareableStrategy(Strategy):
-            name = "test-first-shareable"
-
-            def select(self, context: StrategyContext):
-                return context.dag.shareable_nodes()[:1]
-
-        try:
-            optimizer = MultiQueryOptimizer(example1_catalog())
-            result = optimizer.optimize(example1_batch(), strategy="test-first-shareable")
-            assert result.strategy == "test-first-shareable"
-            assert result.total_cost <= result.volcano_cost + 1e-6
-        finally:
-            unregister_strategy("test-first-shareable")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_strategy(name="volcano")
-            class Impostor(Strategy):
-                name = "volcano"
-
-                def select(self, context):
-                    return ()
-
-    def test_nameless_strategy_rejected(self):
-        with pytest.raises(ValueError, match="non-empty 'name'"):
-
-            @register_strategy
-            class Nameless(Strategy):
-                def select(self, context):
-                    return ()
+        session = OptimizerSession(example1_catalog())
+        session.optimize(example1_batch(), strategy="greedy")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            session.optimize(example1_batch(), strategy=Nothing())

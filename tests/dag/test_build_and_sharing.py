@@ -9,7 +9,13 @@ from repro.catalog.tpcd import tpcd_catalog
 from repro.dag.build import DagBuilder, DagConfig
 from repro.dag.fingerprint import RelationSignature, SPJSignature
 from repro.dag.memo import JoinMExpr, SelectMExpr, mexpr_children
-from repro.dag.sharing import MaterializationChoice, build_batch_dag
+from repro.dag.sharing import (
+    MAX_SORTED_CANDIDATES,
+    MaterializationChoice,
+    build_batch_dag,
+)
+from repro.service import OptimizerSession
+from repro.workloads.batches import composite_batch
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +45,7 @@ def three_way(name, cutoff):
 class TestExpansion:
     def test_all_connected_subsets_created(self, catalog):
         builder = DagBuilder(catalog)
-        builder.add_query(three_way("Q", 19950101))
+        builder.intern_query(three_way("Q", 19950101))
         spj_groups = [g for g in builder.memo if isinstance(g.signature, SPJSignature)]
         source_sets = {frozenset(a for a, _ in g.signature.sources) for g in spj_groups}
         # customer–orders–lineitem is a chain, so {customer, lineitem} is not connected.
@@ -50,14 +56,14 @@ class TestExpansion:
 
     def test_join_groups_have_multiple_alternatives(self, catalog):
         builder = DagBuilder(catalog)
-        root = builder.add_query(three_way("Q", 19950101))
+        root, _ = builder.intern_query(three_way("Q", 19950101))
         root_group = builder.memo.get(root)
         joins = [m for m in root_group.mexprs if isinstance(m, JoinMExpr)]
         assert len(joins) >= 2  # both join orders of the chain
 
     def test_cardinalities_are_positive_and_monotone(self, catalog):
         builder = DagBuilder(catalog)
-        builder.add_query(three_way("Q", 19950101))
+        builder.intern_query(three_way("Q", 19950101))
         for group in builder.memo:
             assert group.rows >= 1
             assert group.row_width >= 1
@@ -66,13 +72,12 @@ class TestExpansion:
         config = DagConfig(max_block_sources=2)
         builder = DagBuilder(catalog, config)
         with pytest.raises(ValueError):
-            builder.add_query(three_way("Q", 19950101))
+            builder.intern_query(three_way("Q", 19950101))
 
-    def test_duplicate_query_names_rejected(self, catalog):
-        builder = DagBuilder(catalog)
-        builder.add_query(two_way("Q", 19950101))
-        with pytest.raises(ValueError):
-            builder.add_query(two_way("Q", 19960101))
+    def test_duplicate_query_names_rejected(self):
+        # The batch is the only way into a DAG, and it rejects the duplicate.
+        with pytest.raises(ValueError, match="unique"):
+            QueryBatch("b", (two_way("Q", 19950101), two_way("Q", 19960101)))
 
 
 class TestSubsumption:
@@ -152,6 +157,25 @@ class TestSharing:
         assert any(c.order for c in candidates)
         assert any(not c.order for c in candidates)
 
+    def test_sorted_candidates_are_the_most_requested_orders(self, catalog):
+        # BQ2 has groups with four distinct requested orders; each still gets
+        # at most MAX_SORTED_CANDIDATES sorted variants, the most requested.
+        dag = build_batch_dag(composite_batch(2), catalog)
+        interesting = dag.interesting_orders()
+        sorted_by_group = {}
+        for c in dag.shareable_candidates():
+            if c.order:
+                sorted_by_group.setdefault(c.group, []).append(c.order)
+        capped = 0
+        for gid, orders in sorted_by_group.items():
+            requested = [o for o in interesting[gid] if o]
+            assert len(orders) == len(set(orders)) <= MAX_SORTED_CANDIDATES
+            assert set(orders) <= set(requested)
+            fewest_offered = min(requested.count(o) for o in orders)
+            assert all(requested.count(o) <= fewest_offered for o in set(requested) - set(orders))
+            capped += len(set(requested)) > MAX_SORTED_CANDIDATES
+        assert capped > 0
+
     def test_describe_candidate(self, catalog):
         batch = QueryBatch("b", (two_way("A", 19950101), two_way("B", 19950101)))
         dag = build_batch_dag(batch, catalog)
@@ -169,3 +193,56 @@ class TestSharing:
         summary = dag.summary()
         for key in ("groups", "mexprs", "queries", "blocks", "shareable"):
             assert key in summary
+
+
+class TestInternBatch:
+    """``DagBuilder.intern_batch``: the one path from a batch to its roots."""
+
+    def test_roots_by_name_and_blocks_in_query_order(self, catalog):
+        batch = QueryBatch("b", (three_way("A", 19950101), two_way("B", 19960101)))
+        interned = DagBuilder(catalog).intern_batch(batch)
+        one_by_one = DagBuilder(catalog)
+        expected_blocks = []
+        for query in batch:
+            root, blocks = one_by_one.intern_query(query)
+            assert interned.query_roots[query.name] == root
+            expected_blocks.extend(blocks)
+        assert list(interned.query_roots) == ["A", "B"]
+        assert interned.block_roots == tuple(expected_blocks)
+        assert interned.reused == 0
+
+    def test_second_interning_reuses_every_query(self, catalog):
+        builder = DagBuilder(catalog)
+        batch = composite_batch(1)
+        first = builder.intern_batch(batch)
+        version = builder.memo.version
+        second = builder.intern_batch(batch)
+        assert builder.memo.version == version
+        assert second.reused == len(batch)
+        assert second.query_roots == first.query_roots
+        assert second.block_roots == first.block_roots
+
+    def test_overlapping_batch_reuses_only_known_queries(self, catalog):
+        builder = DagBuilder(catalog)
+        builder.intern_batch(QueryBatch("first", (two_way("A", 19950101),)))
+        overlapping = QueryBatch(
+            "second", (two_way("A2", 19950101), three_way("C", 19970101))
+        )
+        assert builder.intern_batch(overlapping).reused == 1
+
+    @pytest.mark.parametrize("path", ["build_batch_dag", "session"])
+    def test_intern_query_runs_once_per_query(self, catalog, monkeypatch, path):
+        calls = []
+        intern_query = DagBuilder.intern_query
+
+        def counting(self, query):
+            calls.append(query.name)
+            return intern_query(self, query)
+
+        monkeypatch.setattr(DagBuilder, "intern_query", counting)
+        batch = composite_batch(1)
+        if path == "session":
+            OptimizerSession(catalog).optimize(batch, strategy="volcano")
+        else:
+            build_batch_dag(batch, catalog)
+        assert calls == [query.name for query in batch]

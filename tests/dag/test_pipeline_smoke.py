@@ -10,9 +10,9 @@ from repro.algebra import builder as qb
 from repro.algebra.expressions import col, eq, lt
 from repro.algebra.logical import QueryBatch
 from repro.catalog.tpcd import tpcd_catalog
-from repro.core.mqo import MultiQueryOptimizer
 from repro.dag.sharing import build_batch_dag
 from repro.optimizer.best_cost import BestCostEngine
+from repro.service import OptimizerSession
 
 
 def order_lineitem_query(name, cutoff):
@@ -109,13 +109,13 @@ class TestBestCost:
             assert incremental.cost(subset) == pytest.approx(full.cost(subset), rel=1e-9)
 
 
-class TestMultiQueryOptimizer:
+class TestOptimizerSession:
     def test_strategies_ordering(self, catalog):
         q1 = three_way_query("Q1", "BUILDING")
         q2 = three_way_query("Q2", "BUILDING")
-        mqo = MultiQueryOptimizer(catalog)
-        results = mqo.compare(QueryBatch("dup", (q1, q2)),
-                              strategies=("volcano", "greedy", "marginal-greedy"))
+        session = OptimizerSession(catalog)
+        results = session.compare(QueryBatch("dup", (q1, q2)),
+                                  strategies=("volcano", "greedy", "marginal-greedy"))
         volcano = results["volcano"].total_cost
         greedy_cost = results["greedy"].total_cost
         marginal = results["marginal-greedy"].total_cost
@@ -126,8 +126,7 @@ class TestMultiQueryOptimizer:
     def test_result_summary_readable(self, catalog):
         q1 = order_lineitem_query("A", 19950101)
         q2 = order_lineitem_query("B", 19950101)
-        mqo = MultiQueryOptimizer(catalog)
-        result = mqo.optimize(QueryBatch("dup", (q1, q2)), strategy="greedy")
+        result = OptimizerSession(catalog).optimize(QueryBatch("dup", (q1, q2)), strategy="greedy")
         text = result.summary()
         assert "strategy" in text
         assert "materialized nodes" in text

@@ -353,7 +353,7 @@ class TestOrGroupBudget:
         assert relaxed_groups_per_sources(build_batch_dag(batch, self.CATALOG).memo)
         if not config.enable_subsumption:
             builder = DagBuilder(self.CATALOG, config)
-            builder.add_batch(batch)
+            builder.intern_batch(batch)
             assert builder.finalize(range(len(builder.memo))) == (0, 0, 0)
             assert all(
                 not dag.memo.is_derivation(g.id, m) for g in dag.memo for m in g.mexprs

@@ -6,10 +6,12 @@ from repro.algebra import builder as qb
 from repro.algebra.expressions import col, eq, ge, lt
 from repro.algebra.logical import QueryBatch
 from repro.catalog.tpcd import tpcd_catalog
-from repro.core.mqo import MultiQueryOptimizer
+from repro.dag.sharing import build_batch_dag
 from repro.execution import ExecutionError, Executor, example1_database, tiny_tpcd_database
 from repro.execution.evaluate import ColumnNotFound, evaluate_predicate, resolve_column
+from repro.optimizer.best_cost import BestCostEngine
 from repro.optimizer.plan import PhysicalOp, PhysicalPlan
+from repro.service import OptimizerSession
 from repro.workloads.synthetic import example1_batch, example1_catalog
 from repro.workloads.tpcd_queries import q11, q15
 
@@ -63,8 +65,7 @@ class TestSharedPlansReturnSameRows:
     def test_example1(self):
         catalog = example1_catalog()
         batch = example1_batch()
-        optimizer = MultiQueryOptimizer(catalog)
-        results = optimizer.compare(batch, strategies=("volcano", "greedy"))
+        results = OptimizerSession(catalog).compare(batch, strategies=("volcano", "greedy"))
         executor = Executor(example1_database())
         plain = executor.execute_result(results["volcano"].plan)
         shared = executor.execute_result(results["greedy"].plan)
@@ -87,8 +88,7 @@ class TestSharedPlansReturnSameRows:
             )
 
         batch = QueryBatch("pair", (make("A", 19960101), make("B", 19970101)))
-        optimizer = MultiQueryOptimizer(catalog)
-        results = optimizer.compare(batch, strategies=("volcano", "share-all"))
+        results = OptimizerSession(catalog).compare(batch, strategies=("volcano", "share-all"))
         executor = Executor(db)
         plain = executor.execute_result(results["volcano"].plan)
         shared = executor.execute_result(results["share-all"].plan)
@@ -100,8 +100,7 @@ class TestSharedPlansReturnSameRows:
         catalog = tpcd_catalog(0.001)
         db = tiny_tpcd_database(seed=11, orders=150)
         batch = workload_factory()
-        optimizer = MultiQueryOptimizer(catalog)
-        results = optimizer.compare(batch, strategies=("volcano", "share-all"))
+        results = OptimizerSession(catalog).compare(batch, strategies=("volcano", "share-all"))
         executor = Executor(db)
         plain = executor.execute_result(results["volcano"].plan)
         shared = executor.execute_result(results["share-all"].plan)
@@ -177,8 +176,7 @@ class TestSharedPlansReturnSameRows:
         """Pre-seeded materializations are not recomputed; fills are reported."""
         catalog = example1_catalog()
         batch = example1_batch()
-        optimizer = MultiQueryOptimizer(catalog)
-        result = optimizer.optimize(batch, strategy="greedy").plan
+        result = OptimizerSession(catalog).optimize(batch, strategy="greedy").plan
         assert result.materialization_plans, "greedy should materialize on example 1"
         executor = Executor(example1_database())
 
@@ -222,9 +220,7 @@ class TestSharedPlansReturnSameRows:
             .aggregate([], [("count", None, "n"), ("max", "o_totalprice", "max_price")])
             .query("counts")
         )
-        optimizer = MultiQueryOptimizer(catalog)
-        dag = optimizer.build_dag(QueryBatch("single", (query,)))
-        engine = optimizer.make_engine(dag)
+        engine = BestCostEngine(build_batch_dag(QueryBatch("single", (query,)), catalog))
         plan = engine.evaluate(frozenset()).query_plans["counts"]
         rows = Executor(db).execute(plan)
         assert len(rows) == 1

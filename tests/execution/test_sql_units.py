@@ -16,7 +16,6 @@ from repro.execution import (
     Executor,
     SQLiteExecutor,
     available_backends,
-    create_executor,
     resolve_backend,
 )
 from repro.execution.data import Database
@@ -50,7 +49,7 @@ class TestRegistry:
 
     def test_resolve_and_create(self):
         assert resolve_backend("sqlite") is SQLiteExecutor
-        executor = create_executor("sqlite", Database({"t": [{"a": 1}]}))
+        executor = resolve_backend("sqlite")(Database({"t": [{"a": 1}]}))
         assert isinstance(executor, SQLiteExecutor)
         assert executor.prefers_batches is False
 

@@ -6,6 +6,7 @@ configurations so the unit-test suite stays fast.
 
 import pytest
 
+from repro.execution.backends import DEFAULT_BACKEND, available_backends
 from repro.experiments.example1 import run_example1
 from repro.experiments.experiment1 import run_experiment1
 from repro.experiments.experiment2 import run_experiment2
@@ -14,6 +15,7 @@ from repro.experiments.reporting import (
     format_seconds,
     session_counters_table,
 )
+from repro.experiments.runner import main
 from repro.experiments.theory import run_theory_experiment
 
 
@@ -147,3 +149,39 @@ class TestTheory:
         assert 0.9 <= results.mean_achieved_ratio <= 1.0 + 1e-9
         table = results.table()
         assert len(table.rows) == 6
+
+
+class TestCommandLine:
+    """``python -m repro.experiments`` rejects bad option sets before running."""
+
+    @staticmethod
+    def _usage_error(capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "backend", [name for name in available_backends() if name != DEFAULT_BACKEND]
+    )
+    def test_every_backend_is_an_executor_choice(self, capsys, backend):
+        # The name passes argparse's choices; only the missing --serve fails.
+        err = self._usage_error(capsys, ["--executor", backend])
+        assert "--executor requires --serve" in err
+
+    def test_unknown_executor_rejected(self, capsys):
+        err = self._usage_error(capsys, ["--serve", "--executor", "bogus"])
+        assert "invalid choice" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--spill-dir", "spill"], "--spill-dir requires --serve"),
+            (["--trace-dir", "traces"], "--trace-dir requires --serve"),
+            (["--trace-sample", "1.5"], "--trace-sample must be in [0, 1]"),
+            (["--serve", "--trace-sample", "0.5"], "--trace-sample requires --trace-dir"),
+        ],
+        ids=["spill-dir", "trace-dir", "trace-sample-range", "trace-sample-alone"],
+    )
+    def test_option_needs_its_partner(self, capsys, argv, message):
+        assert message in self._usage_error(capsys, argv)

@@ -6,12 +6,12 @@ cache invalidation on data change, the scheduler's row-returning mode, and
 the concurrency regression test for the shared-cache locking.
 """
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.catalog.tpcd import tpcd_catalog
-from repro.core.mqo import MultiQueryOptimizer
 from repro.execution import Executor, tiny_tpcd_database
 from repro.service import BatchExecution, BatchScheduler, OptimizerSession
 from repro.workloads.batches import composite_batch
@@ -154,6 +154,9 @@ class TestSessionExecute:
         session = OptimizerSession(catalog, database=database)
         with pytest.raises(ValueError, match="different memo"):
             session.execute_plans(foreign)
+        # A result without a memo uid is foreign too, never trusted.
+        with pytest.raises(ValueError, match="different memo"):
+            session.execute_plans(dataclasses.replace(foreign, memo_uid=None))
         # After reset() the session has a new memo; its own old results are
         # stale in exactly the same way.
         own = session.optimize(composite_batch(1))
@@ -181,12 +184,12 @@ class TestSessionExecute:
         assert again.rows == cold.rows
         assert again.materializations == cold.materializations
 
-    def test_facade_session_can_execute(self, catalog, database):
-        """The MultiQueryOptimizer facade exposes execution via its session."""
-        optimizer = MultiQueryOptimizer(catalog)
-        optimizer.session.attach_database(database)
-        result = optimizer.optimize(composite_batch(1))
-        execution = optimizer.session.execute_plans(result)
+    def test_database_attached_after_optimizing(self, catalog, database):
+        """A session optimized without a database executes once one is attached."""
+        session = OptimizerSession(catalog)
+        result = session.optimize(composite_batch(1))
+        session.attach_database(database)
+        execution = session.execute_plans(result)
         assert execution.rows == Executor(database).execute_result(result.plan)
 
 

@@ -192,26 +192,17 @@ class TestRowsOrBatch:
 
     @pytest.mark.parametrize("as_batch", [False, True])
     def test_fills_run_the_same_checks_and_count_the_same(self, as_batch):
-        class Picky:
-            def admit(self, key, size, cost):
-                return cost >= 1.0
-
-            def score(self, key, entry, clock):
-                return 0.0
-
         rows = rows_for(1)
-        cache = MaterializationCache(max_bytes=estimate_rows_bytes(rows), policy=Picky())
+        cache = MaterializationCache(max_bytes=estimate_rows_bytes(rows))
         cache.ensure_token("v1")
         assert not fill(cache, key(1), rows, as_batch=as_batch, cost=5.0, token="v0")
         assert not fill(cache, key(1), rows + rows, as_batch=as_batch, cost=5.0, token="v1")
-        assert not fill(cache, key(1), rows, as_batch=as_batch, cost=0.5, token="v1")
         assert fill(cache, key(1), rows, as_batch=as_batch, cost=5.0, token="v1")
         assert cache.statistics.as_dict() == {
             "hits": 0,
             "misses": 0,
             "fills": 1,
-            "rejected_fills": 3,
-            "policy_rejections": 1,
+            "rejected_fills": 2,
             "evictions": 0,
             "invalidations": 0,
         }

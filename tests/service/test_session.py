@@ -3,7 +3,9 @@
 import pytest
 
 from repro.catalog.tpcd import tpcd_catalog
-from repro.core.mqo import MultiQueryOptimizer
+from repro.core.mqo import run_strategy
+from repro.dag.sharing import build_batch_dag
+from repro.optimizer.best_cost import BestCostEngine
 from repro.service import OptimizerSession
 from repro.workloads.batches import composite_batch
 
@@ -13,6 +15,13 @@ STRATEGIES = ("volcano", "greedy", "marginal-greedy", "share-all")
 @pytest.fixture(scope="module")
 def catalog():
     return tpcd_catalog(0.05)
+
+
+def _one_shot(catalog, batch, strategy):
+    """The batch optimized without a session: a fresh DAG and engine."""
+    dag = build_batch_dag(batch, catalog)
+    result = run_strategy(dag, BestCostEngine(dag), batch_name=batch.name, strategy=strategy)
+    return result, dag
 
 
 def _signatures(result, dag):
@@ -46,12 +55,10 @@ class TestSameBatchTwice:
         batch = composite_batch(1)
         session.optimize(batch, strategy="greedy")  # warm
         warm = session.optimize(batch, strategy="greedy")
-        fresh_optimizer = MultiQueryOptimizer(catalog)
-        fresh = fresh_optimizer.optimize(batch, strategy="greedy")
+        fresh, fresh_dag = _one_shot(catalog, batch, "greedy")
         assert warm.total_cost == fresh.total_cost
         assert warm.volcano_cost == fresh.volcano_cost
         warm_dag = session.prepare(batch).dag
-        fresh_dag = fresh_optimizer.session.prepare(batch).dag
         assert _signatures(warm, warm_dag) == _signatures(fresh, fresh_dag)
 
 
@@ -73,13 +80,11 @@ class TestOverlappingBatches:
         batch = composite_batch(2)
         for strategy in STRATEGIES:
             warm = session.optimize(batch, strategy=strategy)
-            fresh_optimizer = MultiQueryOptimizer(catalog)
-            fresh = fresh_optimizer.optimize(batch, strategy=strategy)
+            fresh, fresh_dag = _one_shot(catalog, batch, strategy)
             assert warm.total_cost == fresh.total_cost, strategy
             assert warm.volcano_cost == fresh.volcano_cost, strategy
             assert warm.query_costs == fresh.query_costs, strategy
             warm_dag = session.prepare(batch).dag
-            fresh_dag = fresh_optimizer.session.prepare(batch).dag
             assert _signatures(warm, warm_dag) == _signatures(fresh, fresh_dag), strategy
 
     def test_earlier_batch_unchanged_after_memo_growth(self, catalog):
@@ -154,12 +159,3 @@ class TestSessionHousekeeping:
         session = OptimizerSession(catalog)
         result = session.optimize(list(batched_queries(1)), strategy="volcano")
         assert result.total_cost > 0
-
-    def test_builder_state_does_not_accrete_per_request(self, catalog):
-        """A long-lived session must not grow shared builder state per call."""
-        session = OptimizerSession(catalog)
-        batch = composite_batch(1)
-        for _ in range(3):
-            session.optimize(batch, strategy="volcano")
-        assert session._builder.block_roots == []
-        assert session._builder.query_roots == {}

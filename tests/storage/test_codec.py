@@ -24,9 +24,7 @@ from repro.service.matcache import estimate_rows_bytes
 from repro.storage.codec import (
     SpillCodecError,
     SpillFormatError,
-    decode_rows,
     decode_value,
-    encode_rows,
     encode_value,
     read_spill_batch,
     read_spill_header,
@@ -151,15 +149,9 @@ class TestRowsRoundTrip:
     def test_fuzz_rows_round_trip_byte_accounting_identically(self, seed):
         rng = random.Random(seed)
         rows = random_rows(rng)
-        decoded = decode_rows(encode_rows(rows))
+        decoded = decode_value(encode_value(rows))
         assert decoded == rows
         assert estimate_rows_bytes(decoded) == estimate_rows_bytes(rows)
-
-    def test_rows_must_be_dicts(self):
-        with pytest.raises(SpillFormatError):
-            decode_rows(encode_value([1, 2, 3]))
-        with pytest.raises(SpillFormatError):
-            decode_rows(encode_value({"not": "a list"}))
 
 
 def spill_bytes(rows, *, token="tok", cost=12.5):

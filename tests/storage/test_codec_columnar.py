@@ -31,12 +31,11 @@ from repro.execution.columnar import ColumnBatch
 from repro.service.matcache import estimate_batch_bytes, estimate_rows_bytes
 from repro.storage.codec import (
     MAGIC,
-    SPILL_FORMAT,
     SPILL_FORMAT_COLUMNAR,
     SpillFormatError,
     decode_batch,
     encode_batch,
-    encode_rows,
+    encode_value,
     read_spill_batch,
     read_spill_header,
     write_spill_file,
@@ -269,16 +268,14 @@ class TestColumnarSpillFiles:
         assert batch.to_rows() == rows
         assert header.format == SPILL_FORMAT_COLUMNAR
 
-    def test_v1_files_still_decode(self):
-        """Old row-layout files keep working now that nothing writes them."""
+    def test_v1_files_are_an_unsupported_format(self):
+        """Old row-layout files fail header validation like any corrupt file."""
         rows = [{"t.a": 1, "t.b": None}, {"t.a": 2}]
-        data = spill_file_bytes(
-            encode_rows(rows), spill_format=SPILL_FORMAT, row_count=len(rows)
-        )
-        header = read_spill_header(io.BytesIO(data))
-        assert header.format == SPILL_FORMAT
-        assert header.accounted_bytes is None
-        assert read_spill_rows(io.BytesIO(data))[1] == rows
+        data = spill_file_bytes(encode_value(rows), spill_format=1, row_count=len(rows))
+        with pytest.raises(SpillFormatError, match="unsupported spill format 1"):
+            read_spill_header(io.BytesIO(data))
+        with pytest.raises(SpillFormatError, match="unsupported spill format 1"):
+            read_spill_batch(io.BytesIO(data))
 
     def test_every_file_is_written_columnar_from_rows_or_a_batch(self):
         rows = [{"t.a": i, "t.s": f"ρ{i}"} for i in range(3)]

@@ -23,9 +23,8 @@ from repro.service.matcache import MaterializationCache, cache_key, estimate_row
 from repro.storage import SpillConfig, SpillingMaterializationCache
 from repro.storage import spill as spill_module
 from repro.storage.codec import (
-    SPILL_FORMAT,
     SPILL_FORMAT_COLUMNAR,
-    encode_rows,
+    encode_value,
     read_spill_header,
     write_spill_file,
 )
@@ -76,7 +75,8 @@ def assert_accounting(cache):
 
 def write_legacy_file(directory: Path, k, rows, *, legacy: str, token="tok", cost=2.0):
     """One spill file as a previous release would have left it: ``format1``
-    (the row payload) or ``format2`` without ``accounted_bytes``."""
+    (the row payload, one value-encoded list of dict rows) or ``format2``
+    without ``accounted_bytes``."""
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / spill_module._spill_filename(k)
     if legacy == "format2":
@@ -85,8 +85,8 @@ def write_legacy_file(directory: Path, k, rows, *, legacy: str, token="tok", cos
         return path
     path.write_bytes(
         spill_file_bytes(
-            encode_rows(rows),
-            spill_format=SPILL_FORMAT,
+            encode_value(list(rows)),
+            spill_format=1,
             row_count=len(rows),
             key=k,
             token=token,
@@ -330,15 +330,32 @@ class TestOneLayout:
         assert cache.get(key(victim)) == rows_for(victim)
         assert cache.get_batch(key(victim)) is batch
 
-    @pytest.mark.parametrize("legacy", ["format1", "format2"])
     @pytest.mark.parametrize("as_batch", [False, True])
-    def test_old_format_directory_is_served_by_a_new_process(self, tmp_path, legacy, as_batch):
-        """A directory of format-1 files, or of format-2 files from before
-        the header carried ``accounted_bytes``, faults in with the right
-        rows, sizes and counters — and is re-spilled in today's layout only
-        when its entries are refilled."""
+    def test_format1_directory_is_dropped_as_a_clean_miss(self, tmp_path, as_batch):
+        """Format-1 (row layout) files are an unsupported format: recovery
+        deletes them like corrupt files and every lookup is a plain miss."""
+        paths = [
+            write_legacy_file(tmp_path / "spill", key(n), rows_for(n), legacy="format1")
+            for n in range(4)
+        ]
+        reborn = make(tmp_path, max_entries=4)
+        reborn.ensure_token("tok")
         for n in range(4):
-            write_legacy_file(tmp_path / "spill", key(n), rows_for(n), legacy=legacy)
+            assert fetch(reborn, key(n), as_batch=as_batch) is None
+        stats = reborn.statistics.as_dict()
+        assert (stats["recovered"], stats["corrupt_files_dropped"]) == (0, 4)
+        assert (stats["faults"], stats["hits"], stats["misses"]) == (0, 0, 4)
+        assert not any(path.exists() for path in paths)
+        assert_accounting(reborn)
+
+    @pytest.mark.parametrize("as_batch", [False, True])
+    def test_old_format_directory_is_served_by_a_new_process(self, tmp_path, as_batch):
+        """A directory of format-2 files from before the header carried
+        ``accounted_bytes`` faults in with the right rows, sizes and
+        counters — and is re-spilled in today's layout only when its
+        entries are refilled."""
+        for n in range(4):
+            write_legacy_file(tmp_path / "spill", key(n), rows_for(n), legacy="format2")
         reborn = make(tmp_path, max_entries=4)
         assert reborn.statistics.recovered == 4
         reborn.ensure_token("tok")
