@@ -98,6 +98,20 @@ def build_index(keys: Sequence[object]) -> Index:
     return False, buckets
 
 
+#: Key types whose grouping a spill round trip keeps: decoded cells are
+#: equal exactly when the originals were.  A NaN is the exception — it
+#: equals only itself, so two cells holding one NaN object decode to two
+#: keys (see :meth:`KeyIndex.storable`).
+_DECODES_ALIKE = frozenset({bool, int, float, str, bytes})
+
+
+def _decodes_alike(table: Dict[object, array]) -> bool:
+    kinds = set(map(type, table))
+    return kinds <= _DECODES_ALIKE and (
+        float not in kinds or all(len(table[key]) == 1 for key in table if key != key)
+    )
+
+
 class KeyIndex:
     """The lazily built key indexes of one batch's columns.
 
@@ -106,7 +120,9 @@ class KeyIndex:
     list, so an alias-qualified view finds its image's index under a
     different name.  ``scans`` counts the index-less scans each
     column has paid so far; the disk tier keeps that dict beside a spilled
-    entry, so an entry faulted back in remembers what it has paid.
+    entry, so an entry faulted back in remembers what it has paid.  Its
+    spill file keeps the entry's non-unique indexes (:meth:`storable`), and
+    the holder of the faulted batch takes them back (:meth:`adopt`).
 
     Concurrent joins may build the same index twice; both builds are
     equal, and the last one is kept.
@@ -146,6 +162,48 @@ class KeyIndex:
             keys = [value if present else None for value, present in zip(values, mask)]
         index = self._built[name] = build_index(keys)
         return index, True
+
+    def storable(self) -> Dict[str, Dict[object, array]]:
+        """``{name: {key: positions}}`` of the non-unique indexes built so
+        far whose grouping a decoded copy of the column keeps.  Unique ones
+        are left out (``dict(zip(...))`` rebuilds them at C speed), and so is
+        a table keyed by anything but scalars or holding one NaN object at
+        two positions: decoded, those cells would be keys of their own."""
+        built = dict(self._built)  # one C-level copy: joins may be building
+        return {
+            name: table
+            for name, (unique, table) in built.items()
+            if not unique and _decodes_alike(table)
+        }
+
+    def adopt(self, name: str, offsets: array, positions: array) -> bool:
+        """Take back a non-unique index of column ``name`` a spill file kept:
+        bucket ``i`` is ``positions[offsets[i]:offsets[i + 1]]`` and its key
+        the column's value at the bucket's first position, so the table is
+        the one :func:`build_index` builds — same keys, same objects, same
+        order.  A section that cannot be that table (positions out of range,
+        an empty bucket, a NULL or repeated key, no repeat at all) is
+        refused with False; a join then builds the column's index as usual."""
+        values = next((v for n, v, _ in self._columns.values() if n == name), None)
+        if values is None or name in self._built or len(offsets) < 2:
+            return False
+        total = len(positions)
+        if (
+            offsets[0] != 0
+            or offsets[-1] != total
+            or len(offsets) - 1 >= total
+            # Read as unsigned, a negative position is out of range too.
+            or max(memoryview(positions).cast("B").cast("L")) >= len(values)
+        ):
+            return False
+        buckets = [positions[a:b] for a, b in zip(offsets, offsets[1:])]
+        if not all(buckets):
+            return False
+        table = dict(zip([values[bucket[0]] for bucket in buckets], buckets))
+        if len(table) != len(buckets) or None in table:
+            return False
+        self._built[name] = (False, table)
+        return True
 
 
 class ColumnBatch:

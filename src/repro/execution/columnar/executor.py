@@ -19,19 +19,21 @@ Three things make this fast where the interpreter is slow:
   materializations carry a :class:`~repro.execution.columnar.batch
   .KeyIndex` that their views share, and a hash join whose larger side is
   such a batch's key column probes the smaller side into that column's
-  ``{value: positions}`` index instead of reading every larger-side row.
-  On the right an index replaces the table the join would build there, so
-  it is built at the first probe; on the left it replaces a C-level scan
-  that costs less than a build, so it is built once the column's scans
-  have paid for it (rent-or-buy).  An index dies with its batch: an image
-  at the next data version, a cache entry when it is invalidated, evicted
-  or spilled;
+  ``{value: positions}`` index instead of reading every larger-side row
+  (a join with no index to probe builds its table on the smaller side).
+  On the right an index is built at the first probe; on the left it
+  replaces a C-level scan that costs less than a build, so it is built
+  once the column's scans have paid for it (rent-or-buy).  An index dies
+  with its batch: an image at the next data version, a cache entry when
+  it is invalidated or dropped from RAM without a disk tier.  A spilled
+  entry's non-unique indexes are written to its spill file and come back
+  with it when it is faulted in;
 * **one resolution / compilation pass per batch** instead of per row —
   predicates go through :func:`~repro.execution.columnar.compile
-  .filter_indices` (selection vectors), other joins hash the right side's
-  raw key columns (one dict when its keys are unique) and emit index pairs
-  before gathering any payload, sorts compare a column's raw values when
-  it holds only numbers or only ``str`` (the order
+  .filter_indices` (selection vectors), other joins hash the smaller
+  side's raw key columns (one dict when its keys are unique) and emit
+  index pairs before gathering any payload, sorts compare a column's raw
+  values when it holds only numbers or only ``str`` (the order
   :func:`~repro.execution.evaluate.total_order_key` gives them), and
   aggregates extract each input column once;
 * **column pruning**: every operator tells its child which columns it
@@ -322,7 +324,9 @@ class ColumnarExecutor(Executor):
         equi: List[Tuple[ColumnRef, ColumnRef]],
     ) -> Tuple[List[int], List[int]]:
         """Build-and-probe on raw key columns, emitting index pairs only:
-        left-major, ascending right positions within each left row."""
+        left-major, ascending right positions within each left row.  The
+        table is the larger side's key index when it has one, else built on
+        the smaller side."""
         left_refs: List[ColumnRef] = []
         right_refs: List[ColumnRef] = []
         for a, b in equi:
@@ -376,10 +380,9 @@ class ColumnarExecutor(Executor):
 
         # The smaller side probes the larger side's key index when the larger
         # side is a long-lived batch (an image or a cached materialization)
-        # or a view of one.  On the right — the side the fallback builds its
-        # table on — the index replaces that build, so it is built at the
-        # first probe; on the left it replaces a scan of the left keys, so
-        # the column rents scans until they have paid for it.
+        # or a view of one.  On the right the index is built at the first
+        # probe; on the left the column rents scans until they have paid
+        # for it.
         index: Optional[Index] = None
         indexed_left = right.length < left.length
         larger, larger_refs = (left, left_refs) if indexed_left else (right, right_refs)
@@ -392,7 +395,14 @@ class ColumnarExecutor(Executor):
                 if built:
                     self.key_index_builds.inc()
         if index is None:
-            index, indexed_left = build_index(key_rows(right, right_refs)), False
+            # No index to probe: build on the smaller side (a tie keeps the
+            # right), so a handful of rows never waits on a table of
+            # thousands.
+            indexed_left = left.length < right.length
+            if indexed_left:
+                index = build_index(key_rows(left, left_refs))
+            else:
+                index = build_index(key_rows(right, right_refs))
         if not indexed_left:
             return _probe(index, key_rows(left, left_refs))
         # Probed right-major: restore left-major order, ascending right

@@ -8,7 +8,8 @@ caches survive restarts and working sets larger than RAM:
 
 * :mod:`repro.storage.codec` — an exact, checksummed spill-file format for
   materialized row sets (type-tagged binary payloads; truncation and
-  corruption are always detected, never served),
+  corruption are always detected, never served) and the key indexes that
+  come back with them,
 * :class:`~repro.storage.spill.SpillingMaterializationCache` — the
   two-level (hot RAM / warm disk) cache: evictions spill, gets fault back
   in, stale or damaged files degrade to clean misses.

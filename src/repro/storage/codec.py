@@ -15,17 +15,18 @@ executor produces exactly —
 * ``dict`` rows with string keys.
 
 There is **one on-disk layout**: :func:`write_spill_file` always writes
-**format 2**, the columnar payload of :func:`encode_batch` — per-column
-vectors, bulk-packed when a column is all int64, all float or all ``str``
-(one ``struct`` call or one UTF-8 blob per column), tagged value by value
-otherwise, with an explicit presence bitmap for heterogeneous rows — and
+**format 3**.  Its checksummed payload is the columnar one of
+:func:`encode_batch` — per-column vectors, bulk-packed when a column is all
+int64 or all float (one ``array`` per column, big-endian) or all ``str``
+with no NUL in any value (one NUL-joined UTF-8 blob, split on decode: the
+one string layout), tagged value by value otherwise, with an
+explicit presence bitmap for heterogeneous rows — and
 :func:`read_spill_batch` decodes it straight into the
 :class:`~repro.execution.columnar.batch.ColumnBatch` the cache keeps; rows
-are converted at the edge.  A file of any other format (such as the row
-layout, format 1, that releases before the columnar layout wrote) fails
-header validation like any corrupt file, so recovery drops it and the
-entry is a clean miss.  A decoded row set compares ``==`` to what was
-encoded and has the identical
+are converted at the edge.  A file of any other format (the row layout of
+format 1, the index-less format 2) fails header validation like any corrupt
+file, so recovery drops it and the entry is a clean miss.  A decoded row
+set compares ``==`` to what was encoded and has the identical
 :func:`~repro.service.matcache.estimate_rows_bytes` accounting — the
 property tests assert both.
 
@@ -37,6 +38,15 @@ re-walking every value) and a SHA-256 checksum of the payload.
 :func:`read_spill_batch` verifies all of it; truncated, bit-flipped or
 mis-keyed files raise :class:`SpillFormatError`, which the cache layer
 turns into a clean miss (never a crash, never stale rows).
+
+After the payload come zero or more **index sections**
+(:func:`encode_index_sections`), each one non-unique key index of one
+column as bucket offsets and positions — keys are not stored, a bucket's
+key is the column's value at its first position.  The first spill writes
+the sections of the indexes the entry has; re-evicting an entry whose file
+exists appends the ones the file lacks.  Each section carries its own
+SHA-256 and the payload checksum it indexes: a torn, flipped or spliced
+section is skipped and its column's index rebuilt, never an error.
 
 The module uses only the standard library and imports nothing from
 :mod:`repro.service` (the ``ColumnBatch`` container is pulled from
@@ -50,6 +60,8 @@ import hashlib
 import io
 import json
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -63,6 +75,7 @@ __all__ = [
     "decode_batch",
     "decode_value",
     "encode_batch",
+    "encode_index_sections",
     "encode_value",
     "read_spill_batch",
     "read_spill_header",
@@ -72,9 +85,10 @@ __all__ = [
 
 Row = Dict[str, object]
 
-#: The columnar layout (per-column type-tagged vectors, see
-#: :func:`encode_batch`) — the one format spill files are written and read in.
-SPILL_FORMAT_COLUMNAR = 2
+#: The one format spill files are written and read in: the columnar payload
+#: of :func:`encode_batch`, then zero or more index sections
+#: (:func:`encode_index_sections`).
+SPILL_FORMAT_COLUMNAR = 3
 
 MAGIC = b"REPRO-SPILL\n"
 
@@ -260,7 +274,7 @@ def decode_value(payload: bytes) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Columnar payload (format 2): per-column type-tagged vectors.
+# Columnar payload: per-column type-tagged vectors.
 # ---------------------------------------------------------------------------
 #
 # Layout (all integers uvarint unless stated):
@@ -276,10 +290,10 @@ def decode_value(payload: bytes) -> object:
 #             True must never come back as 1) in int64 range;
 #       b"d"  packed float64, row_count × 8 bytes IEEE-754 big-endian —
 #             used when every value is a plain float;
-#       b"u"  packed strings: row_count × 4 bytes big-endian unsigned, each
-#             string's length in *code points*, then blob_len and the UTF-8
-#             encoding of the concatenated strings — used when every value
-#             is a plain str (decoded once, then sliced);
+#       b"z"  packed strings: blob_len and the UTF-8 encoding of the values
+#             joined by "\0" — used when every value is a plain str and
+#             none holds a "\0" (decoded once, split, and the pieces counted
+#             against row_count);
 #       b"g"  generic: row_count recursively tagged values (the value
 #             codec of encode_value), which covers None, bool, big ints, strings,
 #             bytes, containers — everything, exactly.
@@ -289,12 +303,12 @@ def decode_value(payload: bytes) -> object:
 
 _COL_PACKED_INT = b"q"
 _COL_PACKED_FLOAT = b"d"  # column-tag namespace, distinct from the value tags
-_COL_PACKED_STR = b"u"
+_COL_PACKED_STR = b"z"
 _COL_GENERIC = b"g"
 
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-_UINT32_MAX = (1 << 32) - 1
+#: The packed vectors are big-endian (``struct``'s ``>q`` / ``>d`` bytes);
+#: ``array`` packs natively, so a little-endian host swaps.
+_SWAP = sys.byteorder == "little"
 
 
 def _column_batch_cls():
@@ -325,22 +339,28 @@ def _encode_vector(out: io.BytesIO, values: Sequence[object]) -> None:
     """One column's values: a bulk-packed vector when they share a plain
     type the packing is exact for, else one tagged value each."""
     kinds = set(map(type, values))
-    if kinds == {int} and _INT64_MIN <= min(values) and max(values) <= _INT64_MAX:
-        out.write(_COL_PACKED_INT)
-        out.write(struct.pack(f">{len(values)}q", *values))
-    elif kinds == {float}:
-        out.write(_COL_PACKED_FLOAT)
-        out.write(struct.pack(f">{len(values)}d", *values))
-    elif kinds == {str} and max(map(len, values)) <= _UINT32_MAX:
-        blob = "".join(values).encode("utf-8")
-        out.write(_COL_PACKED_STR)
-        out.write(struct.pack(f">{len(values)}I", *map(len, values)))
-        _write_uvarint(out, len(blob))
-        out.write(blob)
-    else:
-        out.write(_COL_GENERIC)
-        for value in values:
-            _encode_value(out, value)
+    if kinds == {int} or kinds == {float}:
+        try:
+            packed: Optional[array] = array("q" if int in kinds else "d", values)
+        except OverflowError:  # an int beyond int64: tagged one by one
+            packed = None
+        if packed is not None:
+            if _SWAP:
+                packed.byteswap()
+            out.write(_COL_PACKED_INT if int in kinds else _COL_PACKED_FLOAT)
+            out.write(packed.tobytes())
+            return
+    elif kinds == {str}:
+        text = "\0".join(values)
+        if text.count("\0") == len(values) - 1:  # no value holds a "\0"
+            blob = text.encode("utf-8")
+            out.write(_COL_PACKED_STR)
+            _write_uvarint(out, len(blob))
+            out.write(blob)
+            return
+    out.write(_COL_GENERIC)
+    for value in values:
+        _encode_value(out, value)
 
 
 def _decode_vector(buf: memoryview, pos: int, n: int) -> Tuple[List[object], int]:
@@ -349,29 +369,27 @@ def _decode_vector(buf: memoryview, pos: int, n: int) -> Tuple[List[object], int
     tag = bytes(buf[pos : pos + 1])
     pos += 1
     if tag in (_COL_PACKED_INT, _COL_PACKED_FLOAT):
-        # Bounds first: a forged row count must fail here, not inside struct.
+        # Bounds first: a forged row count must fail here, not allocate.
         end = pos + 8 * n
         if end > len(buf):
             raise SpillFormatError("truncated packed column")
-        code = "q" if tag == _COL_PACKED_INT else "d"
-        return list(struct.unpack_from(f">{n}{code}", buf, pos)), end
+        packed = array("q" if tag == _COL_PACKED_INT else "d")
+        packed.frombytes(buf[pos:end])
+        if _SWAP:
+            packed.byteswap()
+        return packed.tolist(), end
     if tag == _COL_PACKED_STR:
-        end = pos + 4 * n
-        if end > len(buf):
-            raise SpillFormatError("truncated packed string lengths")
-        lengths = struct.unpack_from(f">{n}I", buf, pos)
-        blob_bytes, pos = _read_uvarint(buf, end)
+        blob_bytes, pos = _read_uvarint(buf, pos)
         end = pos + blob_bytes
         if end > len(buf):
             raise SpillFormatError("truncated packed string blob")
         try:
-            text = str(buf[pos:end], "utf-8")
+            values = str(buf[pos:end], "utf-8").split("\0")
         except UnicodeDecodeError as exc:
             raise SpillFormatError(f"corrupt UTF-8 string blob: {exc}") from None
-        offsets = list(accumulate(lengths, initial=0))
-        if offsets[-1] != len(text):
-            raise SpillFormatError("packed string lengths disagree with their blob")
-        return [text[a:b] for a, b in zip(offsets, offsets[1:])], end
+        if len(values) != n:
+            raise SpillFormatError("packed strings disagree with the row count")
+        return values, end
     if tag == _COL_GENERIC:
         values = []
         for _ in range(n):
@@ -382,11 +400,14 @@ def _decode_vector(buf: memoryview, pos: int, n: int) -> Tuple[List[object], int
 
 
 def encode_batch(batch) -> bytes:
-    """Encode a :class:`~repro.execution.columnar.batch.ColumnBatch` (format 2).
+    """Encode a :class:`~repro.execution.columnar.batch.ColumnBatch`: the
+    checksummed payload of a (format-3) spill file.
 
     ``decode_batch(encode_batch(b))`` reproduces columns, masks and row
     count exactly, so ``.to_rows()`` of the decoded batch equals the rows
-    that were spilled, bit for bit.
+    that were spilled, bit for bit.  The batch's key indexes are not part
+    of the payload; they follow it as index sections
+    (:func:`encode_index_sections`).
     """
     out = io.BytesIO()
     n = batch.length
@@ -407,7 +428,7 @@ def encode_batch(batch) -> bytes:
 
 
 def decode_batch(payload: bytes):
-    """Decode a format-2 payload back into a ``ColumnBatch`` (exact)."""
+    """Decode an :func:`encode_batch` payload back into a ``ColumnBatch`` (exact)."""
     ColumnBatch = _column_batch_cls()
     buf = memoryview(payload)
     pos = 0
@@ -438,6 +459,103 @@ def decode_batch(payload: bytes):
     if pos != len(buf):
         raise SpillFormatError(f"{len(buf) - pos} trailing bytes after columns")
     return ColumnBatch(columns, n, masks)
+
+
+# ---------------------------------------------------------------------------
+# Index sections: a column's non-unique key index, after the payload.
+# ---------------------------------------------------------------------------
+#
+#   section := body_len (uvarint)  SHA-256 of body (32 bytes)  body
+#   body    := SHA-256 of the file's payload (32 bytes)
+#              name_len  name_utf8  bucket_count
+#              layout: one byte, array("l") item size | 0x80 on big-endian
+#              offsets: bucket_count + 1 native array("l") items, 0 first
+#              positions: offsets[-1] native array("l") items, bucket by bucket
+#
+# Keys are not stored: a bucket's key is the column's value at its first
+# position (KeyIndex.adopt).  A section names the payload it indexes, so one
+# spliced in from another file is skipped like a flipped or torn one.
+
+_POSITIONS_LAYOUT = array("l").itemsize | (0x80 if sys.byteorder == "big" else 0)
+_DIGEST_BYTES = 32
+
+#: One restored section: ``(column name, bucket offsets, positions)``.
+IndexSection = Tuple[str, array, array]
+
+
+def encode_index_sections(
+    checksum: str, indexes: Dict[str, Dict[object, array]]
+) -> bytes:
+    """One section per ``{name: {key: positions}}`` table (see
+    :meth:`~repro.execution.columnar.batch.KeyIndex.storable`), bound to the
+    payload whose SHA-256 (hex) is ``checksum``."""
+    out = io.BytesIO()
+    payload_digest = bytes.fromhex(checksum)
+    for name, table in indexes.items():
+        positions = array("l")
+        for bucket in table.values():
+            positions.extend(bucket)
+        offsets = array("l", accumulate(map(len, table.values()), initial=0))
+        encoded_name = name.encode("utf-8")
+        body = io.BytesIO()
+        body.write(payload_digest)
+        _write_uvarint(body, len(encoded_name))
+        body.write(encoded_name)
+        _write_uvarint(body, len(table))
+        body.write(bytes((_POSITIONS_LAYOUT,)))
+        body.write(offsets.tobytes())
+        body.write(positions.tobytes())
+        data = body.getvalue()
+        _write_uvarint(out, len(data))
+        out.write(hashlib.sha256(data).digest())
+        out.write(data)
+    return out.getvalue()
+
+
+def _decode_index_body(body: memoryview) -> IndexSection:
+    length, pos = _read_uvarint(body, _DIGEST_BYTES)
+    name = str(body[pos : pos + length], "utf-8")
+    count, pos = _read_uvarint(body, pos + length)
+    if pos >= len(body) or body[pos] != _POSITIONS_LAYOUT:
+        raise SpillFormatError("index section in another layout")
+    width = array("l").itemsize
+    split = pos + 1 + (count + 1) * width
+    if split > len(body) or (len(body) - split) % width:
+        raise SpillFormatError("malformed index section")
+    offsets, positions = array("l"), array("l")
+    offsets.frombytes(body[pos + 1 : split])
+    positions.frombytes(body[split:])
+    return name, offsets, positions
+
+
+def _decode_index_sections(data: bytes, checksum: str) -> List[IndexSection]:
+    """The intact sections in ``data`` that index the payload whose SHA-256
+    (hex) is ``checksum``.  A flipped, spliced or malformed section is
+    skipped; a torn one (an append cut short) ends the list."""
+    buf = memoryview(data)
+    payload_digest = bytes.fromhex(checksum)
+    sections: List[IndexSection] = []
+    pos = 0
+    while pos < len(buf):
+        try:
+            length, digest_at = _read_uvarint(buf, pos)
+        except SpillFormatError:
+            break
+        body_at = digest_at + _DIGEST_BYTES
+        pos = body_at + length
+        if pos > len(buf):
+            break
+        body = buf[body_at:pos]
+        if (
+            hashlib.sha256(body).digest() != buf[digest_at:body_at]
+            or body[:_DIGEST_BYTES] != payload_digest
+        ):
+            continue
+        try:
+            sections.append(_decode_index_body(body))
+        except (SpillFormatError, ValueError):  # UnicodeDecodeError included
+            continue
+    return sections
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +620,22 @@ def write_spill_file(
     token: object,
     cost: float,
     accounted_bytes: Optional[int] = None,
-) -> int:
-    """Write one complete (format-2) spill file to ``target``; returns bytes written.
+    indexes: Optional[Dict[str, Dict[object, array]]] = None,
+) -> Tuple[int, str]:
+    """Write one complete (format-3) spill file to ``target``.
 
     ``rows`` is the entry's ``ColumnBatch``, or a sequence of dict rows
     that is transposed into one here.  ``accounted_bytes`` is the size the
-    cache keeps the entry's books at; a reader adopts it on fault-in.  The
-    caller owns atomicity (write to a temp file, then ``os.replace``): this
-    function only defines the layout.
+    cache keeps the entry's books at; a reader adopts it on fault-in.
+    ``indexes`` (``{name: {key: positions}}``) become index sections after
+    the payload.  Returns the bytes written and the payload's SHA-256 (hex),
+    which sections appended later must name.  The caller owns atomicity
+    (write to a temp file, then ``os.replace``): this function only defines
+    the layout.
     """
     batch = rows if hasattr(rows, "to_rows") else _column_batch_cls().from_rows(rows)
     payload = encode_batch(batch)
+    checksum = hashlib.sha256(payload).hexdigest()
     header = {
         "format": SPILL_FORMAT_COLUMNAR,
         "key": list(key),
@@ -520,15 +643,17 @@ def write_spill_file(
         "cost": float(cost),
         "rows": batch.length,
         "payload_bytes": len(payload),
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "sha256": checksum,
     }
     if accounted_bytes is not None:
         header["accounted_bytes"] = int(accounted_bytes)
     header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    sections = encode_index_sections(checksum, indexes) if indexes else b""
     target.write(MAGIC)
     target.write(header_line)
     target.write(payload)
-    return len(MAGIC) + len(header_line) + len(payload)
+    target.write(sections)
+    return len(MAGIC) + len(header_line) + len(payload) + len(sections), checksum
 
 
 def _parse_header(line: bytes) -> SpillHeader:
@@ -578,35 +703,30 @@ def read_spill_header(source: BinaryIO) -> SpillHeader:
     return _parse_header(line[:-1])
 
 
-def _read_verified_payload(source: BinaryIO) -> Tuple[SpillHeader, bytes]:
-    """Read one file's header + payload, verifying length and checksum."""
+def read_spill_batch(source: BinaryIO) -> Tuple[SpillHeader, Any, List[IndexSection]]:
+    """Read, verify and decode one spill file into a ``ColumnBatch``.
+
+    Raises :class:`SpillFormatError` on any inconsistency of header or
+    payload: bad magic, truncated header or payload, checksum mismatch,
+    undecodable payload, or a row count that disagrees with the header.
+    Returns ``(header, batch, sections)``: ``sections`` are the intact index
+    sections after the payload, ``(name, offsets, positions)`` each, for
+    :meth:`~repro.execution.columnar.batch.KeyIndex.adopt` — a damaged one
+    is left out, never an error.
+    """
     header = read_spill_header(source)
-    payload = source.read(header.payload_bytes + 1)
+    payload = source.read(header.payload_bytes)
     if len(payload) < header.payload_bytes:
         raise SpillFormatError(
             f"truncated payload: expected {header.payload_bytes} bytes, "
             f"got {len(payload)}"
         )
-    if len(payload) > header.payload_bytes:
-        raise SpillFormatError("trailing bytes after payload")
     if hashlib.sha256(payload).hexdigest() != header.checksum:
         raise SpillFormatError("payload checksum mismatch")
-    return header, payload
-
-
-def read_spill_batch(source: BinaryIO):
-    """Read, verify and decode one spill file into a ``ColumnBatch``.
-
-    Raises :class:`SpillFormatError` on any inconsistency: bad magic,
-    truncated header or payload, checksum mismatch, undecodable payload, or
-    a row count that disagrees with the header.  Returns ``(header, batch)``.
-    """
-    header, payload = _read_verified_payload(source)
     batch = decode_batch(payload)
     if batch.length != header.row_count:
         raise SpillFormatError(
             f"row count mismatch: header says {header.row_count}, "
             f"payload has {batch.length}"
         )
-    return header, batch
-
+    return header, batch, _decode_index_sections(source.read(), header.checksum)

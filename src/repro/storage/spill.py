@@ -10,14 +10,19 @@ under the **same** keys and invalidation rules:
   ``spill_dir`` (atomically: temp file + ``os.replace``), named by a stable
   hash of its ``cache_key(signature, order)`` and stamped with the
   data-version token it was filled under and the byte size it is accounted
-  at.  There is one layout: the codec's columnar format 2, written from the
-  entry's ``ColumnBatch`` (a row-filled entry is transposed at this edge);
-  a file in any other format is dropped at recovery like a corrupt one;
+  at.  There is one layout: the codec's columnar format 3, written from the
+  entry's ``ColumnBatch`` (a row-filled entry is transposed at this edge),
+  followed by the entry's non-unique key indexes as index sections; a
+  file in any other format is dropped at recovery like a corrupt one;
 * a ``get`` / ``get_batch`` that misses the hot tier **faults** the entry
   back in from disk — verifying the file's checksum, key and token first —
   and promotes it *as the decoded batch*, at the size in its header, so hot
   working sets migrate back to RAM on their own without a row round trip
-  or a second walk over every value;
+  or a second walk over every value; the batch's key index holder adopts
+  the file's intact index sections, so the joins that indexed the entry
+  before it left RAM do not build those indexes again.  Re-evicting a
+  faulted entry keeps its file and appends the sections of indexes built
+  since (the only write to a file after its rename);
 * a token change (data changed) or :meth:`invalidate` drops **both** tiers;
   a spill file whose stored token no longer matches the cache's is deleted
   on contact and served as a clean miss — exactly how the memory tier
@@ -33,8 +38,9 @@ same directory re-indexes the files (:attr:`SpillStatistics.recovered`) and
 serves them without re-materializing anything — the restart differential
 tests prove rows and plan costs are bit-identical.
 
-All disk operations happen under the cache's lock; files are only ever
-written complete-then-renamed, so readers never observe a partial file.
+All disk operations happen under the cache's lock; files are written
+complete-then-renamed, so readers never observe a partial payload — an
+append cut short leaves at most a torn index section, which is skipped.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..analysis.sanitizer import record_io
 from ..obs import Observability, metric_field
@@ -58,6 +64,7 @@ from ..service.matcache import (
 )
 from .codec import (
     SpillError,
+    encode_index_sections,
     read_spill_batch,
     read_spill_header,
     wire_token,
@@ -103,14 +110,14 @@ class _DiskEntry:
     path: Path
     file_bytes: int
     token: object
+    #: SHA-256 (hex) of the file's payload, which an appended index section names.
+    checksum: str
     #: The spilled batch's rent-or-buy history (``KeyIndex.scans``),
-    #: handed to the batch a fault decodes; its indexes are not kept.
+    #: handed to the batch a fault decodes.
     scans: Optional[Dict[str, int]] = None
-
-
-def _scans(entry: _Entry) -> Optional[Dict[str, int]]:
-    holder = getattr(entry.batch, "key_index", None)
-    return holder.scans if holder is not None else None
+    #: The columns whose key index the file holds intact (as last written
+    #: or read); re-evicting the entry appends the sections of the others.
+    indexed: FrozenSet[str] = frozenset()
 
 
 def _spill_filename(key: CacheKey) -> str:
@@ -169,6 +176,11 @@ class SpillingMaterializationCache(MaterializationCache):
         self.statistics: SpillStatistics = SpillStatistics(
             self.obs.registry, labels=self.obs.labels
         )
+        #: Key indexes a fault took back from a spill file's index sections
+        #: instead of leaving them to be rebuilt (next to the executor's
+        #: ``execution_key_index_builds``).  A registry counter, not a
+        #: ``statistics`` field: the cache's traffic counts stay what they were.
+        self.key_indexes_restored = self.obs.counter("matcache_key_indexes_restored")
         self.spill_dir = Path(spill_dir)
         self.spill_dir.mkdir(parents=True, exist_ok=True)
         self.max_disk_bytes = max_disk_bytes
@@ -237,7 +249,8 @@ class SpillingMaterializationCache(MaterializationCache):
                 _unlink_quietly(path)
                 continue
             self._disk[header.key] = _DiskEntry(
-                path=path, file_bytes=file_bytes, token=header.token
+                path=path, file_bytes=file_bytes, token=header.token,
+                checksum=header.checksum,
             )
             self._disk_bytes += file_bytes
             self.statistics.recovered += 1
@@ -276,14 +289,23 @@ class SpillingMaterializationCache(MaterializationCache):
     # --------------------------------------------------------------- spilling
 
     def _on_evict_locked(self, key: CacheKey, entry: _Entry) -> None:
+        holder = getattr(entry.batch, "key_index", None)
+        scans = holder.scans if holder is not None else None
+        indexes = holder.storable() if holder is not None else {}
         existing = self._disk.get(key)
         if existing is not None:
             # A fill drops the disk copy it outdates, so an existing file
             # holds exactly these rows (it was the fault-in source): keeping
             # it makes hot/warm exchange of a larger-than-RAM working set
-            # cheap.
-            existing.scans = _scans(entry)
+            # cheap.  Indexes built since it was written are appended.
+            existing.scans = scans
             self._disk.move_to_end(key)
+            missing = {
+                name: table for name, table in indexes.items()
+                if name not in existing.indexed
+            }
+            if missing:
+                self._append_indexes_locked(key, existing, missing)
             return
         path = self.spill_dir / _spill_filename(key)
         handle = None
@@ -295,13 +317,14 @@ class SpillingMaterializationCache(MaterializationCache):
             )
             tmp_path = Path(tmp_name)
             handle = os.fdopen(fd, "wb")
-            written = write_spill_file(
+            written, checksum = write_spill_file(
                 handle,
                 key=key,
                 rows=entry.batch if entry.batch is not None else entry.rows,
                 token=wire_token(self._token),
                 cost=entry.cost,
                 accounted_bytes=entry.bytes,
+                indexes=indexes,
             )
             handle.flush()
             handle.close()
@@ -327,7 +350,7 @@ class SpillingMaterializationCache(MaterializationCache):
             return
         self._disk[key] = _DiskEntry(
             path=path, file_bytes=written, token=wire_token(self._token),
-            scans=_scans(entry),
+            checksum=checksum, scans=scans, indexed=frozenset(indexes),
         )
         self._disk.move_to_end(key)
         self._disk_bytes += written
@@ -337,6 +360,29 @@ class SpillingMaterializationCache(MaterializationCache):
             self._tracer.event("matcache.spill", key=key[0][:16], bytes=written)
         self._evict_disk_locked()
 
+    def _append_indexes_locked(self, key: CacheKey, disk: _DiskEntry, indexes) -> None:
+        """Append index sections to ``disk``'s file in place.  Not atomic,
+        and it need not be: a torn section fails its checksum at the next
+        fault, which rebuilds that column.  A failed write is cut back off."""
+        data = encode_index_sections(disk.checksum, indexes)
+        record_io("spill.append", obs=self.obs, key=key[0][:16])
+        try:
+            with open(disk.path, "ab") as handle:
+                try:
+                    handle.write(data)
+                    handle.flush()
+                except OSError:
+                    handle.truncate(disk.file_bytes)
+                    raise
+        except OSError:
+            self.statistics.spill_errors += 1
+            return
+        disk.file_bytes += len(data)
+        disk.indexed |= frozenset(indexes)
+        self._disk_bytes += len(data)
+        self.statistics.spill_bytes_written += len(data)
+        self._evict_disk_locked()
+
     def checkpoint(self) -> int:
         """Spill every hot entry to disk without evicting it; returns files written.
 
@@ -344,15 +390,15 @@ class SpillingMaterializationCache(MaterializationCache):
         out of RAM, so a clean restart would lose the hottest entries —
         exactly the ones worth keeping.  ``checkpoint()`` (called by the
         serving layer's ``snapshot()``) makes the disk tier a complete copy
-        of the cache.  Crash-safe in itself: each file is written
-        temp-then-rename, and a torn checkpoint just recovers fewer entries.
+        of the cache, key indexes included: an entry whose file exists
+        gets the sections it lacks appended.  Crash-safe in itself: each
+        file is written temp-then-rename, and a torn checkpoint just
+        recovers fewer entries (or rebuilds a torn section's index).
         """
         with self._lock:
             written_before = self.statistics.spills
-            for key in list(self._entries):
-                entry = self._entries[key]
-                if key not in self._disk:
-                    self._on_evict_locked(key, entry)
+            for key, entry in list(self._entries.items()):
+                self._on_evict_locked(key, entry)
             return self.statistics.spills - written_before
 
     def _evict_disk_locked(self) -> None:
@@ -389,7 +435,7 @@ class SpillingMaterializationCache(MaterializationCache):
         record_io("spill.read", obs=self.obs, key=key[0][:16])
         try:
             with open(disk.path, "rb") as handle:
-                header, batch = read_spill_batch(handle)
+                header, batch, sections = read_spill_batch(handle)
         except (OSError, SpillError):
             self.statistics.corrupt_files_dropped += 1
             self._drop_disk_locked(key)
@@ -411,9 +457,18 @@ class SpillingMaterializationCache(MaterializationCache):
         if self._tracer.enabled:
             self._tracer.event("matcache.fault", key=key[0][:16], order=key[1])
         size = header.accounted_bytes
-        if size is None:  # written before the header carried it
+        if size is None:  # written without it
             size = estimate_batch_bytes(batch)
-        return _Entry(None, batch.indexed(disk.scans), size, max(header.cost, 0.0))
+        batch = batch.indexed(disk.scans)
+        disk.checksum = header.checksum
+        disk.indexed = frozenset(
+            name
+            for name, offsets, positions in sections
+            if batch.key_index.adopt(name, offsets, positions)
+        )
+        if disk.indexed:
+            self.key_indexes_restored.inc(len(disk.indexed))
+        return _Entry(None, batch, size, max(header.cost, 0.0))
 
     def _drop_disk_locked(self, key: CacheKey) -> None:
         entry = self._disk.pop(key, None)

@@ -193,6 +193,7 @@ CASES = {
     "empty right": ([1, 2], []),
     "single rows": ([1], [1]),
     "larger unique side first": ([1, 2, 3, 4, 5, 6], [6, 6, 1]),
+    "left much smaller, no key index": ([7, None, 3, 7], [i % 10 for i in range(60)]),
 }
 
 

@@ -4,8 +4,10 @@ Column images and cached materializations hold one; hash joins probe the
 smaller side into it instead of reading the larger side.  These tests pin
 its life on cache entries (it dies with the entry on invalidation and on
 eviction, a faulted entry starts with a fresh holder but keeps the
-rent-or-buy history of the one it replaced), that index memory is never
-accounted (``matcache.bytes`` and spill bytes are those of the data alone),
+rent-or-buy history of the one it replaced, and takes back the non-unique
+indexes its spill file keeps), that index memory is never accounted in RAM
+(``matcache.bytes`` is that of the data alone; a spill file is longer by its
+index sections),
 that it is safe beside concurrent image builds and evictions, and that a
 session exports how often it was built and probed.
 """
@@ -18,11 +20,13 @@ import weakref
 from repro.algebra.expressions import col
 from repro.execution import ColumnarExecutor
 from repro.execution.columnar import ColumnBatch
+from repro.execution.columnar.batch import build_index
 from repro.execution.data import Database
 from repro.obs import Observability
 from repro.service import OptimizerSession
 from repro.service.matcache import MaterializationCache, estimate_batch_bytes
-from repro.storage.spill import SpillingMaterializationCache
+from repro.storage.codec import encode_index_sections
+from repro.storage.spill import SpillingMaterializationCache, _spill_filename
 from repro.workloads.synthetic import (
     random_star_batch,
     star_schema_catalog,
@@ -120,9 +124,68 @@ def test_faulted_entry_starts_with_a_fresh_holder_and_keeps_its_history(tmp_path
     assert set(again.key_index._built) == {"l.k0"}
 
 
+def test_faulted_entry_gets_back_its_non_unique_indexes(tmp_path):
+    """The spill file keeps the index the entry had when it was spilled; an
+    index built on the faulted entry is appended when it is evicted again,
+    and the next fault brings both back.  Unique indexes are not kept."""
+    obs = Observability()
+    cache = SpillingMaterializationCache(tmp_path, max_entries=1, obs=obs)
+    cache.ensure_token("data")
+    batch = entry()
+    batch.columns["l.g"] = [i % 3 for i in range(batch.length)]
+    cache.put_batch(KEY, batch)
+    executor = ColumnarExecutor(Database())
+    right = cache.get_batch(KEY)
+    for column in ("l.k0", "l.v"):  # the cached batch on the right: bought at once
+        executor._hash_join_pairs(
+            ColumnBatch({"r.x": [3, 5]}, 2), right, [(col("r.x"), col(column))]
+        )
+    assert {name: unique for name, (unique, _) in right.key_index._built.items()} == {
+        "l.k0": False, "l.v": True,
+    }
+    cache.put_batch(OTHER, entry(10))  # spills KEY with l.k0's section
+    faulted = cache.get_batch(KEY)
+    assert set(faulted.key_index._built) == {"l.k0"}
+    assert faulted.key_index._built["l.k0"] == right.key_index._built["l.k0"]
+    assert cache.key_indexes_restored.value == 1
+    executor._hash_join_pairs(
+        ColumnBatch({"r.x": [1]}, 1), faulted, [(col("r.x"), col("l.g"))]
+    )
+    path = tmp_path / _spill_filename(KEY)
+    size, written = path.stat().st_size, cache.statistics.spill_bytes_written
+    cache.get_batch(OTHER)  # evicts KEY again: the file gains l.g's section
+    assert cache.statistics.spills == 2
+    assert path.stat().st_size - size == cache.statistics.spill_bytes_written - written > 0
+    size = path.stat().st_size
+    assert cache.checkpoint() == 0  # the hot entry, OTHER, has its file already
+    assert path.stat().st_size == size
+    again = cache.get_batch(KEY)
+    assert set(again.key_index._built) == {"l.k0", "l.g"}
+    assert obs.registry.snapshot()["counters"]["matcache_key_indexes_restored"] == 3
+
+
+def test_checkpoint_appends_the_sections_a_hot_entry_file_lacks(tmp_path):
+    cache = SpillingMaterializationCache(tmp_path, max_entries=1)
+    cache.ensure_token("data")
+    cache.put_batch(KEY, entry())
+    cache.put_batch(OTHER, entry(10))  # spills KEY, no index yet
+    faulted = cache.get_batch(KEY)
+    ColumnarExecutor(Database())._hash_join_pairs(SMALL, faulted, [(col("r.k0"), col("l.k0"))])
+    path = tmp_path / _spill_filename(KEY)
+    size = path.stat().st_size
+    assert cache.checkpoint() == 0 and path.stat().st_size > size
+    size = path.stat().st_size
+    assert cache.checkpoint() == 0 and path.stat().st_size == size  # appended once
+    reborn = SpillingMaterializationCache(tmp_path, max_entries=1)
+    reborn.ensure_token("data")
+    assert set(reborn.get_batch(KEY).key_index._built) == {"l.k0"}
+    assert reborn.key_indexes_restored.value == 1
+
+
 def test_index_memory_is_never_accounted(tmp_path):
-    """Two caches fed equal entries, indexes built in one only: every byte
-    counter agrees, in RAM and on disk."""
+    """Two caches fed equal entries, indexes built in one only: the RAM
+    books agree, and on disk the indexed entry's file is longer by exactly
+    its index section (spill bytes are file bytes)."""
     counted = []
     for index, name in enumerate(("plain", "indexed")):
         cache = SpillingMaterializationCache(tmp_path / name, max_entries=1)
@@ -139,7 +202,12 @@ def test_index_memory_is_never_accounted(tmp_path):
         counted.append(
             (before, stats["spill_bytes_written"], cache.disk_bytes, cache.current_bytes)
         )
-    assert counted[0] == counted[1]
+    (plain_ram, plain_written, plain_disk, plain_now) = counted[0]
+    (ram, written, disk, now) = counted[1]
+    assert (ram, now) == (plain_ram, plain_now)
+    _, table = build_index(entry().columns["l.k0"])
+    section = len(encode_index_sections("00" * 32, {"l.k0": table}))
+    assert written - plain_written == disk - plain_disk == section
 
 
 # ---------------------------------------------------------------------------

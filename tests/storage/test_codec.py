@@ -34,7 +34,7 @@ from repro.storage.codec import (
 
 def read_spill_rows(source):
     """The file's rows: the one reader decodes to a batch, rows at the edge."""
-    header, batch = read_spill_batch(source)
+    header, batch, _sections = read_spill_batch(source)
     return header, batch.to_rows()
 
 
@@ -212,9 +212,12 @@ class TestSpillFiles:
             assert decoded == rows and header.key == KEY
 
     def test_trailing_bytes_after_payload_rejected(self):
+        """After the payload only index sections may follow; bytes that are
+        no intact section are rejected as one — the rows are still served,
+        and no index comes back with them."""
         data = spill_bytes([{"k": 1}])
-        with pytest.raises(SpillFormatError):
-            read_spill_rows(io.BytesIO(data + b"junk"))
+        header, batch, sections = read_spill_batch(io.BytesIO(data + b"junk"))
+        assert batch.to_rows() == [{"k": 1}] and sections == []
 
     def test_not_a_spill_file(self):
         with pytest.raises(SpillFormatError):

@@ -1,21 +1,24 @@
-"""Property/fuzz tests for the columnar (format 2) spill layout.
+"""Property/fuzz tests for the columnar (format 3) spill layout.
 
 Same contract as the value codec one file over, plus the columnar-specific
 invariants:
 
 * **exact round trip** — ``decode_batch(encode_batch(batch))`` reproduces
   the batch's columns, masks and rows bit-for-bit: non-ASCII column names
-  and strings (the packed-string vector counts code points, not bytes),
-  arbitrary-precision ints (the packed-int64 path must reject them),
-  bools (never silently packed as ints), ``-0.0`` / ``nan``, None-heavy
-  columns, and masked (absent-key) cells,
+  and strings (the packed-string blob is split on NUL, so a string holding
+  one must take the generic vector), arbitrary-precision ints (the
+  packed-int64 path must reject them), bools (never silently packed as
+  ints), ``-0.0`` / ``nan``, None-heavy columns, and masked (absent-key)
+  cells,
 * **corruption is always detected** — truncating the payload at every
   byte boundary, flipping any single payload byte and forging the row
   count in front of a packed vector raise
   :class:`~repro.storage.codec.SpillFormatError`, never ``struct.error``,
-  ``MemoryError`` or wrong rows, and
-* **old files keep decoding** — a format-1 file (built here the way the
-  previous release wrote it) still decodes through the one reader.
+  ``MemoryError`` or wrong rows,
+* **old files are a clean miss** — a format-1 file (built here the way an
+  old release wrote it) fails header validation, and
+* **index sections restore exactly** — the key index a section brings
+  back is the one ``build_index`` makes over the decoded column.
 """
 
 import hashlib
@@ -23,11 +26,13 @@ import io
 import json
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.execution.columnar import ColumnBatch
+from repro.execution.columnar.batch import build_index
 from repro.service.matcache import estimate_batch_bytes, estimate_rows_bytes
 from repro.storage.codec import (
     MAGIC,
@@ -44,7 +49,7 @@ from repro.storage.codec import (
 
 def read_spill_rows(source):
     """The file's rows: the one reader decodes to a batch, rows at the edge."""
-    header, batch = read_spill_batch(source)
+    header, batch, _sections = read_spill_batch(source)
     return header, batch.to_rows()
 
 
@@ -227,19 +232,36 @@ class TestBatchRoundTrip:
         )
 
     def test_packed_vectors_are_what_homogeneous_columns_use(self):
-        """One struct call / one blob per column: the tag bytes prove the
-        bulk paths ran (and that bools, giants and mixed columns did not)."""
+        """One array / one NUL-joined blob per column: the tag bytes prove
+        the bulk paths ran (and that bools, giants, strings holding a NUL
+        and mixed columns did not)."""
         rows = [
-            {"i": i, "f": i / 2, "s": "π" * i, "b": i % 2 == 0, "big": 2**64 + i, "m": i}
+            {
+                "i": i, "f": i / 2, "s": "π" * i, "b": i % 2 == 0, "big": 2**64 + i,
+                "m": i, "nul": f"a{i}",
+            }
             for i in range(5)
         ]
         rows[2]["m"] = "two"
+        rows[3]["nul"] = "a\0b"
         payload = encode_batch(ColumnBatch.from_rows(rows))
         tags = {}
         for name in rows[0]:
             marker = name.encode("utf-8") + b"\x00"
             tags[name] = payload[payload.index(marker) + len(marker) :][:1]
-        assert tags == {"i": b"q", "f": b"d", "s": b"u", "b": b"g", "big": b"g", "m": b"g"}
+        assert tags == {
+            "i": b"q", "f": b"d", "s": b"z", "b": b"g", "big": b"g", "m": b"g", "nul": b"g"
+        }
+        # The packed numbers are struct's big-endian bytes.
+        at = payload.index(b"i\x00q") + 3
+        assert payload[at : at + 40] == struct.pack(">5q", *range(5))
+        at = payload.index(b"f\x00d") + 3
+        assert payload[at : at + 40] == struct.pack(">5d", *(i / 2 for i in range(5)))
+
+    def test_strings_holding_a_nul_round_trip(self):
+        rows = [{"s": "a\0b"}, {"s": "\0"}, {"s": ""}, {"s": "日本\0"}]
+        decoded = decode_batch(encode_batch(ColumnBatch.from_rows(rows)))
+        assert decoded.to_rows() == rows
 
     def test_trailing_garbage_rejected(self):
         payload = encode_batch(ColumnBatch.from_rows([{"a": 1}]))
@@ -263,7 +285,7 @@ class TestColumnarSpillFiles:
 
     def test_read_spill_batch_from_columnar_file(self):
         rows = [{"t.a": i, "t.s": f"ρ{i}"} for i in range(5)]
-        header, batch = read_spill_batch(io.BytesIO(columnar_spill_bytes(rows)))
+        header, batch, _sections = read_spill_batch(io.BytesIO(columnar_spill_bytes(rows)))
         assert isinstance(batch, ColumnBatch)
         assert batch.to_rows() == rows
         assert header.format == SPILL_FORMAT_COLUMNAR
@@ -333,10 +355,12 @@ class TestColumnarSpillFiles:
             read_spill_batch(io.BytesIO(data))
 
     def test_packed_string_lengths_must_agree_with_the_blob(self):
+        """The blob's NUL-separated pieces are counted against the row
+        count: one separator too many is a format error, not a third row."""
         payload = bytearray(encode_batch(ColumnBatch.from_rows([{"s": "ab"}, {"s": "c"}])))
-        lengths_at = payload.index(b"u") + 1
-        assert bytes(payload[lengths_at : lengths_at + 8]) == b"\0\0\0\2\0\0\0\1"
-        payload[lengths_at + 3] = 3  # 3 + 1 code points, blob holds 3
+        blob_at = payload.index(b"z") + 2
+        assert bytes(payload[blob_at - 1 : blob_at + 4]) == b"\x04ab\0c"
+        payload[blob_at + 1] = 0  # "a", "", "c": three pieces for two rows
         data = spill_file_bytes(
             bytes(payload), spill_format=SPILL_FORMAT_COLUMNAR, row_count=2
         )
@@ -364,3 +388,51 @@ class TestColumnarSpillFiles:
             corrupted[position] ^= 1 + rng.randrange(255)
             with pytest.raises(SpillFormatError):
                 read_spill_rows(io.BytesIO(bytes(corrupted)))
+
+
+NAN = float("nan")
+#: Join keys as dict equality sees them: NULLs, ``1 == 1.0 == True``,
+#: ``-0.0 == 0.0``, one NaN object repeated and fresh NaN objects.
+INDEX_CELLS = st.one_of(
+    st.sampled_from([None, 0, 0.0, -0.0, 1, 1.0, True, False, 2, "a", "b", NAN]),
+    st.builds(float, st.just("nan")),
+    st.integers(-3, 3),
+    st.text(max_size=2),
+)
+
+
+class TestIndexSections:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(INDEX_CELLS, max_size=30), st.data())
+    def test_restored_index_is_the_one_a_build_makes(self, cells, data):
+        """A column's non-unique index, written as a section and adopted by
+        the decoded batch's holder, equals ``build_index`` over the decoded
+        column — same buckets, same key order, and every key the very object
+        at its first occurrence.  Only a NaN object at two positions keeps a
+        column out of the file: decoded, those cells are two keys."""
+        n = len(cells)
+        mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+        values = cells if mask is None else [c if p else None for c, p in zip(cells, mask)]
+        batch = ColumnBatch({"c": values}, n, {"c": mask} if mask else None).indexed()
+        (unique, _), _ = batch.key_index.lookup(values, buy=True)
+        stored = batch.key_index.storable()
+        shared_nan = any(v != v and sum(w is v for w in values) > 1 for v in values)
+        assert ("c" in stored) == (not unique and not shared_nan)
+
+        buffer = io.BytesIO()
+        write_spill_file(buffer, key=KEY, rows=batch, token="t", cost=0.0, indexes=stored)
+        _, decoded, sections = read_spill_batch(io.BytesIO(buffer.getvalue()))
+        holder = decoded.indexed().key_index
+        assert [holder.adopt(*section) for section in sections] == [True] * len(stored)
+        if stored:
+            column = decoded.columns["c"]
+            restored, expected = holder._built["c"], build_index(column)
+            assert restored == expected
+            assert all(a is b for a, b in zip(restored[1], expected[1]))
+            assert all(key is column[at[0]] for key, at in restored[1].items())
+
+    def test_unique_indexes_are_not_stored(self):
+        batch = ColumnBatch({"u": [3, 1, 2], "d": [1, 1, 2]}, 3).indexed()
+        for values in batch.columns.values():
+            batch.key_index.lookup(values, buy=True)
+        assert set(batch.key_index.storable()) == {"d"}

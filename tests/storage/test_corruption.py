@@ -3,16 +3,26 @@
 The acceptance bar: a truncated spill file, a token-mismatched file, and a
 write failing mid-spill must each degrade to a **clean cache miss** — never
 a crash, never stale rows — and the damaged file must be gone afterwards.
+A damaged *index section* (torn, flipped, spliced in from another file, or
+pointing past the column) costs less: the entry is served, and only that
+column's key index is built again.
 """
 
+import io
 import os
+from array import array
 
 import pytest
 
+from repro.algebra.expressions import col
 from repro.dag.fingerprint import RelationSignature
+from repro.execution import ColumnarExecutor
+from repro.execution.columnar import ColumnBatch
+from repro.execution.data import Database
 from repro.service.matcache import cache_key
 from repro.storage import SpillingMaterializationCache
 from repro.storage import spill as spill_module
+from repro.storage.codec import MAGIC, encode_index_sections, read_spill_header
 
 
 def key(n: int):
@@ -85,15 +95,15 @@ class TestCorruptPayloads:
 
     def test_any_flip_in_the_packed_vectors_is_a_clean_miss(self, tmp_path):
         """``rows_for`` columns are all-int and all-str, so the payload is a
-        packed int64 vector, packed string lengths and one UTF-8 blob: a
-        flip anywhere in it (length words and blob included) must cost a
+        packed int64 vector and one NUL-joined UTF-8 blob: a flip anywhere
+        in it (blob length and separators included) must cost a
         recomputation, never an exception or different rows."""
         cache = spilled_cache(tmp_path, entries=1)
         (victim_key,) = cache.disk_keys()
         victim_path = (tmp_path / "spill") / spill_module._spill_filename(victim_key)
         pristine = victim_path.read_bytes()
         start = pristine.index(b"\n", pristine.index(b"\n") + 1) + 1
-        assert b"u" in pristine[start:] and b"q" in pristine[start:]
+        assert b"z" in pristine[start:] and b"q" in pristine[start:]
         for position in range(start, len(pristine)):
             data = bytearray(pristine)
             data[position] ^= 0x41
@@ -221,3 +231,164 @@ class TestWriteFailures:
         for n in range(3):
             assert cache.get(key(n)) == rows_for(n)
         assert cache.checkpoint() == 3
+
+
+# ---------------------------------------------------------------------------
+# Index sections: a damaged one costs a rebuild of its column, nothing else.
+# ---------------------------------------------------------------------------
+
+KEY_A, KEY_B = key(0), key(1)
+PROBE = ColumnBatch({"s.k": [1, 3]}, 2)
+
+
+def indexed_table(n: int) -> ColumnBatch:
+    """40 rows whose ``t.k`` and ``t.g`` columns repeat their values."""
+    return ColumnBatch(
+        {
+            "t.k": [i % 5 for i in range(40)],
+            "t.g": [i % 3 for i in range(40)],
+            "t.v": [f"v{n}-{i}" for i in range(40)],
+        },
+        40,
+    )
+
+
+def join(executor, batch, column):
+    """``PROBE ⋈ batch`` on ``column``: the cached batch is the larger,
+    right side, so a missing index of ``column`` is built at this probe
+    (as the columnar executor's read of a cached batch, it is ``indexed``)."""
+    batch = batch.indexed()
+    equi = [(col("s.k"), col(column))]
+    pairs = executor._hash_join_pairs(PROBE, batch, equi)
+    plain = ColumnBatch(dict(batch.columns), batch.length)
+    assert pairs == ColumnarExecutor(Database())._hash_join_pairs(PROBE, plain, equi)
+
+
+def cache_with_sections(tmp_path):
+    """Entries A and B, each spilled with its ``t.k`` index; A is faulted
+    back, indexes ``t.g`` too and is evicted again, which appends that
+    section to its file.  Returns the cache (holding B) and A's path."""
+    cache = SpillingMaterializationCache(tmp_path / "spill", max_entries=1)
+    cache.ensure_token("tok")
+    executor = ColumnarExecutor(Database())
+    for k, n in ((KEY_A, 0), (KEY_B, 1)):
+        assert cache.put_batch(k, indexed_table(n), token="tok")
+        join(executor, cache.get_batch(k), "t.k")
+    faulted = cache.get_batch(KEY_A)  # spills B
+    assert set(faulted.key_index._built) == {"t.k"}
+    join(executor, faulted, "t.g")
+    assert executor.key_index_builds.value == 3
+    path = (tmp_path / "spill") / spill_module._spill_filename(KEY_A)
+    before = path.stat().st_size
+    cache.get_batch(KEY_B)  # B back (t.k restored), A out: its file gains t.g
+    assert path.stat().st_size > before
+    assert cache.statistics.spills == 2 and cache.key_indexes_restored.value == 2
+    return cache, path
+
+
+def sections_at(data: bytes) -> int:
+    """Where a spill file's index sections begin (after the payload)."""
+    header = read_spill_header(io.BytesIO(data))
+    return data.index(b"\n", len(MAGIC)) + 1 + header.payload_bytes
+
+
+def fault_and_join(cache, path):
+    """Fault A back and join on both indexed columns; returns the builds
+    that took, and checks the rows and that the entry was not dropped."""
+    restored = cache.key_indexes_restored.value
+    executor = ColumnarExecutor(Database())
+    faulted = cache.get_batch(KEY_A)
+    assert faulted.to_rows() == indexed_table(0).to_rows()
+    join(executor, faulted, "t.k")
+    join(executor, faulted, "t.g")
+    assert cache.statistics.corrupt_files_dropped == 0 and path.exists()
+    restored = cache.key_indexes_restored.value - restored
+    assert restored + executor.key_index_builds.value == 2
+    return executor.key_index_builds.value
+
+
+class TestIndexSections:
+    def test_intact_sections_spare_every_build(self, tmp_path):
+        cache, path = cache_with_sections(tmp_path)
+        assert fault_and_join(cache, path) == 0
+
+    def test_torn_append_rebuilds_that_column(self, tmp_path):
+        cache, path = cache_with_sections(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-3])  # the t.g append was cut short
+        assert fault_and_join(cache, path) == 1
+
+    def test_flipped_byte_in_a_section_rebuilds_that_column(self, tmp_path):
+        cache, path = cache_with_sections(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[sections_at(bytes(data)) + 40] ^= 0x10  # inside the t.k section's body
+        path.write_bytes(bytes(data))
+        assert fault_and_join(cache, path) == 1
+
+    def test_section_spliced_from_another_entry_is_skipped(self, tmp_path):
+        """B's ``t.k`` section is intact and names the same column, but it
+        indexes B's payload: in A's file it must not be adopted."""
+        cache, path = cache_with_sections(tmp_path)
+        cache.get_batch(KEY_A)  # evicts (and keeps) B's file
+        other = ((tmp_path / "spill") / spill_module._spill_filename(KEY_B)).read_bytes()
+        data = path.read_bytes()
+        path.write_bytes(data[: sections_at(data)] + other[sections_at(other) :])
+        cache.get_batch(KEY_B)  # A back out to disk, file as spliced
+        assert fault_and_join(cache, path) == 2
+
+    @pytest.mark.parametrize("bad", [40, -1])
+    def test_out_of_range_position_rebuilds_that_column(self, tmp_path, bad):
+        """A section whose checksums hold but whose positions point outside
+        the column (row 40 of 40, or a negative row) is refused, not read."""
+        cache, path = cache_with_sections(tmp_path)
+        data = path.read_bytes()
+        header = read_spill_header(io.BytesIO(data))
+        table = {0: array("l", [0, 5, bad]), 1: array("l", [1, 6])}
+        forged = encode_index_sections(header.checksum, {"t.k": table})
+        path.write_bytes(data[: sections_at(data)] + forged)
+        assert fault_and_join(cache, path) == 2
+
+    def test_failed_append_is_cut_back_off(self, tmp_path, monkeypatch):
+        """A write error halfway through an append counts a spill error and
+        leaves the file as it was: the entry and its older sections stay."""
+        cache = SpillingMaterializationCache(tmp_path / "spill", max_entries=1)
+        cache.ensure_token("tok")
+        executor = ColumnarExecutor(Database())
+        for k, n in ((KEY_A, 0), (KEY_B, 1)):
+            assert cache.put_batch(k, indexed_table(n), token="tok")
+            join(executor, cache.get_batch(k), "t.k")
+        join(executor, cache.get_batch(KEY_A), "t.g")  # A faulted back, B spilled
+        path = (tmp_path / "spill") / spill_module._spill_filename(KEY_A)
+        before = path.read_bytes()
+
+        class HalfWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                raise OSError("disk full")
+
+            def flush(self):
+                self.handle.flush()
+
+            def truncate(self, size):
+                self.handle.truncate(size)
+
+        def appends_fail(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            return HalfWrite(handle) if mode == "ab" else handle
+
+        monkeypatch.setattr(spill_module, "open", appends_fail, raising=False)
+        cache.get_batch(KEY_B)  # evicts A: the t.g append fails halfway
+        monkeypatch.undo()
+        assert cache.statistics.spill_errors == 1
+        assert path.read_bytes() == before
+        assert fault_and_join(cache, path) == 1  # t.k restored, t.g built again

@@ -129,6 +129,24 @@ class TestRestartDifferential:
         assert warm_rows == reference
         assert warm_materialized == 0
 
+    def test_restarted_columnar_session_gets_back_the_entries_key_indexes(
+        self, star_catalog, tmp_path
+    ):
+        """Three cold passes buy a key index on a cached entry; the snapshot
+        writes it beside the entry's rows, and the rebuilt session's fault
+        restores it instead of building it — with the same rows."""
+        spill_dir = tmp_path / "spill"
+        session = spilling_session(star_catalog, spill_dir, executor="columnar")
+        for _ in range(3):
+            cold_rows, cold_costs, _ = run_workload(session)
+        session.snapshot()
+        del session
+
+        reborn = spilling_session(star_catalog, spill_dir, executor="columnar")
+        warm_rows, warm_costs, warm_materialized = run_workload(reborn)
+        assert (warm_rows, warm_costs, warm_materialized) == (cold_rows, cold_costs, 0)
+        assert reborn.matcache.key_indexes_restored.value >= 1
+
     def test_crash_without_snapshot_is_correct_and_partially_warm(
         self, star_catalog, tmp_path
     ):

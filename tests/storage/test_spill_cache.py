@@ -5,7 +5,7 @@ in, restarts recover, stale tokens and budgets are enforced on disk exactly
 as in RAM — and a hit is *always* the rows most recently validly put,
 whichever tier served it, whichever representation (rows or a batch) the
 entry was filled, faulted or read as.  There is one on-disk layout; files
-an older release wrote keep being served.
+in an older format are dropped like corrupt ones, a clean miss.
 """
 
 import io
@@ -24,6 +24,7 @@ from repro.storage import SpillConfig, SpillingMaterializationCache
 from repro.storage import spill as spill_module
 from repro.storage.codec import (
     SPILL_FORMAT_COLUMNAR,
+    encode_batch,
     encode_value,
     read_spill_header,
     write_spill_file,
@@ -75,11 +76,11 @@ def assert_accounting(cache):
 
 def write_legacy_file(directory: Path, k, rows, *, legacy: str, token="tok", cost=2.0):
     """One spill file as a previous release would have left it: ``format1``
-    (the row payload, one value-encoded list of dict rows) or ``format2``
-    without ``accounted_bytes``."""
+    (the row payload, one value-encoded list of dict rows) or
+    ``unaccounted``, today's format without ``accounted_bytes``."""
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / spill_module._spill_filename(k)
-    if legacy == "format2":
+    if legacy == "unaccounted":
         with open(path, "wb") as handle:
             write_spill_file(handle, key=k, rows=rows, token=token, cost=cost)
         return path
@@ -290,7 +291,7 @@ class TestDiskBudget:
 
 
 class TestOneLayout:
-    """Every file is columnar (format 2) with the accounted size in its
+    """Every file is columnar (format 3) with the accounted size in its
     header; entries move between the tiers as batches."""
 
     @pytest.mark.parametrize("as_batch", [False, True])
@@ -348,14 +349,33 @@ class TestOneLayout:
         assert not any(path.exists() for path in paths)
         assert_accounting(reborn)
 
+    def test_format2_file_is_a_clean_miss(self, tmp_path):
+        """Format-2 files (the layout before index sections) are an
+        unsupported format too: dropped at recovery, then recomputed."""
+        directory = tmp_path / "spill"
+        directory.mkdir()
+        path = directory / spill_module._spill_filename(key(1))
+        payload = encode_batch(ColumnBatch.from_rows(rows_for(1)))
+        path.write_bytes(
+            spill_file_bytes(payload, spill_format=2, row_count=len(rows_for(1)), key=key(1))
+        )
+        reborn = make(tmp_path)
+        reborn.ensure_token("tok")
+        assert fetch(reborn, key(1), as_batch=True) is None
+        stats = reborn.statistics.as_dict()
+        assert (stats["recovered"], stats["corrupt_files_dropped"], stats["misses"]) == (0, 1, 1)
+        assert not path.exists()
+        assert fill(reborn, key(1), rows_for(1), as_batch=True, token="tok")
+        assert fetch(reborn, key(1)) == rows_for(1)
+
     @pytest.mark.parametrize("as_batch", [False, True])
     def test_old_format_directory_is_served_by_a_new_process(self, tmp_path, as_batch):
-        """A directory of format-2 files from before the header carried
+        """A directory of files whose header does not carry
         ``accounted_bytes`` faults in with the right rows, sizes and
-        counters — and is re-spilled in today's layout only when its
-        entries are refilled."""
+        counters — and is re-spilled with it only when its entries are
+        refilled."""
         for n in range(4):
-            write_legacy_file(tmp_path / "spill", key(n), rows_for(n), legacy="format2")
+            write_legacy_file(tmp_path / "spill", key(n), rows_for(n), legacy="unaccounted")
         reborn = make(tmp_path, max_entries=4)
         assert reborn.statistics.recovered == 4
         reborn.ensure_token("tok")
@@ -367,7 +387,7 @@ class TestOneLayout:
         assert (stats["faults"], stats["hits"], stats["misses"]) == (4, 4, 0)
         assert stats["corrupt_files_dropped"] == stats["stale_files_dropped"] == 0
         assert_accounting(reborn)
-        # Evicting a faulted entry keeps its (old-format) file: no rewrite...
+        # Evicting a faulted entry keeps its file (no accounted size): no rewrite...
         reborn.max_entries = 1
         reborn.put(key(9), rows_for(9), token="tok")
         assert reborn.statistics.evictions == 4 and reborn.statistics.spills == 0
