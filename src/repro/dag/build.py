@@ -169,6 +169,11 @@ class DagBuilder:
         # intern_query's answers per plan: the memo only grows, so a known
         # plan's groups stay exactly where the first interning put them.
         self._interned: Dict[LogicalPlan, Tuple[int, Tuple[int, ...]]] = {}
+        # _split_plan's answers per (source set, join-graph edges).
+        self._split_plans: Dict[
+            Tuple[FrozenSet[str], FrozenSet[FrozenSet[str]]],
+            Tuple[Tuple[FrozenSet[str], FrozenSet[FrozenSet[str]]], ...],
+        ] = {}
 
     # ------------------------------------------------------------------ API
 
@@ -248,7 +253,7 @@ class DagBuilder:
 
         estimator = self._make_estimator(infos)
         predicates = frozenset(block.predicates)
-        top = self._expand_spj(infos, predicates, estimator)
+        top = self._expand_spj(infos, predicates, estimator, {})
 
         if block.aggregation is not None:
             top = self._add_aggregate(top, block, estimator)
@@ -292,7 +297,20 @@ class DagBuilder:
         infos: Mapping[str, _SourceInfo],
         predicates: FrozenSet[Predicate],
         estimator: SelectivityEstimator,
+        resolved: Dict[FrozenSet[str], int],
     ) -> int:
+        """Create (or find) and expand the SPJ group over ``infos`` and ``predicates``.
+
+        A multi-source group gets one join per split its :meth:`_split_plan`
+        chooses.  ``resolved`` maps the alias subsets this top-level call
+        has already expanded to their group ids: below the top, a subset's
+        predicates are the top-level predicates it fully contains, so a
+        repeated subset is answered without rebuilding its infos,
+        predicates or signature.  The ``aliases`` and predicate frozensets
+        a group is created with are built as they always were: ``rows``
+        multiplies over ``aliases`` in its iteration order, and that order
+        decides the last bit of the float.
+        """
         aliases = frozenset(infos)
         if len(aliases) == 1 and not predicates:
             return infos[next(iter(aliases))].group_id
@@ -327,20 +345,12 @@ class DagBuilder:
 
         # Every split reads each predicate's sources; work them out once.
         sourced = [(p, referenced_qualifiers(p)) for p in predicates]
-        splits = list(self._enumerate_splits(aliases, sourced))
-        connected = [s for s in splits if s[3]]
-        chosen = connected or splits
-        for left_aliases, right_aliases, cross_preds, _ in chosen:
-            left_id = self._expand_spj(
-                {a: infos[a] for a in left_aliases},
-                self._predicates_within(sourced, left_aliases),
-                estimator,
-            )
-            right_id = self._expand_spj(
-                {a: infos[a] for a in right_aliases},
-                self._predicates_within(sourced, right_aliases),
-                estimator,
-            )
+        edges = frozenset(quals for _, quals in sourced if len(quals) >= 2)
+        for left_aliases, crossing in self._split_plan(aliases, edges):
+            right_aliases = aliases - left_aliases
+            left_id = self._expand_subset(infos, sourced, left_aliases, estimator, resolved)
+            right_id = self._expand_subset(infos, sourced, right_aliases, estimator, resolved)
+            cross_preds = frozenset(p for p, quals in sourced if quals in crossing)
             join_pred = (
                 conjunction(self._canonical_predicates(cross_preds)) if cross_preds else None
             )
@@ -350,70 +360,86 @@ class DagBuilder:
                     predicate=join_pred,
                     left=left_id,
                     right=right_id,
-                    left_aliases=frozenset(left_aliases),
-                    right_aliases=frozenset(right_aliases),
+                    left_aliases=left_aliases,
+                    right_aliases=right_aliases,
                 ),
             )
         return group.id
+
+    def _expand_subset(
+        self,
+        infos: Mapping[str, _SourceInfo],
+        sourced: Sequence[Tuple[Predicate, FrozenSet[str]]],
+        subset: FrozenSet[str],
+        estimator: SelectivityEstimator,
+        resolved: Dict[FrozenSet[str], int],
+    ) -> int:
+        """The group of one side of a split: the predicates within ``subset``."""
+        group_id = resolved.get(subset)
+        if group_id is None:
+            group_id = resolved[subset] = self._expand_spj(
+                {a: infos[a] for a in subset},
+                frozenset(p for p, quals in sourced if quals and quals <= subset),
+                estimator,
+                resolved,
+            )
+        return group_id
 
     @staticmethod
     def _canonical_predicates(predicates: Iterable[Predicate]) -> Tuple[Predicate, ...]:
         return tuple(sorted(predicates, key=str))
 
-    @staticmethod
-    def _predicates_within(
-        sourced: Sequence[Tuple[Predicate, FrozenSet[str]]], aliases: FrozenSet[str]
-    ) -> FrozenSet[Predicate]:
-        """Predicates that only reference sources inside ``aliases``.
+    def _split_plan(
+        self, aliases: FrozenSet[str], edges: FrozenSet[FrozenSet[str]]
+    ) -> Tuple[Tuple[FrozenSet[str], FrozenSet[FrozenSet[str]]], ...]:
+        """The join splits of a source set, as ``(left, crossing)`` pairs.
 
-        ``sourced`` pairs every predicate with its referenced qualifiers.
+        ``edges`` are the qualifier sets of the predicates naming at least
+        two sources: a predicate naming one source neither crosses a split
+        nor connects one, so the plan depends on nothing else and is worked
+        out once per builder.  Of all unordered two-way splits, the plan
+        keeps the well-connected ones — joined by at least one predicate,
+        each side connected in the join graph: the splits exhaustive
+        associativity/commutativity would generate without introducing
+        Cartesian products — and all of them when none is.  ``crossing``
+        holds the qualifier sets of the split's join predicates.
         """
-        return frozenset(p for p, quals in sourced if quals and quals <= aliases)
-
-    def _enumerate_splits(
-        self, aliases: FrozenSet[str], sourced: Sequence[Tuple[Predicate, FrozenSet[str]]]
-    ) -> Iterable[Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[Predicate], bool]]:
-        """All unordered two-way splits of the source set.
-
-        ``sourced`` pairs every predicate with its referenced qualifiers.
-        Yields ``(left, right, cross_predicates, well_connected)`` where
-        ``well_connected`` means the split is joined by at least one
-        predicate and each side is itself connected in the join graph —
-        the splits exhaustive associativity/commutativity would generate
-        without introducing Cartesian products.
-        """
-        ordered = sorted(aliases)
-        anchor, rest = ordered[0], ordered[1:]
-        for size in range(len(rest)):
-            for combo in itertools.combinations(rest, size):
-                left = frozenset({anchor, *combo})
-                right = aliases - left
-                cross = frozenset(
-                    p
-                    for p, quals in sourced
-                    if quals and quals & left and quals & right and quals <= aliases
-                )
-                well_connected = (
-                    bool(cross)
-                    and self._is_connected(left, sourced)
-                    and self._is_connected(right, sourced)
-                )
-                yield left, right, cross, well_connected
+        key = (aliases, edges)
+        plan = self._split_plans.get(key)
+        if plan is None:
+            splits = []
+            ordered = sorted(aliases)
+            anchor, rest = ordered[0], ordered[1:]
+            for size in range(len(rest)):
+                for combo in itertools.combinations(rest, size):
+                    left = frozenset({anchor, *combo})
+                    right = aliases - left
+                    crossing = frozenset(
+                        quals
+                        for quals in edges
+                        if quals <= aliases and quals & left and quals & right
+                    )
+                    well_connected = (
+                        bool(crossing)
+                        and self._is_connected(left, edges)
+                        and self._is_connected(right, edges)
+                    )
+                    splits.append((left, crossing, well_connected))
+            chosen = [s for s in splits if s[2]] or splits
+            plan = self._split_plans[key] = tuple((left, crossing) for left, crossing, _ in chosen)
+        return plan
 
     @staticmethod
-    def _is_connected(
-        aliases: FrozenSet[str], sourced: Sequence[Tuple[Predicate, FrozenSet[str]]]
-    ) -> bool:
+    def _is_connected(aliases: FrozenSet[str], edges: Iterable[FrozenSet[str]]) -> bool:
         """Whether the join graph restricted to ``aliases`` is connected."""
         if len(aliases) <= 1:
             return True
         adjacency: Dict[str, set] = {a: set() for a in aliases}
-        for _, quals in sourced:
+        for quals in edges:
             quals = quals & aliases
             if len(quals) < 2:
                 continue
-            quals = sorted(quals)
-            for a, b in itertools.combinations(quals, 2):
+            for a, b in itertools.combinations(sorted(quals), 2):
                 adjacency[a].add(b)
                 adjacency[b].add(a)
         seen = set()
@@ -488,7 +514,7 @@ class DagBuilder:
                 width=group.row_width,
                 table=signature.table if isinstance(signature, RelationSignature) else None,
             )
-        return self._expand_spj(infos, predicates, self._make_estimator(infos))
+        return self._expand_spj(infos, predicates, self._make_estimator(infos), {})
 
     def or_group_budget_left(self, sources: FrozenSet) -> bool:
         return self._or_groups_created.get(sources, 0) < self.config.max_or_groups_per_sources

@@ -217,6 +217,14 @@ class BatchDag:
         result is used to decide which physical property a materialized node
         should be stored with (the PQDAG-level physical property handling of
         Roy et al., reduced to sort orders).
+
+        A group's tuple holds every direct request (repeats included, their
+        count ranks the orders) and, once each, every order a selection
+        above it passes down that no direct request named.  Selections are
+        followed in one pass over the scoped groups by descending
+        :meth:`rank`: every consumer ranks above its inputs, so a group's
+        requests are complete before it passes them on, however deep the
+        chain of selections.
         """
         from ..algebra.properties import SortOrder
         from .memo import AggregateMExpr, JoinMExpr, SelectMExpr, equijoin_keys
@@ -235,19 +243,17 @@ class BatchDag:
                 elif isinstance(mexpr, AggregateMExpr) and mexpr.group_by:
                     requested[mexpr.child].append(SortOrder(tuple(mexpr.group_by)))
 
-        # Selections propagate their own requirements to their child, so
-        # iterate to a fixpoint (the DAG is acyclic; depth bounds the passes).
-        for _ in range(32):
-            changed = False
-            for gid in scoped:
-                for mexpr in self.iter_mexprs(gid):
-                    if isinstance(mexpr, SelectMExpr):
-                        for order in requested[gid]:
-                            if order not in requested[mexpr.child]:
-                                requested[mexpr.child].append(order)
-                                changed = True
-            if not changed:
-                break
+        # Selections pass their group's requests down, consumers first.
+        for gid in sorted(scoped, key=self.rank, reverse=True):
+            orders = requested[gid]
+            if not orders:
+                continue
+            for mexpr in self.iter_mexprs(gid):
+                if isinstance(mexpr, SelectMExpr):
+                    below = requested[mexpr.child]
+                    for order in orders:
+                        if order not in below:
+                            below.append(order)
 
         return {gid: tuple(orders) for gid, orders in requested.items()}
 
@@ -263,11 +269,15 @@ class BatchDag:
         from collections import Counter
 
         interesting = self.interesting_orders()
+        text: Dict["SortOrder", str] = {}  # one str per order, however many groups rank it
         candidates: List[MaterializationChoice] = []
         for gid in self.shareable_nodes():
             candidates.append(MaterializationChoice(gid))
             counts = Counter(interesting.get(gid, ()))
-            ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
+            for order in counts:
+                if order not in text:
+                    text[order] = str(order)
+            ranked = sorted(counts.items(), key=lambda item: (-item[1], text[item[0]]))
             for order, _ in ranked[:MAX_SORTED_CANDIDATES]:
                 if order:
                     candidates.append(MaterializationChoice(gid, order))

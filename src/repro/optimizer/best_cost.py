@@ -160,7 +160,14 @@ class BestCostEngine:
         return result
 
     def _start_table(self, key: FrozenSet) -> PlanTable:
-        """The plan table ``best_cost`` should move to ``key``."""
+        """The plan table ``best_cost`` should move to ``key``.
+
+        That is a fork of the remembered table fewest toggles away, most
+        recent first, ∅'s (``len(key)`` away) unless another is closer.
+        For a key of at most one element only an identical key could be
+        closer, and that key would have been a result-cache hit, so ∅'s
+        table is forked without scanning the others.
+        """
         if not self.incremental:
             self._statistics.full_evaluations += 1
             return PlanTable()
@@ -171,11 +178,12 @@ class BestCostEngine:
                 return self._empty
             self._derive(frozenset())  # every other table is held against ∅'s
         base, distance = self._empty, len(key)
-        for other, (_, table) in reversed(self._results.items()):
-            difference = len(key ^ other)
-            if difference < distance:
-                base, distance = table, difference
-                if distance == 1:
-                    break
+        if distance > 1:
+            for other, (_, table) in reversed(self._results.items()):
+                difference = len(key ^ other)
+                if difference < distance:
+                    base, distance = table, difference
+                    if distance == 1:
+                        break
         self._statistics.incremental_evaluations += 1
         return base.fork()

@@ -87,10 +87,12 @@ def normalize_materialized(materialized: Iterable) -> Dict[int, Tuple[SortOrder,
         orders = stored.setdefault(gid, [])
         if order not in orders:
             orders.append(order)
-    return {
-        gid: tuple(sorted(orders, key=lambda o: (bool(o), str(o))))
-        for gid, orders in stored.items()
-    }
+    return {gid: tuple(sorted(orders, key=_order_key)) for gid, orders in stored.items()}
+
+
+def _order_key(order: SortOrder) -> Tuple[bool, str]:
+    """Where a stored order goes among its group's: unsorted first, then by text."""
+    return bool(order), str(order)
 
 
 class BestCostResult:
@@ -318,6 +320,10 @@ class VolcanoOptimizer:
         self._consumers: List[List[int]] = []
         self._orders: List[SortOrder] = [ANY_ORDER]
         self._order_ids: Dict[SortOrder, int] = {ANY_ORDER: _ANY}
+        # Per order id, the key normalize_materialized sorts a group's orders by.
+        self._order_keys: List[Tuple[bool, str]] = [_order_key(ANY_ORDER)]
+        # Per materialized element, its (group id, stored order id).
+        self._elements: Dict[object, Tuple[int, int]] = {}
         self._satisfied: Dict[Tuple[int, int], bool] = {(_ANY, _ANY): True}
 
     # ------------------------------------------------------------------ API
@@ -406,11 +412,29 @@ class VolcanoOptimizer:
     # --------------------------------------------------------------- plan DP
 
     def _stored(self, materialized: Iterable) -> Dict[int, Tuple[int, ...]]:
-        """A set as a :class:`PlanTable` holds it: ``{group id: stored order ids}``."""
-        return {
-            gid: tuple(map(self._order_id, orders))
-            for gid, orders in normalize_materialized(materialized).items()
-        }
+        """A set as a :class:`PlanTable` holds it: ``{group id: stored order ids}``.
+
+        The same mapping as :func:`normalize_materialized` followed by
+        :meth:`_order_id`, read from what the optimizer already knows: each
+        element's ``(group id, order id)`` is split once per optimizer, and
+        a group's orders sort by the ``(bool(o), str(o))`` key their order
+        id got when it was interned.
+        """
+        elements = self._elements
+        stored: Dict[int, List[int]] = {}
+        for element in materialized:
+            pair = elements.get(element)
+            if pair is None:
+                gid, order = split_candidate(element)
+                pair = elements[element] = (gid, self._order_id(order))
+            gid, order_id = pair
+            orders = stored.get(gid)
+            if orders is None:
+                stored[gid] = [order_id]
+            elif order_id not in orders:
+                orders.append(order_id)
+        keys = self._order_keys.__getitem__
+        return {gid: tuple(sorted(orders, key=keys)) for gid, orders in stored.items()}
 
     def _writes(self, stored: Dict[int, Tuple[int, ...]]) -> List[Tuple[_State, int]]:
         """``(state computing the node, stored order id)`` per element of the set, sorted."""
@@ -586,6 +610,7 @@ class VolcanoOptimizer:
         if ident is None:
             ident = self._order_ids[order] = len(self._orders)
             self._orders.append(order)
+            self._order_keys.append(_order_key(order))
             for other, known in enumerate(self._orders):
                 self._satisfied[ident, other] = order.satisfies(known)
                 self._satisfied[other, ident] = known.satisfies(order)
