@@ -1,15 +1,16 @@
 """The executor-backend registry: name → Executor class.
 
 The serving layer selects its execution backend by name
-(``OptimizerSession(catalog, executor="columnar")``) so sessions, the
-benchmark and the CLI runner can plumb one string through instead of
-importing executor classes.  Four backends ship:
+(``OptimizerSession(catalog, executor="row")``) so sessions, the benchmark
+and the tests can plumb one string through instead of importing executor
+classes.  Four backends ship:
 
+* ``"columnar"`` — the vectorized backend
+  (:class:`~repro.execution.columnar.executor.ColumnarExecutor`), the
+  default every session serves through;
 * ``"row"`` — the tuple-at-a-time interpreter
   (:class:`~repro.execution.executor.Executor`); slow but transparently
   simple, kept as the differential oracle;
-* ``"columnar"`` — the vectorized backend
-  (:class:`~repro.execution.columnar.executor.ColumnarExecutor`);
 * ``"sqlite"`` — the SQL oracle
   (:class:`~repro.execution.sql.executor.SQLiteExecutor`): plans rendered
   to SQL and executed on stdlib ``sqlite3``, an engine-independent ground
@@ -27,14 +28,14 @@ from .executor import Executor
 
 __all__ = ["DEFAULT_BACKEND", "available_backends", "resolve_backend"]
 
-DEFAULT_BACKEND = "row"
+DEFAULT_BACKEND = "columnar"
 
 
 def _registry() -> Dict[str, Type[Executor]]:
-    # Imported lazily so `repro.execution` does not pay for the columnar or
-    # SQL modules on the (default) row path.  Importing the SQL module never
-    # imports duckdb itself — that happens when a DuckDBExecutor is built —
-    # so the optional dependency stays optional at registry level.
+    # Imported lazily: the columnar and SQL modules import the row executor.
+    # Importing the SQL module never imports duckdb itself — that happens
+    # when a DuckDBExecutor is built — so the optional dependency stays
+    # optional at registry level.
     from .columnar.executor import ColumnarExecutor
     from .sql.executor import DuckDBExecutor, SQLiteExecutor
 
@@ -56,8 +57,8 @@ def resolve_backend(name: str) -> Type[Executor]:
     """The executor class registered under ``name``.
 
     Raises ``ValueError`` (listing the valid names) for unknown backends so
-    a typo in a session argument or CLI flag fails loudly at construction,
-    not at first execution.
+    a typo in a session argument fails loudly at construction, not at first
+    execution.
     """
     registry = _registry()
     try:

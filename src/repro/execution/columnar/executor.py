@@ -121,11 +121,6 @@ def _extend(needed: Needed, refs) -> Needed:
 class ColumnarExecutor(Executor):
     """Vectorized drop-in for :class:`~repro.execution.executor.Executor`."""
 
-    #: Hint for callers holding cached batches (the session's matcache path):
-    #: this backend consumes ``ColumnBatch`` store values directly and hands
-    #: its materializations out as batches (``fill_listener`` / ``observer``).
-    prefers_batches = True
-
     def __init__(self, database: Database):
         super().__init__(database)
         self.key_index_builds = Counter("execution_key_index_builds")
@@ -140,17 +135,17 @@ class ColumnarExecutor(Executor):
 
     # ------------------------------------------------------------- overrides
 
-    def _run(self, plan: PhysicalPlan, store: Mapping[int, List[Row]]) -> List[Row]:
+    def _run(self, plan: PhysicalPlan, store: Mapping[int, ColumnBatch]) -> List[Row]:
         return self._vector(plan, store, None).to_rows()
 
-    def _materialize(self, plan: PhysicalPlan, store: Mapping[int, List[Row]]) -> ColumnBatch:
+    def _materialize(self, plan: PhysicalPlan, store: Mapping[int, ColumnBatch]) -> ColumnBatch:
         # No late materialization for a result only plans read back.
         return self._vector(plan, store, None)
 
     # ------------------------------------------------------------- dispatch
 
     def _vector(
-        self, plan: PhysicalPlan, store: Mapping[int, List[Row]], needed: Needed
+        self, plan: PhysicalPlan, store: Mapping[int, ColumnBatch], needed: Needed
     ) -> ColumnBatch:
         op = plan.op
         if op is PhysicalOp.TABLE_SCAN:
@@ -532,18 +527,13 @@ class ColumnarExecutor(Executor):
         return ColumnBatch(out_columns, len(members))
 
     def _read_materialized(
-        self, plan: PhysicalPlan, store: Mapping[int, List[Row]], needed: Needed
+        self, plan: PhysicalPlan, store: Mapping[int, ColumnBatch], needed: Needed
     ) -> ColumnBatch:
         if plan.group not in store:
             raise ExecutionError(f"materialized result for G{plan.group} is not available")
-        batch = store[plan.group]
-        if not isinstance(batch, ColumnBatch):
-            # Rows handed in by the caller: transposed once per call (the
-            # store is this call's own dict).
-            batch = store[plan.group] = ColumnBatch.from_rows(batch)
         # What plans read back outlives the operator that made it: it is a
         # cache entry or this call's own materialization.
-        batch = batch.indexed()
+        batch = store[plan.group].indexed()
         if needed is not None:
             batch = batch.select(_prune_names(list(batch.columns), needed))
         return batch

@@ -6,13 +6,18 @@ MQO sharing machinery (a consolidated plan reading materialized results
 must return the same rows as the unshared plans), not to be fast: joins are
 executed as hash joins on the equi-join columns with a residual filter, and
 all intermediate results are fully materialized in memory.
+
+Stored materializations are :class:`~repro.execution.columnar.batch
+.ColumnBatch` values for every backend.  This interpreter converts at its
+own edge: it transposes what it materializes, and ``READ_MATERIALIZED``
+reads fresh row dicts back out.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..algebra.expressions import (
     AggregateExpr,
@@ -35,6 +40,9 @@ from .evaluate import (
     resolve_in_names,
     total_order_key,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the columnar package imports this module
+    from .columnar.batch import ColumnBatch
 
 __all__ = ["ExecutionError", "Executor"]
 
@@ -68,12 +76,12 @@ class Executor:
     def execute(
         self,
         plan: PhysicalPlan,
-        materialized: Optional[Mapping[int, List[Row]]] = None,
+        materialized: Optional[Mapping[int, ColumnBatch]] = None,
     ) -> List[Row]:
         """Execute one plan; ``materialized`` maps group ids to stored results."""
         return self._run(plan, self._make_store(materialized))
 
-    def _make_store(self, materialized: Optional[Mapping[int, List[Row]]]) -> Dict:
+    def _make_store(self, materialized: Optional[Mapping[int, ColumnBatch]]) -> Dict:
         """The mutable materialized-results store one execution call works on.
 
         A hook so backends can attach per-call state to the store (the SQL
@@ -84,10 +92,10 @@ class Executor:
     def execute_result(
         self,
         result: BestCostResult,
-        materialized: Optional[Mapping[int, List[Row]]] = None,
-        fill_listener: Optional[Callable[[int, PhysicalPlan, List[Row]], None]] = None,
+        materialized: Optional[Mapping[int, ColumnBatch]] = None,
+        fill_listener: Optional[Callable[[int, PhysicalPlan, ColumnBatch], None]] = None,
         queries: Optional[Iterable[str]] = None,
-        observer: Optional[Callable[[PhysicalPlan, List[Row], float], None]] = None,
+        observer: Optional[Callable[[PhysicalPlan, object, float], None]] = None,
     ) -> Dict[str, List[Row]]:
         """Execute a whole ``bestCost`` result: materializations first, then queries.
 
@@ -96,19 +104,21 @@ class Executor:
 
         Args:
             result: the consolidated plan (query plans + materialization plans).
-            materialized: already-available rows per group id (cache hits from
-                a :class:`~repro.service.matcache.MaterializationCache`); the
+            materialized: already-available ``ColumnBatch`` results per group
+                id (cache hits from a
+                :class:`~repro.service.matcache.MaterializationCache`); the
                 corresponding materialization plans are *not* re-executed.
-            fill_listener: called as ``fill_listener(gid, plan, rows)`` for
+            fill_listener: called as ``fill_listener(gid, plan, batch)`` for
                 every materialization actually computed by this call, so a
-                cache can be populated with the freshly produced rows (in
-                the backend's stored form, see :meth:`_materialize`).
+                cache can be populated with the freshly produced
+                ``ColumnBatch``.
             queries: restrict row production to these query names (all when
                 ``None``); materializations always run — they are the shared
                 state the restriction is meant to avoid recomputing later.
-            observer: instrumentation hook called as ``observer(plan, rows,
-                elapsed_seconds)`` for every materialization (same stored
-                form) and query plan this call actually *executed* (cache hits are not observed —
+            observer: instrumentation hook called as ``observer(plan, result,
+                elapsed_seconds)`` for every materialization (its
+                ``ColumnBatch``) and query plan (its row list) this call
+                actually *executed* (cache hits are not observed —
                 nothing was measured).  The hook only fires after a plan ran
                 successfully; an operator error propagates before the failed
                 plan is observed.  Callers aggregating observations across a
@@ -116,7 +126,7 @@ class Executor:
                 method raises, so a failing query cannot leak partial
                 measurements into a statistics store.
         """
-        store: Dict[int, List[Row]] = self._make_store(materialized)
+        store: Dict[int, ColumnBatch] = self._make_store(materialized)
         pending = {
             gid: plan
             for gid, plan in result.materialization_plans.items()
@@ -148,10 +158,10 @@ class Executor:
     def _timed_run(
         run: Callable,
         plan: PhysicalPlan,
-        store: Mapping[int, List[Row]],
-        observer: Optional[Callable[[PhysicalPlan, List[Row], float], None]],
-    ) -> List[Row]:
-        """Run one top-level plan, reporting (rows, wall seconds) on success."""
+        store: Mapping[int, ColumnBatch],
+        observer: Optional[Callable[[PhysicalPlan, object, float], None]],
+    ):
+        """Run one top-level plan, reporting (result, wall seconds) on success."""
         if observer is None:
             return run(plan, store)
         started = time.perf_counter()
@@ -159,14 +169,15 @@ class Executor:
         observer(plan, rows, time.perf_counter() - started)
         return rows
 
-    def _materialize(self, plan: PhysicalPlan, store: Mapping[int, List[Row]]):
-        """A materialization plan's result in the form this backend stores
-        and re-reads it: rows here, a ``ColumnBatch`` in the columnar one."""
-        return self._run(plan, store)
+    def _materialize(self, plan: PhysicalPlan, store: Mapping[int, ColumnBatch]) -> ColumnBatch:
+        """A materialization plan's result in its stored form."""
+        from .columnar.batch import ColumnBatch  # lazy: columnar imports this module
+
+        return ColumnBatch.from_rows(self._run(plan, store))
 
     # ------------------------------------------------------------- operators
 
-    def _run(self, plan: PhysicalPlan, store: Mapping[int, List[Row]]) -> List[Row]:
+    def _run(self, plan: PhysicalPlan, store: Mapping[int, ColumnBatch]) -> List[Row]:
         op = plan.op
         if op is PhysicalOp.TABLE_SCAN:
             return self._scan(plan)
@@ -199,7 +210,7 @@ class Executor:
         if op is PhysicalOp.READ_MATERIALIZED:
             if plan.group not in store:
                 raise ExecutionError(f"materialized result for G{plan.group} is not available")
-            return [dict(row) for row in store[plan.group]]
+            return store[plan.group].to_rows()
         raise ExecutionError(f"cannot execute operator {op}")
 
     def _scan(self, plan: PhysicalPlan) -> List[Row]:

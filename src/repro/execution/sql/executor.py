@@ -32,6 +32,7 @@ import threading
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ...analysis.sanitizer import sanitize_lock
+from ..columnar.batch import ColumnBatch
 from ..data import Database, Row
 from ..executor import ExecutionError, Executor
 from .render import render_plan
@@ -52,9 +53,10 @@ def _union_columns(rows: List[Row]) -> Tuple[str, ...]:
 class _SQLStore(dict):
     """The materialized-results store plus the groups' temp-table names.
 
-    ``execute_result`` keeps materializations as row lists (the contract the
-    cache layer sees); this remembers which groups were also loaded into the
-    engine as temp tables, so several readers of one group load it once.
+    ``execute_result`` keeps materializations as ``ColumnBatch`` values (the
+    form the cache layer holds); this remembers which groups were also
+    loaded into the engine as temp tables, so several readers of one group
+    load it once.
     """
 
     __slots__ = ("tables",)
@@ -69,10 +71,6 @@ class SQLExecutor(Executor):
 
     #: Overridden by subclasses; selects the driver in :mod:`.driver`.
     driver_name = "sqlite"
-
-    #: The oracle consumes and produces plain row lists; the session's cache
-    #: path must hand it rows, not ColumnBatch values.
-    prefers_batches = False
 
     def __init__(self, database: Database, *, driver=None):
         super().__init__(database)
@@ -151,11 +149,10 @@ class SQLExecutor(Executor):
     def _make_store(self, materialized) -> Dict:
         return _SQLStore(materialized if materialized is not None else {})
 
-    def _temp_table_for(self, gid: int, store: Mapping[int, List[Row]]) -> Tuple[str, Tuple[str, ...]]:
+    def _temp_table_for(self, gid: int, store: Mapping[int, ColumnBatch]) -> Tuple[str, Tuple[str, ...]]:
         if isinstance(store, _SQLStore) and gid in store.tables:
             return store.tables[gid]
-        stored = store[gid]
-        rows = stored.to_rows() if hasattr(stored, "to_rows") else stored
+        rows = store[gid].to_rows()
         columns = _union_columns(rows)
         table = f"__mat_{self._call}_g{gid}"
         self._driver.create_table(

@@ -13,7 +13,7 @@ Two implementations share one surface:
 
 * :class:`Tracer` — the real thing: thread-local span stacks, per-trace
   sampling decided at the root, records pushed to a sink (the JSONL writer
-  for ``--serve --trace-dir``, an in-memory sink for tests).
+  for a trace directory, an in-memory sink for tests).
 * :class:`NullTracer` (the module singleton :data:`NULL_TRACER`) — the
   disabled mode.  Every method is a constant-return no-op and ``span()``
   hands back one preallocated null context manager, so an uninstrumented
@@ -275,7 +275,7 @@ class JsonlTraceWriter:
 
     ``target`` may be a directory — the writer then creates
     ``trace-<pid>.jsonl`` inside it, so several processes sharing one
-    ``--trace-dir`` never interleave partial lines.  Records a json encoder
+    trace directory never interleave partial lines.  Records a json encoder
     cannot serialize degrade via ``repr`` rather than failing the traced
     request (tracing must never break serving).
     """

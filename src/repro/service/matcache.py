@@ -11,17 +11,16 @@ results keyed by the memo's **semantic fingerprint**
 never by memo group id, which is interning-order dependent — so one cache
 serves every batch of a session, and would even survive a session rebuild.
 
-An entry is stored in **one representation** — the frozen row dicts a row
-backend :meth:`~MaterializationCache.put`, or the
-:class:`~repro.execution.columnar.batch.ColumnBatch` the columnar backend
-:meth:`~MaterializationCache.put_batch` (and the disk tier faults in) — and
-the other view is derived when a reader asks for it: ``get`` always hands
-out fresh row dicts, ``get_batch`` the shared batch (transposed once per
-row-filled entry).  Hit, miss and fault accounting is one code path
-(``_hit_locked``), so backends can be mixed freely on one cache.
+An entry holds one form: the
+:class:`~repro.execution.columnar.batch.ColumnBatch` the executors hand
+:meth:`~MaterializationCache.put_batch` (and the disk tier faults in).
+:meth:`~MaterializationCache.put` and :meth:`~MaterializationCache.get` are
+the row edge — rows are transposed into a batch on the way in, and a read
+hands out fresh row dicts — while ``get_batch`` serves the shared batch.
+Hit, miss and fault accounting is one code path (``_hit_locked``).
 
 The cache does byte-size accounting (a deterministic per-row estimate,
-computed once per entry at fill and identical for both representations),
+computed once per entry at fill),
 policy-driven eviction, and token-based invalidation: the
 session stamps every fill with the database's
 :attr:`~repro.execution.data.Database.version`, and a fill whose token no
@@ -47,6 +46,7 @@ from ..adaptive.policy import CachePolicy, CostLRUPolicy
 from ..algebra.properties import SortOrder
 from ..analysis.sanitizer import sanitize_lock
 from ..dag.fingerprint import Signature, canonical_key
+from ..execution.columnar.batch import ColumnBatch
 from ..obs import Observability, StatisticsView, metric_field
 
 __all__ = [
@@ -103,7 +103,7 @@ def estimate_rows_bytes(rows: Iterable[Row]) -> int:
 _FIXED_BYTES = {type(None): 1, bool: 1, int: 8, float: 8}
 
 
-def estimate_batch_bytes(batch) -> int:
+def estimate_batch_bytes(batch: ColumnBatch) -> int:
     """Exactly ``estimate_rows_bytes(batch.to_rows())``, sized per column.
 
     A column whose present values share one plain type is sized without
@@ -147,14 +147,10 @@ class CacheStatistics(StatisticsView):
 
 @dataclass
 class _Entry:
-    """One cached result: frozen ``rows`` or a ``batch``, whichever the
-    filler produced.  A row-filled entry memoizes its columnar view in
-    ``batch`` on the first :meth:`~MaterializationCache.get_batch`; entries
-    are immutable once stored — a refill builds a new ``_Entry`` — so the
-    memo can never go stale.  ``bytes`` is computed once, at fill."""
+    """One cached result.  ``batch`` is immutable once stored — a refill
+    builds a new ``_Entry`` — and ``bytes`` is computed once, at fill."""
 
-    rows: Optional[Tuple[Row, ...]]
-    batch: Optional[object]
+    batch: ColumnBatch
     bytes: int
     cost: float
     hits: int = 0
@@ -174,9 +170,9 @@ class MaterializationCache:
             prefers rows that are expensive to recompute, popular, and
             small — the behaviour of earlier releases, bit for bit.
 
-    Entries are copied in on :meth:`put` and copied out on :meth:`get`, so a
-    caller can never corrupt cached rows by mutating what it was handed (the
-    executor merges row dicts in place while joining).
+    Rows are transposed in on :meth:`put` and copied out on :meth:`get`, so
+    a caller can never corrupt cached rows by mutating what it was handed
+    (the row executor merges row dicts in place while joining).
     """
 
     #: The lock's role name in the sanitizer's lock-order graph; subclasses
@@ -279,35 +275,22 @@ class MaterializationCache:
         """The cached rows for a key (a fresh copy), or None on a miss."""
         with self._lock:
             entry = self._hit_locked(key)
-            if entry is None:
-                return None
-            if entry.rows is None:
-                return entry.batch.to_rows()
-            return [dict(row) for row in entry.rows]
+            return None if entry is None else entry.batch.to_rows()
 
-    def get_batch(self, key: CacheKey):
-        """The cached rows as a :class:`~repro.execution.columnar.batch
-        .ColumnBatch`, or None on a miss.
+    def get_batch(self, key: CacheKey) -> Optional[ColumnBatch]:
+        """The cached :class:`~repro.execution.columnar.batch.ColumnBatch`,
+        or None on a miss.
 
-        Hit/miss/fault accounting is exactly :meth:`get`'s — a session may
-        freely mix backends against one cache without skewing any counter.
-        Callers get a shared, immutable-by-convention view (the columnar
-        executor never mutates received columns, and converts to fresh row
-        dicts at its boundary); a row-filled entry is transposed once and
-        memoized, a batch-filled or faulted one is served as stored.  The
-        key index a columnar read attaches to the served batch
+        Hit/miss/fault accounting is exactly :meth:`get`'s.  Callers get the
+        stored batch itself, shared and immutable by convention (no executor
+        mutates received columns).  The key index a columnar read attaches
+        to the served batch
         (:meth:`~repro.execution.columnar.batch.ColumnBatch.indexed`) is
         never accounted in :attr:`current_bytes` and dies with the entry.
         """
         with self._lock:
             entry = self._hit_locked(key)
-            if entry is None:
-                return None
-            if entry.batch is None:
-                from ..execution.columnar.batch import ColumnBatch  # lazy: row path never pays
-
-                entry.batch = ColumnBatch.from_rows(entry.rows)
-            return entry.batch
+            return None if entry is None else entry.batch
 
     def _hit_locked(self, key: CacheKey) -> Optional[_Entry]:
         """The entry serving ``key``, with the hit / miss / fault counted.
@@ -362,32 +345,31 @@ class MaterializationCache:
         current token (the data changed while the rows were being computed)
         or when the row set alone exceeds the cache capacity.
         """
-        frozen = tuple(dict(row) for row in rows)
-        # Size the frozen copy, not the caller's list: the executor merges
-        # row dicts in place, so a concurrent writer can mutate `rows`
-        # between the freeze above and the accounting — sizing `rows` could
-        # store a byte count that disagrees with the rows actually kept.
-        return self._fill(key, frozen, None, estimate_rows_bytes(frozen), cost, token)
+        # Size the transposed copy, not the caller's list: the row executor
+        # merges row dicts in place, so a concurrent writer could mutate
+        # `rows` after the transpose, and sizing `rows` could then store a
+        # byte count that disagrees with the rows actually kept.
+        batch = ColumnBatch.from_rows(rows)
+        return self._fill(key, batch, estimate_batch_bytes(batch), cost, token)
 
     def put_batch(
         self,
         key: CacheKey,
-        batch,
+        batch: ColumnBatch,
         *,
         cost: float = 0.0,
         token: Optional[Hashable] = None,
     ) -> bool:
-        """:meth:`put` for a backend that computed a ``ColumnBatch``.
+        """:meth:`put` for an executor's ``ColumnBatch``.
 
         Same checks and counters; the batch is kept as handed in (shared and
         immutable by convention, like what :meth:`get_batch` returns) and
         accounted at exactly the size :meth:`put` would give its rows.
         """
-        return self._fill(key, None, batch, estimate_batch_bytes(batch), cost, token)
+        return self._fill(key, batch, estimate_batch_bytes(batch), cost, token)
 
-    def _fill(self, key: CacheKey, rows, batch, size: int, cost: float, token) -> bool:
-        """Admit and store one entry (rows *or* batch), sized by the caller
-        outside the lock."""
+    def _fill(self, key: CacheKey, batch: ColumnBatch, size: int, cost: float, token) -> bool:
+        """Admit and store one entry, sized by the caller outside the lock."""
         with self._lock:
             why = None
             if token is not None and self._token is not None and token != self._token:
@@ -399,7 +381,7 @@ class MaterializationCache:
                 if self._tracer.enabled:
                     self._tracer.event("matcache.fill_rejected", key=key[0][:16], why=why)
                 return False
-            self._store_locked(key, _Entry(rows, batch, size, max(cost, 0.0)))
+            self._store_locked(key, _Entry(batch, size, max(cost, 0.0)))
             self.statistics.fills += 1
             if self._tracer.enabled:
                 self._tracer.event(

@@ -59,6 +59,7 @@ from ..dag.build import DagBuilder, DagConfig
 from ..dag.fingerprint import canonical_key
 from ..dag.sharing import BatchDag
 from ..execution.backends import DEFAULT_BACKEND, resolve_backend
+from ..execution.columnar.batch import ColumnBatch
 from ..execution.data import Database, Row
 from ..execution.executor import Executor
 from ..obs import Observability, StatisticsView, metric_field
@@ -191,20 +192,20 @@ class OptimizerSession:
             everything still hot.
         spill_config: sizing of the two-level cache (RAM and disk budgets);
             ignored without ``spill_dir`` or with an explicit ``matcache``.
-        executor: execution backend name — ``"row"`` (the tuple-at-a-time
-            interpreter, the default), ``"columnar"`` (the vectorized
-            backend of :mod:`repro.execution.columnar`), or the SQL oracles
-            ``"sqlite"``/``"duckdb"`` (:mod:`repro.execution.sql`: plans
-            rendered to SQL and executed on a real engine; ``"duckdb"``
-            needs the optional duckdb package).  All return row-identical
-            results and drive the cache/observer hooks identically; the
-            choice only changes execution speed (and, for the oracles,
-            engine independence).
+        executor: execution backend name — ``"columnar"`` (the vectorized
+            backend of :mod:`repro.execution.columnar`, the default),
+            ``"row"`` (the tuple-at-a-time interpreter, kept as the
+            differential oracle), or the SQL oracles ``"sqlite"``/
+            ``"duckdb"`` (:mod:`repro.execution.sql`: plans rendered to SQL
+            and executed on a real engine; ``"duckdb"`` needs the optional
+            duckdb package).  All return row-identical results and drive
+            the cache/observer hooks identically; the choice only changes
+            execution speed (and, for the oracles, engine independence).
         obs: the :class:`~repro.obs.Observability` handle (metrics registry
             + tracer + identity labels) every statistics view, cache and
             span of this session reports through.  A private handle with
-            tracing disabled is created when omitted — passing one is how
-            ``--trace-dir`` turns tracing on.
+            tracing disabled is created when omitted — passing one with a
+            :class:`~repro.obs.Tracer` is how tracing is turned on.
     """
 
     def __init__(
@@ -738,24 +739,19 @@ class OptimizerSession:
                 keys[gid] = key
 
         started = time.perf_counter()
-        # A batch-preferring backend (columnar) exchanges ColumnBatch values
-        # with the cache in both directions — same accounting, but neither a
-        # warm read nor a fill copies rows or transposes.
-        if getattr(executor, "prefers_batches", False):
-            fetch, store = self.matcache.get_batch, self.matcache.put_batch
-        else:
-            fetch, store = self.matcache.get, self.matcache.put
-        hits: Dict[int, object] = {}
+        # Every backend exchanges ColumnBatch values with the cache in both
+        # directions, so neither a warm read nor a fill copies rows.
+        hits: Dict[int, ColumnBatch] = {}
         for gid, key in keys.items():
-            cached = fetch(key)
+            cached = self.matcache.get_batch(key)
             if cached is not None:
                 hits[gid] = cached
 
         fills = [0]
 
-        def publish(gid: int, mat_plan, rows) -> None:
+        def publish(gid: int, mat_plan, batch: ColumnBatch) -> None:
             fills[0] += 1
-            store(keys[gid], rows, cost=mat_plan.cost, token=token)
+            self.matcache.put_batch(keys[gid], batch, cost=mat_plan.cost, token=token)
 
         # Runtime feedback: buffer observations outside the stats store and
         # absorb them only after the whole batch executed — an operator error
@@ -768,8 +764,8 @@ class OptimizerSession:
         if feedback_on or trace_on:
 
             def observer(node_plan, node_rows, node_elapsed: float) -> None:
-                # `node_rows` is a ColumnBatch for a materialization the
-                # columnar backend computed, a row list otherwise.
+                # `node_rows` is a ColumnBatch for a materialization, a row
+                # list for a query plan.
                 if feedback_on:
                     # A plan whose root merely re-reads a cached materialization
                     # measured a cache read, not the cost of producing the node:

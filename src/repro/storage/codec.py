@@ -27,7 +27,7 @@ are converted at the edge.  A file of any other format (the row layout of
 format 1, the index-less format 2) fails header validation like any corrupt
 file, so recovery drops it and the entry is a clean miss.  A decoded row
 set compares ``==`` to what was encoded and has the identical
-:func:`~repro.service.matcache.estimate_rows_bytes` accounting — the
+:func:`~repro.service.matcache.estimate_batch_bytes` accounting — the
 property tests assert both.
 
 A spill **file** wraps one encoded payload with everything needed to trust
@@ -616,7 +616,7 @@ def write_spill_file(
     target: BinaryIO,
     *,
     key: Tuple[str, str],
-    rows,
+    batch,
     token: object,
     cost: float,
     accounted_bytes: Optional[int] = None,
@@ -624,16 +624,15 @@ def write_spill_file(
 ) -> Tuple[int, str]:
     """Write one complete (format-3) spill file to ``target``.
 
-    ``rows`` is the entry's ``ColumnBatch``, or a sequence of dict rows
-    that is transposed into one here.  ``accounted_bytes`` is the size the
-    cache keeps the entry's books at; a reader adopts it on fault-in.
+    ``batch`` is the entry's ``ColumnBatch``.  ``accounted_bytes`` is the
+    size the cache keeps the entry's books at; a reader adopts it on
+    fault-in.
     ``indexes`` (``{name: {key: positions}}``) become index sections after
     the payload.  Returns the bytes written and the payload's SHA-256 (hex),
     which sections appended later must name.  The caller owns atomicity
     (write to a temp file, then ``os.replace``): this function only defines
     the layout.
     """
-    batch = rows if hasattr(rows, "to_rows") else _column_batch_cls().from_rows(rows)
     payload = encode_batch(batch)
     checksum = hashlib.sha256(payload).hexdigest()
     header = {

@@ -11,9 +11,9 @@ under the **same** keys and invalidation rules:
   hash of its ``cache_key(signature, order)`` and stamped with the
   data-version token it was filled under and the byte size it is accounted
   at.  There is one layout: the codec's columnar format 3, written from the
-  entry's ``ColumnBatch`` (a row-filled entry is transposed at this edge),
-  followed by the entry's non-unique key indexes as index sections; a
-  file in any other format is dropped at recovery like a corrupt one;
+  entry's ``ColumnBatch``, followed by the entry's non-unique key indexes
+  as index sections; a file in any other format is dropped at recovery
+  like a corrupt one;
 * a ``get`` / ``get_batch`` that misses the hot tier **faults** the entry
   back in from disk — verifying the file's checksum, key and token first —
   and promotes it *as the decoded batch*, at the size in its header, so hot
@@ -289,7 +289,7 @@ class SpillingMaterializationCache(MaterializationCache):
     # --------------------------------------------------------------- spilling
 
     def _on_evict_locked(self, key: CacheKey, entry: _Entry) -> None:
-        holder = getattr(entry.batch, "key_index", None)
+        holder = entry.batch.key_index
         scans = holder.scans if holder is not None else None
         indexes = holder.storable() if holder is not None else {}
         existing = self._disk.get(key)
@@ -320,7 +320,7 @@ class SpillingMaterializationCache(MaterializationCache):
             written, checksum = write_spill_file(
                 handle,
                 key=key,
-                rows=entry.batch if entry.batch is not None else entry.rows,
+                batch=entry.batch,
                 token=wire_token(self._token),
                 cost=entry.cost,
                 accounted_bytes=entry.bytes,
@@ -468,7 +468,7 @@ class SpillingMaterializationCache(MaterializationCache):
         )
         if disk.indexed:
             self.key_indexes_restored.inc(len(disk.indexed))
-        return _Entry(None, batch, size, max(header.cost, 0.0))
+        return _Entry(batch, size, max(header.cost, 0.0))
 
     def _drop_disk_locked(self, key: CacheKey) -> None:
         entry = self._disk.pop(key, None)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...catalog.catalog import Catalog
+from ...execution.backends import DEFAULT_BACKEND
 from ...execution.data import Database, Row
 from ...execution.evaluate import total_order_key
 from ...service.session import OptimizerSession
@@ -83,7 +84,7 @@ class CorrectnessOracle:
 
     catalog: Catalog
     database: Database
-    serving_backend: str = "row"
+    serving_backend: str = DEFAULT_BACKEND
     backends: Tuple[str, ...] = ("row",)
     strategy: str = "marginal-greedy"
     checked: int = 0

@@ -309,12 +309,19 @@ class TestOperatorParity:
 
     @pytest.mark.parametrize("backend", BOTH_BACKENDS)
     def test_read_materialized_returns_fresh_copies(self, backend):
-        stored = [{"t.a": 1}, {"t.a": 2}]
+        stored = ColumnBatch.from_rows([{"t.a": 1}, {"t.a": 2}])
         node = plan(PhysicalOp.READ_MATERIALIZED, group=7)
         rows = backend(Database({})).execute(node, materialized={7: stored})
-        assert rows == stored
+        assert rows == [{"t.a": 1}, {"t.a": 2}]
         rows[0]["t.a"] = 99  # mutating the output must not touch the store
-        assert stored[0]["t.a"] == 1
+        assert stored.to_rows() == [{"t.a": 1}, {"t.a": 2}]
+
+    @pytest.mark.parametrize("backend", BOTH_BACKENDS)
+    def test_read_materialized_keeps_absent_keys_absent(self, backend):
+        stored = ColumnBatch.from_rows([{"t.a": 1}, {"t.b": None}, {"t.a": 3, "t.b": 4}])
+        node = plan(PhysicalOp.READ_MATERIALIZED, group=7)
+        rows = backend(Database({})).execute(node, materialized={7: stored})
+        assert rows == [{"t.a": 1}, {"t.b": None}, {"t.a": 3, "t.b": 4}]
 
     def test_columnar_accepts_columnbatch_store_values(self):
         batch = ColumnBatch.from_rows([{"t.a": 1}, {"t.a": 2}])

@@ -7,11 +7,19 @@ from repro.algebra.expressions import col, eq, ge, lt
 from repro.algebra.logical import QueryBatch
 from repro.catalog.tpcd import tpcd_catalog
 from repro.dag.sharing import build_batch_dag
-from repro.execution import ExecutionError, Executor, example1_database, tiny_tpcd_database
+from repro.execution import (
+    ColumnBatch,
+    ExecutionError,
+    Executor,
+    example1_database,
+    resolve_backend,
+    tiny_tpcd_database,
+)
 from repro.execution.evaluate import ColumnNotFound, evaluate_predicate, resolve_column
 from repro.optimizer.best_cost import BestCostEngine
 from repro.optimizer.plan import PhysicalOp, PhysicalPlan
 from repro.service import OptimizerSession
+from repro.service.matcache import estimate_rows_bytes
 from repro.workloads.synthetic import example1_batch, example1_catalog
 from repro.workloads.tpcd_queries import q11, q15
 
@@ -198,7 +206,7 @@ class TestSharedPlansReturnSameRows:
 
         # ...and a poisoned (emptied) seed visibly flows into the results,
         # proving the seed — not a recomputation — was read.
-        poisoned = {gid: [] for gid in fills}
+        poisoned = {gid: ColumnBatch.from_rows([]) for gid in fills}
         empty_rows = executor.execute_result(result, materialized=poisoned)
         for name, plan in result.query_plans.items():
             if plan.uses_materialized() and rows[name]:
@@ -226,3 +234,50 @@ class TestSharedPlansReturnSameRows:
         assert len(rows) == 1
         assert rows[0]["n"] == len(db.table("orders"))
         assert rows[0]["max_price"] == max(r["o_totalprice"] for r in db.table("orders"))
+
+
+class TestStoredForm:
+    """Every backend stores materializations as ``ColumnBatch`` values: the
+    form ``fill_listener`` and the cache receive, whatever computed them."""
+
+    @pytest.fixture(scope="class")
+    def greedy_plan(self):
+        result = OptimizerSession(example1_catalog()).optimize(example1_batch(), strategy="greedy")
+        assert result.plan.materialization_plans, "greedy should materialize on example 1"
+        return result.plan
+
+    @pytest.mark.parametrize("backend", ["row", "columnar", "sqlite"])
+    def test_fills_and_observed_materializations_are_batches(self, greedy_plan, backend):
+        executor = resolve_backend(backend)(example1_database())
+        fills, observed = {}, []
+        rows = executor.execute_result(
+            greedy_plan,
+            fill_listener=lambda gid, plan, batch: fills.update({gid: batch}),
+            observer=lambda plan, out, took: observed.append((plan, out)),
+        )
+        assert set(fills) == set(greedy_plan.materialization_plans)
+        assert all(isinstance(batch, ColumnBatch) for batch in fills.values())
+        materialized_by = {id(plan): gid for gid, plan in greedy_plan.materialization_plans.items()}
+        for plan, out in observed:
+            if id(plan) in materialized_by:
+                assert out is fills[materialized_by[id(plan)]]
+            else:
+                assert isinstance(out, list)
+        assert len(observed) == len(fills) + len(greedy_plan.query_plans)
+        # Read back as seeds, the batches give the same answers.
+        assert executor.execute_result(greedy_plan, materialized=fills) == rows
+
+    @pytest.mark.parametrize("backend", ["row", "columnar", "sqlite"])
+    def test_session_cache_entries_hold_one_batch(self, backend):
+        session = OptimizerSession(
+            example1_catalog(), database=example1_database(), executor=backend
+        )
+        cold = session.execute_batch(example1_batch(), strategy="greedy")
+        warm = session.execute_batch(example1_batch(), strategy="greedy")
+        assert cold.materializations > 0 and warm.materializations == 0
+        assert warm.rows == cold.rows
+        entries = session.matcache._entries  # white-box: the one stored form
+        assert entries and all(isinstance(e.batch, ColumnBatch) for e in entries.values())
+        assert session.matcache.current_bytes == sum(
+            estimate_rows_bytes(e.batch.to_rows()) for e in entries.values()
+        )

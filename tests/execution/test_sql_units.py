@@ -12,6 +12,7 @@ import pytest
 
 from repro.algebra.expressions import Not, col, eq, lt
 from repro.execution import (
+    ColumnBatch,
     ColumnarExecutor,
     Executor,
     SQLiteExecutor,
@@ -44,14 +45,13 @@ def scan(table, alias=None):
 class TestRegistry:
     def test_all_four_backends_registered_default_first(self):
         names = available_backends()
-        assert names[0] == "row"
+        assert names[0] == "columnar"
         assert set(names) == {"row", "columnar", "sqlite", "duckdb"}
 
     def test_resolve_and_create(self):
         assert resolve_backend("sqlite") is SQLiteExecutor
         executor = resolve_backend("sqlite")(Database({"t": [{"a": 1}]}))
         assert isinstance(executor, SQLiteExecutor)
-        assert executor.prefers_batches is False
 
     def test_unknown_backend_lists_sql_names(self):
         with pytest.raises(ValueError, match="sqlite"):
@@ -125,7 +125,8 @@ class TestLoading:
         db = Database({"t": [{"a": 1}]})
         executor = SQLiteExecutor(db)
         read = plan(PhysicalOp.READ_MATERIALIZED, group=7)
-        assert executor.execute(read, materialized={7: [{"t.a": 5}]}) == [{"t.a": 5}]
+        stored = ColumnBatch.from_rows([{"t.a": 5}])
+        assert executor.execute(read, materialized={7: stored}) == [{"t.a": 5}]
         leftovers = executor._driver.query(
             "SELECT name FROM sqlite_master WHERE name LIKE '__mat_%'"
         )

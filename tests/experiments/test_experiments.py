@@ -6,16 +6,11 @@ configurations so the unit-test suite stays fast.
 
 import pytest
 
-from repro.execution.backends import DEFAULT_BACKEND, available_backends
+from repro.experiments import runner
 from repro.experiments.example1 import run_example1
 from repro.experiments.experiment1 import run_experiment1
 from repro.experiments.experiment2 import run_experiment2
-from repro.experiments.reporting import (
-    ResultTable,
-    format_seconds,
-    session_counters_table,
-)
-from repro.experiments.runner import main
+from repro.experiments.reporting import ResultTable, format_seconds
 from repro.experiments.theory import run_theory_experiment
 
 
@@ -40,23 +35,6 @@ class TestReporting:
         assert format_seconds(123.4) == "123"
         assert format_seconds(12.34) == "12.3"
         assert format_seconds(0.1234) == "0.123"
-
-    def test_session_counters_table_surfaces_feedback_counters(self):
-        from repro.service import OptimizerSession
-        from repro.workloads.synthetic import example1_catalog
-
-        plain = OptimizerSession(example1_catalog())
-        table = session_counters_table(plain)
-        counters = {row[0] for row in table.rows}
-        assert "batches_served" in counters and "reoptimizations" in counters
-        assert "matcache_hits" in counters
-        assert not any(name.startswith("feedback_") for name in counters)
-
-        adaptive = OptimizerSession(example1_catalog(), adaptive=True)
-        counters = {row[0] for row in session_counters_table(adaptive).rows}
-        assert "feedback_records" in counters
-        assert "feedback_tracked_nodes" in counters
-        assert "feedback_epoch" in counters
 
 
 class TestExample1:
@@ -152,36 +130,23 @@ class TestTheory:
 
 
 class TestCommandLine:
-    """``python -m repro.experiments`` rejects bad option sets before running."""
+    def test_quick_run_writes_every_table(self, tmp_path, monkeypatch):
+        """``python -m repro.experiments --quick --quiet --output FILE`` runs
+        every experiment and writes each table it printed to the markdown."""
+        produced = []
+        real_run_all = runner.run_all
 
-    @staticmethod
-    def _usage_error(capsys, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        return capsys.readouterr().err
+        def recording_run_all(**kwargs):
+            tables = real_run_all(**kwargs)
+            produced.extend(tables)
+            return tables
 
-    @pytest.mark.parametrize(
-        "backend", [name for name in available_backends() if name != DEFAULT_BACKEND]
-    )
-    def test_every_backend_is_an_executor_choice(self, capsys, backend):
-        # The name passes argparse's choices; only the missing --serve fails.
-        err = self._usage_error(capsys, ["--executor", backend])
-        assert "--executor requires --serve" in err
-
-    def test_unknown_executor_rejected(self, capsys):
-        err = self._usage_error(capsys, ["--serve", "--executor", "bogus"])
-        assert "invalid choice" in err
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["--spill-dir", "spill"], "--spill-dir requires --serve"),
-            (["--trace-dir", "traces"], "--trace-dir requires --serve"),
-            (["--trace-sample", "1.5"], "--trace-sample must be in [0, 1]"),
-            (["--serve", "--trace-sample", "0.5"], "--trace-sample requires --trace-dir"),
-        ],
-        ids=["spill-dir", "trace-dir", "trace-sample-range", "trace-sample-alone"],
-    )
-    def test_option_needs_its_partner(self, capsys, argv, message):
-        assert message in self._usage_error(capsys, argv)
+        monkeypatch.setattr(runner, "run_all", recording_run_all)
+        output = tmp_path / "figures.md"
+        assert runner.main(["--quick", "--quiet", "--output", str(output)]) == 0
+        markdown = output.read_text(encoding="utf-8")
+        titles = [table.title for table in produced]
+        assert len(titles) >= 6
+        assert any(title.startswith("Efficiency of bestCost") for title in titles)
+        for title in titles:
+            assert f"### {title}\n" in markdown

@@ -22,7 +22,7 @@ from repro.algebra import builder as qb
 from repro.algebra.expressions import col, eq
 from repro.algebra.logical import QueryBatch
 from repro.dag.fingerprint import canonical_key
-from repro.execution import Executor
+from repro.execution import ColumnBatch, Executor
 from repro.execution.data import example1_database
 from repro.obs import InMemorySink, Observability, Tracer
 from repro.service import MaterializationCache, OptimizerSession
@@ -371,7 +371,7 @@ class TestExecutorObserverContract:
 
         # Pre-supplied materializations are not executed, hence not observed.
         store = {
-            gid: executor.execute(plan)
+            gid: ColumnBatch.from_rows(executor.execute(plan))
             for gid, plan in result.plan.materialization_plans.items()
         }
         seen.clear()

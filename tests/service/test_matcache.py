@@ -8,9 +8,10 @@ The invariants under test:
 * byte-size accounting stays consistent with the entries actually stored,
   and never exceeds the configured capacity,
 * a fill stamped with an outdated data-version token is rejected, and
-* an entry is rows *or* a batch and it does not matter which: ``put`` /
-  ``put_batch`` run the same checks and count the same, ``get`` always
-  hands out fresh row dicts, ``get_batch`` the shared batch.
+* an entry holds one ``ColumnBatch`` whichever fill made it: ``put``
+  (rows, transposed in) and ``put_batch`` run the same checks and count
+  the same, ``get`` always hands out fresh row dicts, ``get_batch`` the
+  shared batch.
 """
 
 import random
@@ -64,7 +65,7 @@ def fetch(cache, k, *, as_batch=False):
 def assert_accounting(cache: MaterializationCache):
     entries = cache._entries  # white-box: accounting must match stored entries
     recomputed = sum(
-        estimate_rows_bytes(e.batch.to_rows() if e.rows is None else list(e.rows))
+        estimate_rows_bytes(e.batch.to_rows())
         for e in entries.values()
     )
     assert cache.current_bytes == sum(e.bytes for e in entries.values()) == recomputed
@@ -88,6 +89,15 @@ class TestBasics:
         handed_out[0]["t.payload"] = "corrupted"
         handed_out.pop()
         assert cache.get(key(1)) == rows_for(1)
+
+    def test_heterogeneous_rows_round_trip_exactly(self):
+        """``put`` transposes rows into a batch; a key a row lacks must stay
+        absent (not become None) in what ``get`` hands back."""
+        cache = MaterializationCache()
+        rows = [{"t.k": 1}, {"t.v": None}, {"t.v": "π", "t.k": 2}, {}]
+        assert cache.put(key(1), rows)
+        assert cache.get(key(1)) == rows
+        assert cache.current_bytes == estimate_rows_bytes(rows)
 
     def test_put_copies_its_input(self):
         cache = MaterializationCache()
@@ -178,7 +188,7 @@ class TestRowsOrBatch:
         cache.put_batch(key(4), batch)
         assert cache.get(key(4)) == rows_for(4)
         entry = cache._entries[key(4)]
-        assert entry.rows is None  # a row read derives rows, it stores none
+        assert entry.batch is batch  # a row read derives rows, it stores none
         assert entry.bytes == estimate_batch_bytes(batch) == estimate_rows_bytes(rows_for(4))
         assert cache.get_batch(key(4)) is batch
 

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.execution.columnar import ColumnBatch
 from repro.service.matcache import estimate_rows_bytes
 from repro.storage.codec import (
     SpillCodecError,
@@ -156,7 +157,7 @@ class TestRowsRoundTrip:
 
 def spill_bytes(rows, *, token="tok", cost=12.5):
     buffer = io.BytesIO()
-    write_spill_file(buffer, key=KEY, rows=rows, token=token, cost=cost)
+    write_spill_file(buffer, key=KEY, batch=ColumnBatch.from_rows(rows), token=token, cost=cost)
     return buffer.getvalue()
 
 

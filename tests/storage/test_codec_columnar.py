@@ -97,7 +97,7 @@ def fuzz_rows(seed, n_rows=None):
 
 def columnar_spill_bytes(rows, *, token="tok", cost=3.5):
     buffer = io.BytesIO()
-    write_spill_file(buffer, key=KEY, rows=rows, token=token, cost=cost)
+    write_spill_file(buffer, key=KEY, batch=ColumnBatch.from_rows(rows), token=token, cost=cost)
     return buffer.getvalue()
 
 
@@ -212,6 +212,9 @@ class TestBatchRoundTrip:
     @given(ROWS)
     def test_property_round_trip_is_exact(self, rows):
         batch = ColumnBatch.from_rows(rows)
+        # The row executor's edge, with no codec in between: what it
+        # materializes is transposed in and read back out as fresh dicts.
+        assert same_rows(batch.to_rows(), rows)
         decoded = decode_batch(encode_batch(batch))
         assert decoded.length == batch.length
         assert list(decoded.columns) == list(batch.columns)
@@ -304,7 +307,7 @@ class TestColumnarSpillFiles:
         from_rows = columnar_spill_bytes(rows)
         buffer = io.BytesIO()
         write_spill_file(
-            buffer, key=KEY, rows=ColumnBatch.from_rows(rows), token="tok", cost=3.5
+            buffer, key=KEY, batch=ColumnBatch.from_rows(rows), token="tok", cost=3.5
         )
         assert buffer.getvalue() == from_rows
         assert read_spill_header(io.BytesIO(from_rows)).format == SPILL_FORMAT_COLUMNAR
@@ -312,7 +315,12 @@ class TestColumnarSpillFiles:
     def test_accounted_bytes_round_trips_through_the_header(self):
         buffer = io.BytesIO()
         write_spill_file(
-            buffer, key=KEY, rows=[{"a": 1}], token="t", cost=0.0, accounted_bytes=73
+            buffer,
+            key=KEY,
+            batch=ColumnBatch.from_rows([{"a": 1}]),
+            token="t",
+            cost=0.0,
+            accounted_bytes=73,
         )
         assert read_spill_header(io.BytesIO(buffer.getvalue())).accounted_bytes == 73
         assert read_spill_header(io.BytesIO(columnar_spill_bytes([]))).accounted_bytes is None
@@ -420,7 +428,7 @@ class TestIndexSections:
         assert ("c" in stored) == (not unique and not shared_nan)
 
         buffer = io.BytesIO()
-        write_spill_file(buffer, key=KEY, rows=batch, token="t", cost=0.0, indexes=stored)
+        write_spill_file(buffer, key=KEY, batch=batch, token="t", cost=0.0, indexes=stored)
         _, decoded, sections = read_spill_batch(io.BytesIO(buffer.getvalue()))
         holder = decoded.indexed().key_index
         assert [holder.adopt(*section) for section in sections] == [True] * len(stored)

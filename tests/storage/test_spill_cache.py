@@ -67,8 +67,7 @@ def assert_accounting(cache):
     entries = cache._entries  # white-box: the books must match what is resident
     assert cache.current_bytes == sum(e.bytes for e in entries.values())
     for entry in entries.values():
-        rows = entry.batch.to_rows() if entry.rows is None else list(entry.rows)
-        assert entry.bytes == estimate_rows_bytes(rows)
+        assert entry.bytes == estimate_rows_bytes(entry.batch.to_rows())
     assert cache.current_bytes <= cache.max_bytes
     files = {p.name for p in cache.spill_dir.glob("*.spill")}
     assert len(files) == cache.disk_entries
@@ -82,7 +81,9 @@ def write_legacy_file(directory: Path, k, rows, *, legacy: str, token="tok", cos
     path = directory / spill_module._spill_filename(k)
     if legacy == "unaccounted":
         with open(path, "wb") as handle:
-            write_spill_file(handle, key=k, rows=rows, token=token, cost=cost)
+            write_spill_file(
+                handle, key=k, batch=ColumnBatch.from_rows(rows), token=token, cost=cost
+            )
         return path
     path.write_bytes(
         spill_file_bytes(
@@ -322,7 +323,7 @@ class TestOneLayout:
         batch = cache.get_batch(key(victim))
         assert batch.to_rows() == rows_for(victim)
         entry = cache._entries[key(victim)]
-        assert entry.batch is batch and entry.rows is None  # no row round trip
+        assert entry.batch is batch  # no row round trip
         assert entry.bytes == estimate_rows_bytes(rows_for(victim))
         # A row reader of the faulted entry still gets fresh dicts.
         handed_out = cache.get(key(victim))
@@ -409,7 +410,7 @@ class TestOneLayout:
         with pytest.raises(TypeError):
             SpillConfig(layout="rows")
         with pytest.raises(TypeError):
-            write_spill_file(io.BytesIO(), key=key(1), rows=[], token="t", cost=0.0, layout="rows")
+            write_spill_file(io.BytesIO(), key=key(1), batch=ColumnBatch.from_rows([]), token="t", cost=0.0, layout="rows")
 
     @pytest.mark.parametrize("fill_as_batch", [False, True])
     @pytest.mark.parametrize("read_as_batch", [False, True])
