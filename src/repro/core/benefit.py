@@ -22,7 +22,7 @@ algorithm can run on:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..optimizer.best_cost import BestCostEngine
 from .decomposition import Decomposition, canonical_decomposition, decomposition_from_parts
@@ -79,6 +79,10 @@ class UseCostFunction(SetFunction):
     def universe(self) -> Subset:
         return self._universe
 
+    @property
+    def engine(self) -> BestCostEngine:
+        return self._engine
+
     def value(self, subset: Iterable) -> float:
         return self._engine.use_cost(as_frozenset(subset))
 
@@ -120,6 +124,19 @@ class UseCostBenefit(SetFunction):
 
     def value(self, subset: Iterable) -> float:
         return self._baseline - self._use_cost.value(subset)
+
+    def marginals(self, elements: Iterable, subset: Iterable) -> List[float]:
+        """The marginals from one table move each (see
+        :meth:`~repro.optimizer.best_cost.BestCostEngine.moved_use_costs`),
+        as the same floats :meth:`SetFunction.marginal` computes."""
+        base = as_frozenset(subset)
+        elements = list(elements)
+        baseline = self._baseline
+        base_cost, use_costs = self._use_cost.engine.moved_use_costs(base, elements)
+        return [
+            0.0 if element in base else (baseline - use_cost) - (baseline - base_cost)
+            for element, use_cost in zip(elements, use_costs)
+        ]
 
 
 def standalone_materialization_costs(

@@ -16,7 +16,7 @@ makes the factor of any other decomposition at least as good).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .set_functions import (
     AdditiveFunction,
@@ -63,6 +63,12 @@ class Decomposition:
     def monotone_marginal(self, element: Element, subset: Iterable[Element]) -> float:
         """The paper's ``f'M(e, S)``."""
         return self.monotone.marginal(element, subset)
+
+    def monotone_marginals(
+        self, elements: Iterable[Element], subset: Iterable[Element]
+    ) -> List[float]:
+        """``[f'M(e, S) for e in elements]``, answered together by ``fM``."""
+        return self.monotone.marginals(elements, subset)
 
     def element_cost(self, element: Element) -> float:
         """The additive cost ``c({e})`` of a single element."""

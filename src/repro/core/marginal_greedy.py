@@ -165,9 +165,10 @@ def marginal_greedy(
         best_ratio = -math.inf
         best_gain = 0.0
         to_drop: List[Element] = []
-        for element in sorted(candidates, key=repr):
-            gain = decomposition.monotone_marginal(element, frozenset(selected))
-            evaluations += 1
+        ordered = sorted(candidates, key=repr)
+        gains = decomposition.monotone_marginals(ordered, frozenset(selected))
+        evaluations += len(ordered)
+        for element, gain in zip(ordered, gains):
             cost = decomposition.element_cost(element)
             ratio = math.inf if cost <= 0.0 and gain > 0.0 else (
                 gain / cost if cost > 0.0 else -math.inf
@@ -253,16 +254,17 @@ def lazy_marginal_greedy(
 
     # Heap entries: (-ratio, tie_breaker, element, gain, iteration_computed).
     heap: List[Tuple[float, str, Element, float, int]] = []
-    for element in sorted(universe, key=repr):  # oracle calls in an order hashing cannot change
+    # Oracle calls in an order hashing cannot change; each repr is built once.
+    ties = {element: repr(element) for element in universe}
+    first = sorted((e for e in universe if decomposition.element_cost(e) >= 0.0), key=ties.get)
+    gains = decomposition.monotone_marginals(first, frozenset())
+    evaluations += len(first)
+    for element, gain in zip(first, gains):
         cost = decomposition.element_cost(element)
-        if cost < 0.0:
-            continue
-        gain = decomposition.monotone_marginal(element, frozenset())
-        evaluations += 1
         ratio = math.inf if cost == 0.0 and gain > 0.0 else (
             gain / cost if cost > 0.0 else -math.inf
         )
-        heapq.heappush(heap, (-ratio, repr(element), element, gain, 0))
+        heapq.heappush(heap, (-ratio, ties[element], element, gain, 0))
 
     iteration = 0
     while heap and len(selected) < limit:
@@ -275,7 +277,7 @@ def lazy_marginal_greedy(
             pruned.add(element)
             break
         if computed_at != iteration:
-            gain = decomposition.monotone_marginal(element, frozenset(selected))
+            (gain,) = decomposition.monotone_marginals((element,), frozenset(selected))
             evaluations += 1
             cost = decomposition.element_cost(element)
             ratio = math.inf if cost == 0.0 and gain > 0.0 else (

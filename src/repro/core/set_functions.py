@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Mapping
-from typing import Callable, Dict, FrozenSet, Hashable, Iterator, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
 
 Element = Hashable
 Subset = FrozenSet[Element]
@@ -94,6 +94,11 @@ class SetFunction(ABC):
         if element in base:
             return 0.0
         return self.value(base | {element}) - self.value(base)
+
+    def marginals(self, elements: Iterable[Element], subset: Iterable[Element]) -> List[float]:
+        """``[f'(e, S) for e in elements]``; subclasses may answer them together."""
+        base = as_frozenset(subset)
+        return [self.marginal(element, base) for element in elements]
 
     def gain(self, addition: Iterable[Element], subset: Iterable[Element]) -> float:
         """Return ``f(S ∪ E) − f(S)`` (the paper's ``Δf(E, S)``)."""

@@ -176,7 +176,7 @@ class Experiment1Results:
         table.notes = (
             "Of the bestCost calls, 'cached' were answered from the result cache, "
             "'full' built a plan table from nothing and 'incremental' updated a "
-            "remembered one; DP entries are (group, sort order) plan-table entries and "
+            "remembered one (or, for a marginal, moved one to the set and back); DP entries are (group, sort order) plan-table entries and "
             "'trees' the sets whose plan trees were extracted from them. "
             "'= from scratch': BestCostEngine(incremental=False) picks the same "
             "nodes at the same total cost."

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..cost.model import CostModel
 from ..dag.sharing import BatchDag
@@ -116,7 +116,7 @@ class BestCostEngine:
             self._statistics.result_cache_hits += 1
             self._results.move_to_end(key)
             return cached[0]
-        return self._derive(key)
+        return self._derive(key)[0]
 
     def cost(self, materialized: Iterable) -> float:
         """``bestCost(Q, S)`` as a plain number (what the greedy loops consume)."""
@@ -125,6 +125,50 @@ class BestCostEngine:
     def use_cost(self, materialized: Iterable) -> float:
         """``bestUseCost(Q, S)`` — excludes the cost of computing/writing ``S``."""
         return self.evaluate(materialized).use_cost
+
+    def moved_use_costs(self, base: Iterable, elements: Iterable) -> Tuple[float, List[float]]:
+        """``(buc(base), [buc(base ∪ {e}) for e in elements])``: what the
+        marginals ``f'M(e, base)`` of the use-cost decomposition read.
+
+        Each element counts what evaluating ``base ∪ {e}`` and then ``base``
+        would count; an element of ``base`` gets ``buc(base)`` and counts
+        nothing.  A remembered set is read back.  Every other set is answered
+        by moving ``base``'s remembered table to it and back (one
+        incremental evaluation each), so none of them is remembered.  The
+        ``incremental=False`` engine evaluates every set instead.
+        """
+        base = frozenset(base)
+        statistics = self._statistics
+        use_costs: List[Optional[float]] = []
+        moved: List[Tuple[int, FrozenSet]] = []
+        base_cost: Optional[float] = None
+        for element in elements:
+            if element in base:
+                use_costs.append(None)
+                continue
+            key = base | {element}
+            if self.incremental and key not in self._results:
+                statistics.evaluations += 1
+                statistics.incremental_evaluations += 1
+                moved.append((len(use_costs), key))
+                use_costs.append(None)
+            else:
+                use_costs.append(self.evaluate(key).use_cost)
+            base_cost = self.evaluate(base).use_cost
+        if base_cost is None:  # nothing to answer, so nothing counted
+            cached = self._results.get(base)
+            base_cost = (cached if cached is not None else self._derive(base))[0].use_cost
+        if moved:
+            remembered = self._results.get(base)  # evaluated above; gone only with no cache
+            table = (remembered if remembered is not None else self._derive(base))[1]
+            answers, moves = self.optimizer.moved_use_costs(table, [key for _, key in moved])
+            for (at, _), use_cost in zip(moved, answers):
+                use_costs[at] = use_cost
+            statistics.invalidated_entries += moves.invalidated
+            statistics.dp_entries_recomputed += moves.recomputed
+            statistics.dp_entries_reused += len(moved) * table.size() - moves.invalidated
+            statistics.candidates_skipped += moves.skipped
+        return base_cost, [base_cost if cost is None else cost for cost in use_costs]
 
     def volcano_cost(self) -> float:
         """The no-sharing baseline ``bestCost(Q, ∅)``."""
@@ -145,7 +189,7 @@ class BestCostEngine:
 
     # ------------------------------------------------------------- internals
 
-    def _derive(self, key: FrozenSet) -> BestCostResult:
+    def _derive(self, key: FrozenSet) -> Tuple[BestCostResult, PlanTable]:
         """Answer a result-cache miss with one ``best_cost`` call."""
         table = self._start_table(key)
         result = self.optimizer.best_cost(key, cache=table)
@@ -157,7 +201,7 @@ class BestCostEngine:
         self._results[key] = (result, table if self.incremental else None)
         while len(self._results) > self.max_cached_results:
             self._results.popitem(last=False)
-        return result
+        return result, table
 
     def _start_table(self, key: FrozenSet) -> PlanTable:
         """The plan table ``best_cost`` should move to ``key``.

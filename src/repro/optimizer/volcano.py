@@ -31,6 +31,9 @@ a ``min``.  Moving a table from one ``S`` to another
 (:meth:`VolcanoOptimizer.best_cost` with ``cache=``) recomputes the states
 of the toggled groups and then only those consumers, in topological order,
 whose inputs' cost or delivered order really changed.
+:meth:`VolcanoOptimizer.moved_use_costs` runs the same propagation on a
+table's working list alone and puts back every entry it wrote, for the many
+sets whose use cost is read once and whose table nobody keeps.
 
 Every state and candidate carries a static lower bound (``lb``, built with
 the state): a candidate's sums its inputs' bounds the way :meth:`_compute`
@@ -355,6 +358,32 @@ class VolcanoOptimizer:
             compute = self._materialization(state, stored_order, table, work)[0]
             overhead += compute + state.group.write
         return BestCostResult(original, use_cost, overhead, (self, table))
+
+    def moved_use_costs(self, table: PlanTable, sets: Iterable) -> Tuple[List[float], PlanTable]:
+        """``bestUseCost(Q, S)`` for each set, moving ``table``'s working list to
+        it and back instead of forking the table (paper §5.1–5.2's marginals).
+
+        Each move is :meth:`_propagate` on a scratch table over the same
+        working list; every entry it writes, propagated or derived by
+        :meth:`_entry`, lands in the scratch table's ``own`` and is put back
+        before the next set, so ``table`` is left exactly as it was.  The
+        returned scratch table's counters sum the moves' work.
+        """
+        roots = [self._state(root, _ANY) for root in self.dag.query_roots.values()]
+        before = self._working(table)
+        work = before.copy()
+        moves = PlanTable()
+        use_costs = []
+        for materialized in sets:
+            moves.stored, moves.own = table.stored, {}
+            self._propagate(moves, self._stored(materialized), work)
+            use_cost = 0.0
+            for state in roots:
+                use_cost += self._entry(state.id, moves, work)[0]
+            use_costs.append(use_cost)
+            for state_id in moves.own:
+                work[state_id] = before[state_id]
+        return use_costs, moves
 
     def extract(self, materialized: FrozenSet, table: PlanTable):
         """The ``(query plans, materialization plans)`` of ``bestCost(Q, S)``, from

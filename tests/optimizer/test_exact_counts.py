@@ -6,6 +6,13 @@ timing, no hash seed), so a change that moves one of them unannounced fails
 here rather than in a CI artifact somebody has to read.  The DP entry counts
 depend on the plan DP's lower-bound skipping (a skipped candidate's inputs
 are never derived); the oracle counts and the memo size do not.
+
+MarginalGreedy's marginals move one remembered table to each set they ask
+about and put it back (``BestCostEngine.moved_use_costs``).  Each such set
+counts as one incremental evaluation that no later ``evaluate`` finds in the
+result cache, and its DP work counts as a ``best_cost`` call's would: the
+entries it re-derived, every entry it derived, the candidates it skipped,
+and the rest of the moved table as reused.
 """
 
 from repro.algebra.logical import QueryBatch
@@ -29,12 +36,13 @@ def test_cold_bq2():
     counters = optimizer_counters(session)
     assert result.oracle_calls == 370
     assert counters["evaluations"] == 370
-    assert counters["result_cache_hits"] == 188
+    assert counters["result_cache_hits"] == 186
     assert counters["full_evaluations"] == 1
-    assert counters["invalidated_entries"] == 2618
-    assert counters["dp_entries_recomputed"] == 2824
-    assert counters["dp_entries_reused"] == 35754
-    assert counters["candidates_skipped"] == 18716
+    assert counters["incremental_evaluations"] == 183
+    assert counters["invalidated_entries"] == 2707
+    assert counters["dp_entries_recomputed"] == 2913
+    assert counters["dp_entries_reused"] == 36089
+    assert counters["candidates_skipped"] == 18432
     assert counters["plans_extracted"] == 1
     memo = session.memo.stats()
     assert (memo["groups"], memo["mexprs"]) == (108, 355)
@@ -55,10 +63,11 @@ def test_star_serving_trace():
         materialized += len(session.optimize(QueryBatch(f"micro-{at}", queries)).materialized)
     counters = optimizer_counters(session)
     assert counters["evaluations"] == 4475
-    assert counters["evaluations"] - counters["result_cache_hits"] == 2125
-    assert counters["invalidated_entries"] == 35617
-    assert counters["dp_entries_recomputed"] == 39428
-    assert counters["dp_entries_reused"] == 154289
-    assert counters["candidates_skipped"] == 142618
+    assert counters["evaluations"] - counters["result_cache_hits"] == 2170
+    assert counters["incremental_evaluations"] == 2125
+    assert counters["invalidated_entries"] == 36333
+    assert counters["dp_entries_recomputed"] == 40144
+    assert counters["dp_entries_reused"] == 157384
+    assert counters["candidates_skipped"] == 139278
     assert counters["plans_extracted"] == 45
     assert materialized == 45

@@ -7,7 +7,9 @@ from dataclasses import replace
 import pytest
 
 from repro.catalog.tpcd import tpcd_catalog
+from repro.dag.fingerprint import canonical_key
 from repro.execution import Executor
+from repro.optimizer.volcano import split_candidate
 from repro.service import BatchScheduler, OptimizerSession, QueryOutcome
 from repro.service.scheduler import _deduplicate_names
 from repro.workloads.batches import composite_batch
@@ -255,6 +257,15 @@ def star_world():
     )
 
 
+def semantic_selection(session, result):
+    """The materialized nodes by what they compute: group ids (and the labels
+    that embed them) depend on which worker interned its batch first."""
+    return sorted(
+        (canonical_key(session.memo.signature_of(gid)), str(order))
+        for gid, order in map(split_candidate, result.materialized)
+    )
+
+
 @pytest.mark.parametrize("strategy", ["volcano", "greedy", "marginal-greedy"])
 def test_scheduled_execution_is_identical_to_a_direct_session(star_world, strategy):
     """Going through the scheduler changes where work happens, never what is
@@ -271,8 +282,8 @@ def test_scheduled_execution_is_identical_to_a_direct_session(star_world, strate
         assert execution.rows == reference.rows
         assert execution.result.total_cost == reference.result.total_cost
         assert execution.result.query_costs == reference.result.query_costs
-        assert execution.result.materialized_labels == (
-            reference.result.materialized_labels
+        assert semantic_selection(served, execution.result) == (
+            semantic_selection(direct, reference.result)
         )
 
 
