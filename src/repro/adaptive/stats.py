@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Hashable, Optional, Tuple, Union
 
-from ..analysis.sanitizer import sanitize_lock
 from ..obs import MetricsRegistry, StatisticsView, metric_field
 from ..obs.metrics import LabelsLike
 
@@ -158,9 +157,7 @@ class FeedbackStatsStore:
         self.epoch_decay = epoch_decay
         self.max_entries = max_entries
         self.statistics = FeedbackStatistics(registry, labels=labels)
-        # Under REPRO_SANITIZE=1 the lock joins the cross-thread lock-order
-        # graph (see repro.analysis.sanitizer); otherwise it is a bare RLock.
-        self._lock = sanitize_lock(threading.RLock(), "feedback")
+        self._lock = threading.RLock()
         # Least recently updated first; record() moves keys to the end.
         self._entries: "OrderedDict[str, ObservedStats]" = OrderedDict()
         self._token: Optional[Hashable] = None
@@ -341,7 +338,7 @@ class FeedbackStatsStore:
         except BaseException:
             try:
                 os.unlink(tmp_name)
-            # repro-lint: disable=bare-except-swallow -- best-effort temp-file cleanup; the original snapshot error re-raises below
+            # Best-effort temp-file cleanup; the original snapshot error re-raises below
             except OSError:
                 pass
             raise

@@ -7,11 +7,9 @@ frozen, hashable dataclass so predicates can be used inside the semantic
 fingerprints that identify equivalence nodes (see
 :mod:`repro.dag.fingerprint`).
 
-The module also provides the predicate reasoning used by the subsumption
-rules: :func:`implies` decides entailment between simple single-column
-predicates, and :func:`disjunction` builds the relaxed "union" predicate
-``p1 ∨ p2`` that Roy et al. introduce to let two queries with different
-selection constants share a common subexpression.
+The module also provides :func:`disjunction`, which builds the relaxed
+"union" predicate ``p1 ∨ p2`` that Roy et al. introduce to let two queries
+with different selection constants share a common subexpression.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ __all__ = [
     "is_join_predicate",
     "is_equijoin_predicate",
     "single_column",
-    "implies",
 ]
 
 
@@ -396,66 +393,3 @@ def single_column(predicate: Predicate) -> Optional[ColumnRef]:
     if len(columns) == 1:
         return next(iter(columns))
     return None
-
-
-# ---------------------------------------------------------------------------
-# Entailment (used by the subsumption rules)
-# ---------------------------------------------------------------------------
-
-
-def _as_interval(predicate: Predicate) -> Optional[Tuple[ColumnRef, float, float, bool, bool]]:
-    """Represent a numeric single-column predicate as a closed/open interval.
-
-    Returns ``(column, low, high, low_inclusive, high_inclusive)`` or ``None``
-    if the predicate is not an interval constraint on a single column.
-    """
-    inf = float("inf")
-    if isinstance(predicate, Comparison) and isinstance(predicate.right, Literal):
-        value = predicate.right.numeric
-        if value is None:
-            return None
-        if predicate.op is ComparisonOp.EQ:
-            return (predicate.left, value, value, True, True)
-        if predicate.op is ComparisonOp.LT:
-            return (predicate.left, -inf, value, True, False)
-        if predicate.op is ComparisonOp.LE:
-            return (predicate.left, -inf, value, True, True)
-        if predicate.op is ComparisonOp.GT:
-            return (predicate.left, value, inf, False, True)
-        if predicate.op is ComparisonOp.GE:
-            return (predicate.left, value, inf, True, True)
-        return None
-    if isinstance(predicate, Between):
-        low = predicate.low.numeric
-        high = predicate.high.numeric
-        if low is None or high is None:
-            return None
-        return (predicate.column, low, high, True, True)
-    return None
-
-
-def implies(stronger: Predicate, weaker: Predicate) -> bool:
-    """Decide whether ``stronger ⊨ weaker`` for simple single-column predicates.
-
-    The check is sound but deliberately incomplete: it only recognises
-    interval containment on the same column (and trivial cases involving
-    TRUE / identical predicates / OR-weakening), which is all the
-    subsumption rules need.
-    """
-    if isinstance(weaker, TruePredicate):
-        return True
-    if stronger == weaker:
-        return True
-    if isinstance(weaker, Or) and any(implies(stronger, o) for o in weaker.operands):
-        return True
-    strong = _as_interval(stronger)
-    weak = _as_interval(weaker)
-    if strong is None or weak is None:
-        return False
-    s_col, s_lo, s_hi, s_lo_inc, s_hi_inc = strong
-    w_col, w_lo, w_hi, w_lo_inc, w_hi_inc = weak
-    if s_col != w_col:
-        return False
-    lower_ok = s_lo > w_lo or (s_lo == w_lo and (w_lo_inc or not s_lo_inc))
-    upper_ok = s_hi < w_hi or (s_hi == w_hi and (w_hi_inc or not s_hi_inc))
-    return lower_ok and upper_ok

@@ -262,7 +262,7 @@ class ColumnBatch:
                 # row's keys (a row with the same arity but different keys
                 # raises KeyError below and falls through).
                 return cls({name: [row[name] for row in rows] for name in names}, len(rows))
-        # repro-lint: disable=bare-except-swallow -- KeyError *is* the heterogeneity signal; the slow path below handles these rows
+        # KeyError *is* the heterogeneity signal; the slow path below handles these rows
         except KeyError:
             pass
         # Heterogeneous slow path: collect names in first-seen order and

@@ -31,7 +31,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ...analysis.sanitizer import sanitize_lock
 from ..columnar.batch import ColumnBatch
 from ..data import Database, Row
 from ..executor import ExecutionError, Executor
@@ -79,9 +78,7 @@ class SQLExecutor(Executor):
 
             driver = create_driver(self.driver_name)
         self._driver = driver
-        # Under REPRO_SANITIZE=1 the lock joins the cross-thread lock-order
-        # graph (see repro.analysis.sanitizer); otherwise it is a bare RLock.
-        self._lock = sanitize_lock(threading.RLock(), "sql-executor")
+        self._lock = threading.RLock()
         self._loaded_token: Optional[str] = None
         self._base_columns: Dict[str, Tuple[str, ...]] = {}
         self._call = 0

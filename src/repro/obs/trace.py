@@ -348,7 +348,7 @@ class Tracer:
         else:  # pragma: no cover - misuse guard (exit out of order)
             try:
                 stack.remove(frame)
-            # repro-lint: disable=bare-except-swallow -- frame already popped by an earlier out-of-order exit; nothing left to unwind
+            # Frame already popped by an earlier out-of-order exit; nothing left to unwind
             except ValueError:
                 pass
         if isinstance(frame, Span) and frame.sampled:

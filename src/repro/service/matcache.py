@@ -44,7 +44,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..adaptive.policy import CachePolicy, CostLRUPolicy
 from ..algebra.properties import SortOrder
-from ..analysis.sanitizer import sanitize_lock
 from ..dag.fingerprint import Signature, canonical_key
 from ..execution.columnar.batch import ColumnBatch
 from ..obs import Observability, StatisticsView, metric_field
@@ -175,10 +174,6 @@ class MaterializationCache:
     (the row executor merges row dicts in place while joining).
     """
 
-    #: The lock's role name in the sanitizer's lock-order graph; subclasses
-    #: with a different locking profile (the spilling cache) override it.
-    _LOCK_ROLE = "matcache"
-
     def __init__(
         self,
         *,
@@ -197,9 +192,7 @@ class MaterializationCache:
         self.obs = obs if obs is not None else Observability()
         self._tracer = self.obs.tracer
         self.statistics = CacheStatistics(self.obs.registry, labels=self.obs.labels)
-        # Under REPRO_SANITIZE=1 the lock joins the cross-thread lock-order
-        # graph (see repro.analysis.sanitizer); otherwise it is a bare RLock.
-        self._lock = sanitize_lock(threading.RLock(), self._LOCK_ROLE, obs=self.obs)
+        self._lock = threading.RLock()
         self._entries: Dict[CacheKey, _Entry] = {}
         self._bytes = 0
         self._clock = 0

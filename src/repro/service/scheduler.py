@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..algebra.logical import Query, QueryBatch
-from ..analysis.sanitizer import sanitize_lock
 from ..core.mqo import MQOResult
 from ..execution.data import Row
 from .session import BatchExecution, OptimizerSession
@@ -80,11 +79,6 @@ class BatchScheduler:
         strategy: default strategy for submissions that don't name one.
     """
 
-    # Thread-safe by construction, not by this class's locks: the intake
-    # queue and the worker pool do their own internal locking, and the
-    # tracer keeps all mutable span state in thread-locals.
-    _LOCK_FREE = ("_queue", "_pool", "_tracer")
-
     def __init__(
         self,
         session: OptimizerSession,
@@ -105,18 +99,17 @@ class BatchScheduler:
         self.max_batch_size = max_batch_size
         self.max_delay = max_delay
         self.default_strategy = strategy
+        # Thread-safe by construction, not by this class's locks: the intake
+        # queue and the worker pool do their own internal locking, and the
+        # tracer keeps all mutable span state in thread-locals.
         self._queue: "queue.Queue[Optional[_Submission]]" = queue.Queue()
         self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="mqo")
-        self._pending_lock = sanitize_lock(
-            threading.Lock(), "scheduler.pending", obs=self._obs
-        )
+        self._pending_lock = threading.Lock()
         self._pending: "set[Future]" = set()
         self._batch_seq = itertools.count(1)
         # Guards the closed flag together with queue puts so that no
         # submission can land behind the shutdown sentinel.
-        self._state_lock = sanitize_lock(
-            threading.Lock(), "scheduler.state", obs=self._obs
-        )
+        self._state_lock = threading.Lock()
         self._closed = False
         self._collector = threading.Thread(
             target=self._collect, name="mqo-collector", daemon=True
@@ -248,7 +241,7 @@ class BatchScheduler:
         if wait:
             try:
                 self.session.snapshot()
-            # repro-lint: disable=bare-except-swallow -- a failed best-effort shutdown snapshot must not turn a clean close into a crash
+            # A failed best-effort shutdown snapshot must not turn a clean close into a crash
             except Exception:  # pragma: no cover - defensive best-effort
                 pass
 

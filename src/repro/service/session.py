@@ -52,7 +52,6 @@ from ..adaptive import (
     FeedbackStatsStore,
 )
 from ..algebra.logical import Query, QueryBatch
-from ..analysis.sanitizer import sanitize_lock
 from ..catalog.catalog import Catalog
 from ..cost.model import CostModel
 from ..dag.build import DagBuilder, DagConfig
@@ -238,9 +237,7 @@ class OptimizerSession:
         self.max_cached_results = max_cached_results
         self.obs = obs if obs is not None else Observability()
         self.statistics = SessionStatistics(self.obs.registry, labels=self.obs.labels)
-        # Under REPRO_SANITIZE=1 the lock joins the cross-thread lock-order
-        # graph (see repro.analysis.sanitizer); otherwise it is a bare RLock.
-        self._lock = sanitize_lock(threading.RLock(), "session", obs=self.obs)
+        self._lock = threading.RLock()
         self._builder = DagBuilder(catalog, self.dag_config)
         self._batches: "OrderedDict[BatchKey, PreparedBatch]" = OrderedDict()
         self._results: "OrderedDict[Tuple, MQOResult]" = OrderedDict()
@@ -249,7 +246,10 @@ class OptimizerSession:
         #: on every warm execution; reset() drops the old memo's keys.
         self._cache_keys: Dict[Tuple[int, int, object], CacheKey] = {}
 
-        config = AdaptiveConfig() if adaptive is True else (adaptive or None)
+        # Not `adaptive or None`: a falsy AdaptiveConfig would be dropped.
+        config = AdaptiveConfig() if adaptive is True else (
+            None if adaptive is False else adaptive
+        )
         if config is not None and not config.enabled:
             config = None
         self.adaptive_config: Optional[AdaptiveConfig] = config
@@ -408,7 +408,7 @@ class OptimizerSession:
         try:
             for leftover in path.parent.glob(".feedback-tmp-*"):
                 leftover.unlink()
-        # repro-lint: disable=bare-except-swallow -- a failed sweep only postpones cleanup to the next start; startup must not crash over it
+        # A failed sweep only postpones cleanup to the next start; startup must not crash over it
         except OSError:
             pass
         if not path.exists():
@@ -417,7 +417,7 @@ class OptimizerSession:
 
         try:
             self.feedback.restore(path)
-        # repro-lint: disable=bare-except-swallow -- a missing/corrupt snapshot is the documented cold start; the store stays empty
+        # A missing/corrupt snapshot is the documented cold start; the store stays empty
         except (OSError, SnapshotError):
             pass
 

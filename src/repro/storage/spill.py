@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
-from ..analysis.sanitizer import record_io
 from ..obs import Observability, metric_field
 from ..service.matcache import (
     CacheKey,
@@ -143,15 +142,11 @@ class SpillingMaterializationCache(MaterializationCache):
     miss — the disk tier widens how long an entry can be served, never what
     is served.
 
-    This class knowingly performs disk I/O inside the cache lock (spill on
-    evict, fault-in on get) — the simple-but-stalling critical section the
-    ROADMAP calls out.  Its I/O sites are marked with
-    :func:`~repro.analysis.sanitizer.record_io` so a sanitized run
-    (``REPRO_SANITIZE=1``) quantifies exactly how much I/O rides inside
-    which lock before anyone attempts the double-buffered rewrite.
+    This class knowingly performs disk I/O inside the cache lock: the
+    recovery scan, spill writes and index appends on evict, and fault-in
+    reads on get.  It is the simple-but-stalling critical section the
+    ROADMAP calls out; a concurrent caller waits for that I/O.
     """
-
-    _LOCK_ROLE = "spillcache"
 
     def __init__(
         self,
@@ -238,7 +233,6 @@ class SpillingMaterializationCache(MaterializationCache):
         fault-in.  Unreadable files are deleted on the spot — a crash
         mid-rename can leave at most a stale temp file, which is also swept.
         """
-        record_io("spill.recover_scan", obs=self.obs)
         for path in sorted(self.spill_dir.glob("*" + SPILL_SUFFIX)):
             try:
                 with open(path, "rb") as handle:
@@ -310,7 +304,6 @@ class SpillingMaterializationCache(MaterializationCache):
         path = self.spill_dir / _spill_filename(key)
         handle = None
         tmp_path: Optional[Path] = None
-        record_io("spill.write", obs=self.obs, key=key[0][:16])
         try:
             fd, tmp_name = tempfile.mkstemp(
                 prefix=".spill-tmp-", dir=str(self.spill_dir)
@@ -341,7 +334,7 @@ class SpillingMaterializationCache(MaterializationCache):
             if handle is not None:
                 try:
                     handle.close()
-                # repro-lint: disable=bare-except-swallow -- close failure on an already-failed spill; spill_errors was counted above
+                # Close failure on an already-failed spill; spill_errors was counted above
                 except OSError:
                     pass
             if tmp_path is not None:
@@ -365,7 +358,6 @@ class SpillingMaterializationCache(MaterializationCache):
         and it need not be: a torn section fails its checksum at the next
         fault, which rebuilds that column.  A failed write is cut back off."""
         data = encode_index_sections(disk.checksum, indexes)
-        record_io("spill.append", obs=self.obs, key=key[0][:16])
         try:
             with open(disk.path, "ab") as handle:
                 try:
@@ -432,7 +424,6 @@ class SpillingMaterializationCache(MaterializationCache):
             self.statistics.stale_files_dropped += 1
             self._drop_disk_locked(key)
             return None
-        record_io("spill.read", obs=self.obs, key=key[0][:16])
         try:
             with open(disk.path, "rb") as handle:
                 header, batch, sections = read_spill_batch(handle)
@@ -480,6 +471,6 @@ class SpillingMaterializationCache(MaterializationCache):
 def _unlink_quietly(path: Path) -> None:
     try:
         os.unlink(path)
-    # repro-lint: disable=bare-except-swallow -- best-effort unlink; a leaked file is ignored (wrong token) and swept by the next recovery scan
+    # Best-effort unlink; a leaked file is ignored (wrong token) and swept by the next recovery scan
     except OSError:
         pass

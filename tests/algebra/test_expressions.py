@@ -22,7 +22,6 @@ from repro.algebra.expressions import (
     eq,
     ge,
     gt,
-    implies,
     in_list,
     is_equijoin_predicate,
     is_join_predicate,
@@ -113,36 +112,6 @@ class TestReferences:
         assert single_column(lt(col("a"), 5)) == col("a")
         assert single_column(eq(col("a"), col("b"))) is None
         assert single_column(between(col("a"), 1, 2)) == col("a")
-
-
-class TestImplies:
-    def test_identical(self):
-        assert implies(eq("a", 5), eq("a", 5))
-
-    def test_true_is_weakest(self):
-        assert implies(eq("a", 5), TruePredicate())
-
-    def test_range_containment(self):
-        assert implies(lt("a", 5), lt("a", 10))
-        assert not implies(lt("a", 10), lt("a", 5))
-        assert implies(eq("a", 7), between("a", 1, 10))
-        assert implies(between("a", 3, 4), between("a", 1, 10))
-        assert not implies(between("a", 0, 4), between("a", 1, 10))
-
-    def test_le_vs_lt_boundaries(self):
-        assert implies(lt("a", 5), le("a", 5))
-        assert not implies(le("a", 5), lt("a", 5))
-        assert implies(gt("a", 5), ge("a", 5))
-
-    def test_different_columns_never_imply(self):
-        assert not implies(lt("a", 5), lt("b", 10))
-
-    def test_or_weakening(self):
-        assert implies(eq("a", 1), disjunction([eq("a", 1), eq("a", 2)]))
-
-    def test_strings_not_interval_checked(self):
-        assert not implies(eq("a", "x"), eq("a", "y"))
-        assert implies(eq("a", "x"), eq("a", "x"))
 
 
 class TestAggregates:

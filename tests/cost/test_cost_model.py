@@ -141,3 +141,29 @@ class TestSelectivity:
         info = ColumnInfo(distinct=10, min_value=0, max_value=100)
         assert info.value_range == 100
         assert ColumnInfo(distinct=10).value_range is None
+
+
+class FalsyDict(dict):
+    """A mapping that is falsy regardless of contents (e.g. a lazy view)."""
+
+    def __bool__(self):
+        return False
+
+
+def test_catalog_resolver_honors_falsy_alias_mappings():
+    catalog = tpcd_catalog(0.01)
+    table = next(iter(catalog.tables))
+    column = next(iter(catalog.tables[table].columns))
+
+    from repro.algebra.expressions import ColumnRef
+
+    aliased = CatalogResolver(
+        catalog, alias_tables=FalsyDict({"v": table}), derived_rows=None
+    )
+    direct = CatalogResolver(catalog, alias_tables={"v": table})
+    ref = ColumnRef(name=column, qualifier="v")
+    assert aliased.resolve(ref) == direct.resolve(ref)
+
+    derived = CatalogResolver(catalog, derived_rows=FalsyDict({"d": 42.0}))
+    info = derived.resolve(ColumnRef(name="anything", qualifier="d"))
+    assert info is not None and info.distinct == 42.0

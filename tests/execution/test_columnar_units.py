@@ -409,3 +409,27 @@ def test_sort_permutation_equals_total_order_key_sort(batch):
 
     expected = sorted(range(batch.length), key=key)
     assert ColumnarExecutor._sort_batch(batch, node).columns["t.i"] == expected
+
+
+# ------------------------------------------------------------- falsy masks
+
+
+class FalsyDict(dict):
+    """A mapping that is falsy regardless of contents (e.g. a lazy view)."""
+
+    def __bool__(self):
+        return False
+
+
+def test_column_batch_honors_falsy_masks_mapping():
+    columns = {"t.a": [1, None], "t.b": [10, 20]}
+    masks = FalsyDict({"t.a": [True, False]})  # row 1 has no 't.a' cell
+    batch = ColumnBatch(dict(columns), 2, masks)
+    rows = batch.to_rows()
+    assert rows == [{"t.a": 1, "t.b": 10}, {"t.b": 20}]
+    # None still means "no masks": every cell present.
+    dense = ColumnBatch(dict(columns), 2, None)
+    assert dense.to_rows() == [
+        {"t.a": 1, "t.b": 10},
+        {"t.a": None, "t.b": 20},
+    ]

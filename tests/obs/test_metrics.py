@@ -163,6 +163,32 @@ def test_registry_returns_same_object_per_identity():
     assert registry.counter("hits", {"shard": 2}) is not a
 
 
+def test_registry_shares_series_while_other_threads_create_and_read():
+    registry = MetricsRegistry()
+    barrier = threading.Barrier(4)
+    seen = [[] for _ in range(4)]
+    errors = []
+
+    def creator(index):
+        try:
+            barrier.wait(timeout=10)
+            for i in range(200):
+                seen[index].append(registry.counter("c", {"n": i % 50}))
+                registry.snapshot()  # reads the series others are adding
+        except Exception as exc:  # pragma: no cover - diagnostic
+            errors.append(exc)
+
+    threads = [threading.Thread(target=creator, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert errors == []
+    assert len(registry.metrics()) == 50
+    assert all(a is b for a, b in zip(seen[0], seen[3]))
+
+
 def test_registry_binds_each_name_to_one_kind():
     registry = MetricsRegistry()
     registry.histogram("latency")

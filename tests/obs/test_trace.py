@@ -154,6 +154,33 @@ def test_jsonl_writer_accepts_explicit_file_and_reprs_unserializable(tmp_path):
     assert record["attrs"]["obj"].startswith("<object object")
 
 
+def test_sinks_keep_every_record_from_concurrent_writers(tmp_path):
+    memory = InMemorySink()
+    writer = JsonlTraceWriter(tmp_path / "spans.jsonl")
+    barrier = threading.Barrier(4)
+
+    def emit(index):
+        barrier.wait(timeout=10)
+        for i in range(200):
+            record = {"name": f"w{index}", "i": i, "pad": "x" * 64}
+            memory.write(record)
+            writer.write(record)
+            memory.spans(f"w{index}")  # reads while the others write
+
+    threads = [threading.Thread(target=emit, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    writer.close()
+    assert len(memory.spans()) == 800
+    lines = (tmp_path / "spans.jsonl").read_text().splitlines()
+    assert sorted((r["name"], r["i"]) for r in map(json.loads, lines)) == sorted(
+        (f"w{index}", i) for index in range(4) for i in range(200)
+    )
+
+
 def test_null_tracer_is_a_shared_true_noop():
     assert isinstance(NULL_TRACER, NullTracer)
     assert NULL_TRACER.enabled is False
