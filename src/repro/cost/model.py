@@ -56,7 +56,8 @@ class CostModel:
 
     Each method takes cardinalities (rows) and row widths (bytes) and
     returns the operator's own cost; plan-level composition is the
-    optimizer's job.
+    optimizer's job.  A join's ``*_blocks`` form takes the block counts the
+    plan DP works out once per group; its rows/width method feeds it :meth:`blocks`.
     """
 
     parameters: CostParameters = DEFAULT_COST_PARAMETERS
@@ -141,9 +142,15 @@ class CostModel:
         output_rows: float,
     ) -> float:
         """Merge join of two inputs already sorted on the join keys (CPU only)."""
-        b = self.blocks(left_rows, left_width) + self.blocks(right_rows, right_width)
-        b_out = self.blocks(output_rows, left_width + right_width)
-        return self._cpu(b) + self._cpu(b_out) * 0.5
+        return self.merge_join_blocks(
+            self.blocks(left_rows, left_width),
+            self.blocks(right_rows, right_width),
+            self.blocks(output_rows, left_width + right_width),
+        )
+
+    def merge_join_blocks(self, left: float, right: float, output: float) -> float:
+        """:meth:`merge_join` of inputs and an output of ``left``/``right``/``output`` blocks."""
+        return self._cpu(left + right) + self._cpu(output) * 0.5
 
     def nested_loop_join(
         self,
@@ -153,7 +160,15 @@ class CostModel:
         inner_width: float,
         inner_is_stored: bool,
     ) -> float:
-        """Block nested-loops join.
+        """Block nested-loops join."""
+        return self.nested_loop_join_blocks(
+            self.blocks(outer_rows, outer_width),
+            self.blocks(inner_rows, inner_width),
+            inner_is_stored,
+        )
+
+    def nested_loop_join_blocks(self, outer: float, inner: float, inner_is_stored: bool) -> float:
+        """:meth:`nested_loop_join` of an outer and an inner of ``outer``/``inner`` blocks.
 
         The outer input is consumed once (its cost is charged to its own
         sub-plan); the inner input must be rescanned once per outer chunk.
@@ -161,16 +176,14 @@ class CostModel:
         temporary file (one write pass), and every pass after the first one
         re-reads it from disk.
         """
-        outer_blocks = self.blocks(outer_rows, outer_width)
-        inner_blocks = self.blocks(inner_rows, inner_width)
         chunk = max(self.parameters.memory_blocks - 2, 1)
-        passes = max(1, math.ceil(outer_blocks / chunk))
-        cost = self._cpu(outer_blocks + passes * inner_blocks)
+        passes = max(1, math.ceil(outer / chunk))
+        cost = self._cpu(outer + passes * inner)
         rescans = passes if not inner_is_stored else passes - 1
         if not inner_is_stored:
-            cost += self.parameters.seek_ms + self._write(inner_blocks)
+            cost += self.parameters.seek_ms + self._write(inner)
         if rescans > 0:
-            cost += rescans * (self.parameters.seek_ms + self._read(inner_blocks))
+            cost += rescans * (self.parameters.seek_ms + self._read(inner))
         return cost
 
     def index_nested_loop_join(

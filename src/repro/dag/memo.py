@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..algebra.expressions import (
@@ -22,6 +23,7 @@ from ..algebra.expressions import (
     Predicate,
     conjuncts,
 )
+from ..algebra.properties import SortOrder
 from .fingerprint import (
     AggregateSignature,
     FilterSignature,
@@ -86,6 +88,13 @@ class JoinMExpr:
     right: int
     left_aliases: FrozenSet[str] = frozenset()
     right_aliases: FrozenSet[str] = frozenset()
+
+    @cached_property
+    def key_orders(self) -> Tuple[SortOrder, SortOrder]:
+        """The orders a merge join needs of its operands (:func:`equijoin_keys`;
+        both empty if none), worked out once: they read no statistics."""
+        left_keys, right_keys = equijoin_keys(self)
+        return SortOrder(tuple(left_keys)), SortOrder(tuple(right_keys))
 
     def describe(self) -> str:
         pred = str(self.predicate) if self.predicate is not None else "⨯"

@@ -227,7 +227,7 @@ class BatchDag:
         chain of selections.
         """
         from ..algebra.properties import SortOrder
-        from .memo import AggregateMExpr, JoinMExpr, SelectMExpr, equijoin_keys
+        from .memo import AggregateMExpr, JoinMExpr, SelectMExpr
 
         scoped = sorted(self.scoped_groups())
         requested: Dict[int, List[SortOrder]] = {gid: [] for gid in scoped}
@@ -236,10 +236,10 @@ class BatchDag:
         for gid in scoped:
             for mexpr in self.iter_mexprs(gid):
                 if isinstance(mexpr, JoinMExpr):
-                    left_keys, right_keys = equijoin_keys(mexpr)
-                    if left_keys:
-                        requested[mexpr.left].append(SortOrder(tuple(left_keys)))
-                        requested[mexpr.right].append(SortOrder(tuple(right_keys)))
+                    left_order, right_order = mexpr.key_orders
+                    if left_order:
+                        requested[mexpr.left].append(left_order)
+                        requested[mexpr.right].append(right_order)
                 elif isinstance(mexpr, AggregateMExpr) and mexpr.group_by:
                     requested[mexpr.child].append(SortOrder(tuple(mexpr.group_by)))
 

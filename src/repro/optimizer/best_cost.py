@@ -93,7 +93,9 @@ class BestCostEngine:
         # subsumption pass over them are in the memo (later batches can only
         # add groups/derivations outside it).  This is what lets a persistent
         # OptimizerSession keep engines — and their caches — alive across
-        # arbitrarily many batches with no invalidation protocol.
+        # arbitrarily many batches.  The optimizer snapshots each group's
+        # rows / row_width and clustered-index facts, so a drift correction
+        # drops the prepared batches it affects (_apply_drift_locked).
         self._empty: Optional[PlanTable] = None
         self._results: "OrderedDict[FrozenSet, Tuple[BestCostResult, Optional[PlanTable]]]" = (
             OrderedDict()

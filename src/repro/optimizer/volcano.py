@@ -23,8 +23,12 @@ Only one thing about a DP state depends on ``S``: whether its own group can
 be read back from disk.  Everything else — which states feed an operator,
 what the operator itself costs, which order it delivers — is worked out once
 per optimizer (:class:`_Alternative`, sort orders interned to ints with
-``satisfies`` as a table).  States are numbered densely in creation order,
-each candidate is one flat tuple over input state ids, and a
+``satisfies`` as a table filled on demand).  Operators are costed from
+per-group block counts, a join's key orders are computed once per join
+multi-expression (:attr:`~repro.dag.memo.JoinMExpr.key_orders`) and the
+alternatives of a multi-expression share one field map.  States are
+numbered densely in creation order, each candidate is one flat tuple over
+input state ids, built in place with the state, and a
 :class:`PlanTable` is a list indexed by state id plus a dict of deltas, so
 the DP is over costs: evaluating a state is a few list reads, additions and
 a ``min``.  Moving a table from one ``S`` to another
@@ -50,14 +54,14 @@ per set somebody reads as trees.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..algebra.expressions import ColumnRef, Comparison, conjuncts, conjunction
 from ..algebra.properties import ANY_ORDER, SortOrder
+from ..catalog.catalog import Catalog
 from ..cost.cardinality import CatalogResolver, SelectivityEstimator
 from ..cost.model import CostModel
 from ..dag.memo import AggregateMExpr, Group, JoinMExpr, MExpr, ScanMExpr, SelectMExpr
-from ..dag.memo import equijoin_keys
 from ..dag.sharing import BatchDag, MaterializationChoice
 from .plan import PhysicalOp, PhysicalPlan
 
@@ -202,36 +206,84 @@ class _Alternative:
     ``local`` is the operator's own cost, ``order`` the id of the sort order
     it delivers (``None``: that of its first input), ``sort`` what a sort
     enforcer on top of it costs and ``fields`` the remaining
-    :class:`PhysicalPlan` arguments.  ``inputs`` are the ``(group id, order
-    id)`` DP states whose best plans become the children; with
+    :class:`PhysicalPlan` arguments, one mapping shared by the alternatives
+    of a multi-expression that need no more.  ``inputs`` are the ``(group
+    id, order id)`` DP states whose best plans become the children; with
     ``passes_order`` the operator is also offered over its input sorted the
     way its own consumer asked.
     """
 
     __slots__ = ("op", "inputs", "local", "order", "sort", "passes_order", "fields")
 
-    def __init__(self, op, inputs, local, order, sort, passes_order=False, **fields):
+    def __init__(self, op, inputs, local, order, sort, fields, passes_order=False):
         self.op = op
         self.inputs: Tuple[Tuple[int, int], ...] = inputs
         self.local: float = local
         self.order: Optional[int] = order
         self.sort: float = sort
         self.passes_order = passes_order
-        self.fields = fields
+        self.fields: Mapping[str, object] = fields
+
+
+class _Index(NamedTuple):
+    """What scanning or probing a base relation's clustered index needs."""
+
+    table: str
+    alias: str
+    leading: str  # the index's leading column
+    row_count: float
+    distinct: float  # distinct values of the leading column
+    order: SortOrder  # the order a scan of the index delivers
 
 
 class _GroupCosts:
-    """What is fixed about one group: its size, its sort / read-back / write
-    costs and its :class:`_Alternative` list in candidate order."""
+    """What is fixed about one group: its size in rows, bytes per row and
+    blocks (snapshots of the memo's estimates), its sort / read-back / write
+    costs, its clustered index if it is a base relation with one, and, once
+    the group is implemented, its :class:`_Alternative` list in order."""
 
-    __slots__ = ("rows", "width", "sort", "read", "write", "alternatives")
+    __slots__ = (
+        "rows", "width", "blocks", "stored", "sort", "read", "write", "index", "alternatives"
+    )
 
-    def __init__(self, group: Group, model: CostModel):
+    def __init__(self, group: Group, model: CostModel, catalog: Catalog):
         self.rows, self.width = group.rows, group.row_width
+        self.blocks = model.blocks(self.rows, self.width)
+        self.stored = group.is_relation
         self.sort = model.sort(self.rows, self.width)
         self.read = model.read_materialized(self.rows, self.width)
         self.write = model.materialize(self.rows, self.width)
-        self.alternatives: List[_Alternative] = []
+        self.index = _clustered(group, catalog)
+        self.alternatives: Optional[List[_Alternative]] = None
+
+
+def _clustered(group: Group, catalog: Catalog) -> Optional[_Index]:
+    """The :class:`_Index` of a base relation's clustered index, if it has one."""
+    if not group.is_relation:
+        return None
+    table, alias = group.signature.table, group.signature.alias
+    clustered = catalog.clustered_index(table)
+    if clustered is None:
+        return None
+    stats = catalog.table_statistics(table)
+    leading = clustered.leading_column
+    order = SortOrder(tuple(ColumnRef(c, alias) for c in clustered.columns))
+    return _Index(table, alias, leading, stats.row_count, stats.distinct(leading), order)
+
+
+class _Satisfied(dict):
+    """``(have, want) order ids -> orders[have].satisfies(orders[want])``, each
+    pair worked out when it is first read (a plain dict read after that)."""
+
+    __slots__ = ("orders",)
+
+    def __init__(self, orders: List[SortOrder]):
+        self.orders = orders  # the optimizer's registry, read on a miss
+
+    def __missing__(self, pair: Tuple[int, int]) -> bool:
+        have, want = pair
+        fits = self[pair] = self.orders[have].satisfies(self.orders[want])
+        return fits
 
 
 #: A candidate, the flat tuple ``_compute`` reads: ``(lb, local, order, fits,
@@ -288,21 +340,6 @@ def _sort_over(plan: PhysicalPlan, order: SortOrder, local: float) -> PhysicalPl
     )
 
 
-def _candidate(alternative: _Alternative, inputs: List[_State], fits) -> _Candidate:
-    """A candidate over input states, its bound summed as ``_compute`` sums costs."""
-    lb, first, second = alternative.local, None, None
-    if inputs:
-        lb, first = inputs[0].lb, inputs[0].id
-        if len(inputs) > 1:
-            (other,) = inputs[1:]  # operators are at most binary
-            lb, second = lb + other.lb, other.id
-        lb += alternative.local
-    if fits is False:
-        lb += alternative.sort
-    local, sort = alternative.local, alternative.sort
-    return lb, local, alternative.order, fits, sort, alternative, first, second
-
-
 class VolcanoOptimizer:
     """The plan-extraction DP over a :class:`~repro.dag.sharing.BatchDag`."""
 
@@ -327,7 +364,7 @@ class VolcanoOptimizer:
         self._order_keys: List[Tuple[bool, str]] = [_order_key(ANY_ORDER)]
         # Per materialized element, its (group id, stored order id).
         self._elements: Dict[object, Tuple[int, int]] = {}
-        self._satisfied: Dict[Tuple[int, int], bool] = {(_ANY, _ANY): True}
+        self._satisfied: Dict[Tuple[int, int], bool] = _Satisfied(self._orders)
 
     # ------------------------------------------------------------------ API
 
@@ -640,46 +677,81 @@ class VolcanoOptimizer:
             ident = self._order_ids[order] = len(self._orders)
             self._orders.append(order)
             self._order_keys.append(_order_key(order))
-            for other, known in enumerate(self._orders):
-                self._satisfied[ident, other] = order.satisfies(known)
-                self._satisfied[other, ident] = known.satisfies(order)
         return ident
 
     def _state(self, gid: int, required: int) -> _State:
-        state = self._states.get((gid, required))
-        if state is None:
-            group = self._group(gid)
-            state_id = len(self._by_id)
-            state = _State(gid, required, group, state_id)
-            self._states[gid, required] = state
-            self._states_of.setdefault(gid, []).append(state)
-            self._by_id.append(state)
-            # Consumers rank strictly above their inputs, so (rank, id) is a
-            # topological order that does not depend on hashing.
-            self._keys.append(self.dag.rank(gid) << _ID_BITS | state_id)
-            self._consumers.append([])
-            candidates, states = state.candidates, self._states
-            for alternative in group.alternatives:
-                if alternative.order is None:
-                    fits = None if required else True
-                else:
-                    fits = self._satisfied[alternative.order, required]
-                sources = alternative.inputs
-                inputs = [states.get(source) or self._state(*source) for source in sources]
-                candidates.append(_candidate(alternative, inputs, fits))
-                if alternative.passes_order and required:
-                    ordered = [self._state(sources[0][0], required)]
-                    candidates.append(_candidate(alternative, ordered, None))
-            state.lb = min([group.read] + [candidate[0] for candidate in candidates])
-            for source in dict.fromkeys(i for c in candidates for i in c[6:] if i is not None):
-                self._consumers[source].append(state_id)
+        """The state ``(gid, required)``, created with its candidates (and,
+        recursively and first, their input states) on first use."""
+        states = self._states
+        state = states.get((gid, required))
+        if state is not None:
+            return state
+        group = self._group(gid)
+        state_id = len(self._by_id)
+        state = states[gid, required] = _State(gid, required, group, state_id)
+        self._states_of.setdefault(gid, []).append(state)
+        self._by_id.append(state)
+        # Consumers rank strictly above their inputs, so (rank, id) is a
+        # topological order that does not depend on hashing.
+        self._keys.append(self.dag.rank(gid) << _ID_BITS | state_id)
+        self._consumers.append([])
+        # A candidate's bound sums its inputs' bounds as _compute sums their
+        # costs; the state's is the least of the read-back's and candidates'.
+        satisfied, candidates, sources = self._satisfied, state.candidates, []
+        least = group.read
+        for alternative in group.alternatives:
+            local, order, sort, inputs = (
+                alternative.local, alternative.order, alternative.sort, alternative.inputs
+            )
+            if order is None:
+                fits = None if required else True
+            else:
+                fits = satisfied[order, required]
+            if not inputs:
+                lb, first_id, second_id = local, None, None
+            else:
+                first = states.get(inputs[0]) or self._state(*inputs[0])
+                first_id = first.id
+                sources.append(first_id)
+                if len(inputs) == 1:
+                    lb, second_id = first.lb + local, None
+                else:  # operators are at most binary
+                    second = states.get(inputs[1]) or self._state(*inputs[1])
+                    second_id = second.id
+                    sources.append(second_id)
+                    lb = first.lb + second.lb + local
+            if fits is False:
+                lb += sort
+            if lb < least:
+                least = lb
+            candidates.append((lb, local, order, fits, sort, alternative, first_id, second_id))
+            if alternative.passes_order and required:
+                ordered = self._state(inputs[0][0], required)
+                lb = ordered.lb + local
+                if lb < least:
+                    least = lb
+                candidates.append((lb, local, order, None, sort, alternative, ordered.id, None))
+                sources.append(ordered.id)
+        state.lb = least
+        for source in sources:  # each input once, in candidate order
+            waiting = self._consumers[source]
+            if not waiting or waiting[-1] != state_id:
+                waiting.append(state_id)
         return state
 
-    def _group(self, group_id: int) -> _GroupCosts:
+    def _costs(self, group_id: int) -> _GroupCosts:
+        """A group's :class:`_GroupCosts`, implemented or not yet."""
         costs = self._groups.get(group_id)
         if costs is None:
             group = self.memo.get(group_id)
-            costs = self._groups[group_id] = _GroupCosts(group, self.cost_model)
+            costs = self._groups[group_id] = _GroupCosts(group, self.cost_model, self.catalog)
+        return costs
+
+    def _group(self, group_id: int) -> _GroupCosts:
+        """A group's :class:`_GroupCosts`, its alternatives implemented."""
+        costs = self._costs(group_id)
+        if costs.alternatives is None:
+            costs.alternatives = []
             for mexpr in self.dag.iter_mexprs(group_id):
                 costs.alternatives.extend(self._implement(mexpr, costs))
         return costs
@@ -696,150 +768,100 @@ class VolcanoOptimizer:
         raise TypeError(f"unknown multi-expression type: {type(mexpr).__name__}")
 
     def _implement_scan(self, mexpr: ScanMExpr, costs: _GroupCosts) -> List[_Alternative]:
-        clustered = self.catalog.clustered_index(mexpr.table)
-        scan_order = SortOrder()
-        if clustered is not None:
-            scan_order = SortOrder(tuple(ColumnRef(c, mexpr.alias) for c in clustered.columns))
+        # A scan is its relation group's one multi-expression: the index is the scan's.
+        order = _ANY if costs.index is None else self._order_id(costs.index.order)
         local = self.cost_model.table_scan(costs.rows, costs.width)
         fields = dict(rows=costs.rows, width=costs.width, table=mexpr.table, alias=mexpr.alias)
-        return [
-            _Alternative(
-                PhysicalOp.TABLE_SCAN, (), local, self._order_id(scan_order), costs.sort, **fields
-            )
-        ]
+        return [_Alternative(PhysicalOp.TABLE_SCAN, (), local, order, costs.sort, fields)]
 
     def _implement_select(self, mexpr: SelectMExpr, costs: _GroupCosts) -> List[_Alternative]:
-        child_group = self.memo.get(mexpr.child)
+        child = self._costs(mexpr.child)
+        fields = {"rows": costs.rows, "width": costs.width, "predicate": mexpr.predicate}
+        local = self.cost_model.filter(child.rows, child.width)
         alternatives = [
             _Alternative(
-                PhysicalOp.FILTER,
-                ((mexpr.child, _ANY),),
-                self.cost_model.filter(child_group.rows, child_group.row_width),
-                None,
-                costs.sort,
+                PhysicalOp.FILTER, ((mexpr.child, _ANY),), local, None, costs.sort, fields,
                 passes_order=True,
-                rows=costs.rows,
-                width=costs.width,
-                predicate=mexpr.predicate,
             )
         ]
-        indexed = self._indexed_selection(mexpr, child_group, costs)
-        if indexed is not None:
-            alternatives.append(indexed)
+        if child.index is not None:
+            indexed = self._indexed_selection(mexpr, child, costs, fields)
+            if indexed is not None:
+                alternatives.append(indexed)
         return alternatives
 
     def _indexed_selection(
-        self, mexpr: SelectMExpr, child_group: Group, costs: _GroupCosts
+        self, mexpr: SelectMExpr, child: _GroupCosts, costs: _GroupCosts, fields: Mapping
     ) -> Optional[_Alternative]:
         """Clustered-index selection directly on a base relation, if applicable."""
-        if not child_group.is_relation:
-            return None
-        table = child_group.signature.table
-        alias = child_group.signature.alias
-        clustered = self.catalog.clustered_index(table)
-        if clustered is None:
-            return None
-        leading = clustered.leading_column
+        index = child.index
         index_conjuncts = [
             p
             for p in conjuncts(mexpr.predicate)
             if isinstance(p, Comparison)
             and not isinstance(p.right, ColumnRef)
-            and p.left.name == leading
+            and p.left.name == index.leading
         ]
         if not index_conjuncts:
             return None
-        estimator = SelectivityEstimator(CatalogResolver(self.catalog, {alias: table}))
+        estimator = SelectivityEstimator(CatalogResolver(self.catalog, {index.alias: index.table}))
         selectivity = estimator.selectivity(conjunction(index_conjuncts))
-        stats = self.catalog.table_statistics(table)
-        model = self.cost_model
-        local = model.indexed_selection(stats.row_count, child_group.row_width, selectivity)
-        order = self._order_id(SortOrder(tuple(ColumnRef(c, alias) for c in clustered.columns)))
-        fields = dict(rows=costs.rows, width=costs.width, table=table, alias=alias)
+        local = self.cost_model.indexed_selection(index.row_count, child.width, selectivity)
         return _Alternative(
-            PhysicalOp.INDEX_SCAN, (), local, order, costs.sort, predicate=mexpr.predicate, **fields
+            PhysicalOp.INDEX_SCAN, (), local, self._order_id(index.order), costs.sort,
+            dict(fields, table=index.table, alias=index.alias),
         )
 
     def _implement_join(self, mexpr: JoinMExpr, costs: _GroupCosts) -> List[_Alternative]:
         model = self.cost_model
-        left_group = self.memo.get(mexpr.left)
-        right_group = self.memo.get(mexpr.right)
-        left_any = (mexpr.left, _ANY)
-        right_any = (mexpr.right, _ANY)
-        left_keys, right_keys = equijoin_keys(mexpr)
-        common = dict(rows=costs.rows, width=costs.width, predicate=mexpr.predicate)
+        left, right = self._costs(mexpr.left), self._costs(mexpr.right)
+        left_any, right_any = (mexpr.left, _ANY), (mexpr.right, _ANY)
+        left_order, right_order = mexpr.key_orders
+        fields = {"rows": costs.rows, "width": costs.width, "predicate": mexpr.predicate}
+        sort = costs.sort
         alternatives: List[_Alternative] = []
 
         # Merge join (requires both inputs sorted on the join keys).
-        if left_keys:
-            left_order = self._order_id(SortOrder(tuple(left_keys)))
-            right_order = self._order_id(SortOrder(tuple(right_keys)))
-            local = model.merge_join(
-                left_group.rows, left_group.row_width, right_group.rows, right_group.row_width,
-                costs.rows,
-            )
+        if left_order:
+            left_id, right_id = self._order_id(left_order), self._order_id(right_order)
+            output = model.blocks(costs.rows, left.width + right.width)
+            local = model.merge_join_blocks(left.blocks, right.blocks, output)
+            inputs = ((mexpr.left, left_id), (mexpr.right, right_id))
             alternatives.append(
-                _Alternative(
-                    PhysicalOp.MERGE_JOIN,
-                    ((mexpr.left, left_order), (mexpr.right, right_order)),
-                    local,
-                    left_order,
-                    costs.sort,
-                    **common,
-                )
+                _Alternative(PhysicalOp.MERGE_JOIN, inputs, local, left_id, sort, fields)
             )
 
         # Block nested-loop join, both operand orders.
-        for outer, inner, outer_group, inner_group in (
-            (left_any, right_any, left_group, right_group),
-            (right_any, left_any, right_group, left_group),
+        for outer, inner, outer_costs, inner_costs in (
+            (left_any, right_any, left, right),
+            (right_any, left_any, right, left),
         ):
-            local = model.nested_loop_join(
-                outer_group.rows, outer_group.row_width, inner_group.rows, inner_group.row_width,
-                inner_is_stored=inner_group.is_relation,
+            local = model.nested_loop_join_blocks(
+                outer_costs.blocks, inner_costs.blocks, inner_costs.stored
             )
             alternatives.append(
-                _Alternative(
-                    PhysicalOp.NESTED_LOOP_JOIN, (outer, inner), local, None, costs.sort, **common
-                )
+                _Alternative(PhysicalOp.NESTED_LOOP_JOIN, (outer, inner), local, None, sort, fields)
             )
 
         # Index nested-loop join: probe a clustered index on a base-relation inner.
-        if left_keys:
-            for outer, outer_group, inner_group, inner_keys in (
-                (left_any, left_group, right_group, right_keys),
-                (right_any, right_group, left_group, left_keys),
+        if left_order:
+            for outer, outer_costs, inner, inner_order in (
+                (left_any, left, right, right_order),
+                (right_any, right, left, left_order),
             ):
-                probe = self._index_probe(outer_group, inner_group, inner_keys)
-                if probe is not None:
-                    local, table = probe
-                    alias = inner_group.signature.alias
-                    alternatives.append(
-                        _Alternative(
-                            PhysicalOp.INDEX_NL_JOIN, (outer,), local, None, costs.sort,
-                            table=table, alias=alias, **common,
-                        )
+                index = inner.index
+                if index is None or all(key.name != index.leading for key in inner_order.columns):
+                    continue
+                local = model.index_nested_loop_join(
+                    outer_costs.rows, index.row_count, inner.width, index.distinct
+                )
+                alternatives.append(
+                    _Alternative(
+                        PhysicalOp.INDEX_NL_JOIN, (outer,), local, None, sort,
+                        dict(fields, table=index.table, alias=index.alias),
                     )
+                )
         return alternatives
-
-    def _index_probe(
-        self, outer_group: Group, inner_group: Group, inner_keys: List[ColumnRef]
-    ) -> Optional[Tuple[float, str]]:
-        """(cost, table) of probing the inner's clustered index per outer row."""
-        if not inner_group.is_relation or not inner_keys:
-            return None
-        table = inner_group.signature.table
-        clustered = self.catalog.clustered_index(table)
-        if clustered is None:
-            return None
-        if clustered.leading_column not in {k.name for k in inner_keys}:
-            return None
-        stats = self.catalog.table_statistics(table)
-        distinct = stats.distinct(clustered.leading_column)
-        local = self.cost_model.index_nested_loop_join(
-            outer_group.rows, stats.row_count, inner_group.row_width, distinct
-        )
-        return local, table
 
     def _implement_aggregate(self, mexpr: AggregateMExpr, costs: _GroupCosts) -> List[_Alternative]:
         model = self.cost_model
@@ -852,9 +874,7 @@ class VolcanoOptimizer:
                     model.scalar_aggregate(child_group.rows, child_group.row_width),
                     _ANY,
                     model.sort(1.0, costs.width),
-                    rows=1.0,
-                    width=costs.width,
-                    aggregates=mexpr.aggregates,
+                    dict(rows=1.0, width=costs.width, aggregates=mexpr.aggregates),
                 )
             ]
         group_order = self._order_id(SortOrder(tuple(mexpr.group_by)))
@@ -865,9 +885,11 @@ class VolcanoOptimizer:
                 model.sort_aggregate(child_group.rows, child_group.row_width),
                 group_order,
                 costs.sort,
-                rows=costs.rows,
-                width=costs.width,
-                group_by=mexpr.group_by,
-                aggregates=mexpr.aggregates,
+                dict(
+                    rows=costs.rows,
+                    width=costs.width,
+                    group_by=mexpr.group_by,
+                    aggregates=mexpr.aggregates,
+                ),
             )
         ]

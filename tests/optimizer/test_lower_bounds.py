@@ -3,11 +3,11 @@
 Every DP state and candidate carries a static lower bound, and ``_compute``
 skips a candidate whose bound cannot beat the incumbent without reading its
 inputs.  The reference here is the very same DP with every bound forced to
-−∞ (``volcano._candidate`` patched for the reference engine only), so it
-never skips.  Both engines walk the same random add/remove/jump sequences
-and must agree on costs, on the candidate every shared state chose and on
-the extracted plan trees; every entry of the bounded DP must be at least its
-state's bound.
+−∞ (its engine's optimizer rewrites each new state's bounds before any
+consumer reads them), so it never skips.  Both engines walk the same random
+add/remove/jump sequences and must agree on costs, on the candidate every
+shared state chose and on the extracted plan trees; every entry of the
+bounded DP must be at least its state's bound.
 """
 
 import gc
@@ -21,23 +21,34 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.catalog.tpcd import tpcd_catalog
 from repro.dag.sharing import build_batch_dag
-from repro.optimizer import volcano
+from repro.optimizer import best_cost
 from repro.optimizer.best_cost import BestCostEngine
 from repro.optimizer.volcano import VolcanoOptimizer
 from repro.workloads.batches import composite_batch
 from repro.workloads.synthetic import random_star_batch, star_schema_catalog
 
-BOUNDED = volcano._candidate
 
+class UnboundedOptimizer(VolcanoOptimizer):
+    """The same DP whose every state and candidate has the bound −∞.
 
-def _unbounded(alternative, inputs, fits):
-    return (-math.inf,) + BOUNDED(alternative, inputs, fits)[1:]
+    A state's inputs are created (and so rewritten) inside its own
+    ``_state`` call, and its consumers read its bound only after that call
+    returns, so no bound is read before it is −∞.
+    """
+
+    def _state(self, gid, required):
+        created = len(self._by_id)
+        state = super()._state(gid, required)
+        if state.id >= created:
+            state.lb = -math.inf
+            state.candidates[:] = [(-math.inf,) + c[1:] for c in state.candidates]
+        return state
 
 
 @contextmanager
 def no_bounds():
-    """States and candidates built inside get the bound −∞: nothing is skipped."""
-    with mock.patch.object(volcano, "_candidate", _unbounded):
+    """Engines built inside get an :class:`UnboundedOptimizer`: nothing is skipped."""
+    with mock.patch.object(best_cost, "VolcanoOptimizer", UnboundedOptimizer):
         yield
 
 
@@ -111,8 +122,7 @@ def test_skipping_changes_no_cost_choice_or_plan(case):
         else:
             current = argument
         got = bounded.evaluate(current)
-        with no_bounds():
-            want = reference.evaluate(current)
+        want = reference.evaluate(current)
         assert (got.use_cost, got.overhead_cost) == (want.use_cost, want.overhead_cost)
         assert_entries_respect_bounds(bounded, current)
         mine, theirs = choices(bounded, current), choices(reference, current)
