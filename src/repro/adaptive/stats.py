@@ -48,28 +48,26 @@ class SnapshotError(ValueError):
     """A feedback snapshot file is corrupt, truncated or mis-versioned."""
 
 
-def _comparable_token(token: object) -> object:
+def wire_token(token: object) -> object:
     """A token in canonical comparable form (lists/tuples collapse to tuples).
 
-    Snapshots go through JSON, which turns tuples into lists; normalizing
-    both the stored and the live token makes the comparison representation-
-    independent.  (Deliberately duplicated from
-    :func:`repro.storage.codec.wire_token`: this module must not import
-    :mod:`repro.storage`, which sits above :mod:`repro.service`, which
-    imports this package.)
+    Spill files and feedback snapshots go through JSON, which turns tuples
+    into lists; normalizing both the stored and the live token makes the
+    comparison representation-independent.  Anything but a scalar compares
+    by ``repr``, so an identity-derived token never survives a restart.
     """
     if isinstance(token, (tuple, list)):
-        return tuple(_comparable_token(item) for item in token)
+        return tuple(wire_token(item) for item in token)
     if token is None or isinstance(token, (bool, int, float, str)):
         return token
     return repr(token)
 
 
-def _json_token(token: object) -> object:
+def json_token(token: object) -> object:
     """The JSON-serializable form of a (normalized) token."""
-    normalized = _comparable_token(token)
+    normalized = wire_token(token)
     if isinstance(normalized, tuple):
-        return [_json_token(item) for item in normalized]
+        return [json_token(item) for item in normalized]
     return normalized
 
 
@@ -309,7 +307,7 @@ class FeedbackStatsStore:
             payload = {
                 "kind": "repro-feedback-snapshot",
                 "format": SNAPSHOT_FORMAT,
-                "token": _json_token(self._token),
+                "token": json_token(self._token),
                 "epoch": self._epoch,
                 "ewma_alpha": self.ewma_alpha,
                 "epoch_decay": self.epoch_decay,
@@ -383,7 +381,7 @@ class FeedbackStatsStore:
                 f"unsupported feedback snapshot format {raw.get('format')!r}"
             )
         try:
-            snap_token = _comparable_token(raw.get("token"))
+            snap_token = wire_token(raw.get("token"))
             snap_epoch = int(raw["epoch"])
             entries = [
                 ObservedStats(
@@ -404,7 +402,7 @@ class FeedbackStatsStore:
             if self._token is None:
                 if snap_token is not None:
                     self._token = snap_token
-            elif _comparable_token(self._token) != snap_token:
+            elif wire_token(self._token) != snap_token:
                 extra_lag = 1
             restored = 0
             # Walk the snapshot newest-first and insert at the LRU end:

@@ -184,10 +184,6 @@ class Group:
     def is_relation(self) -> bool:
         return isinstance(self.signature, RelationSignature)
 
-    @property
-    def output_bytes(self) -> float:
-        return max(self.rows, 1.0) * max(self.row_width, 1.0)
-
     def describe(self) -> str:
         return f"G{self.id}: {self.signature.describe()}"
 

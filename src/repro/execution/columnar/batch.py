@@ -37,6 +37,15 @@ every scan of a base table shares the lists of that table's column image
 materialization shares its lists with every read of it, so one mutated
 list would corrupt every later result that reads it.
 
+Every column carries its **kind**, ``batch.kind(name)``: exactly
+``frozenset(map(type, values))`` of its value list, absent cells' ``None``
+included.  It is derived where values are born (:meth:`from_rows`, so
+once per column image and data version; aggregates; the spill decoder's
+packed tags) and inherited by views (:meth:`select`, scan views) and by
+gathers of one row or more (:meth:`take`, joins) from a one-type column;
+any other column is typed at its first read.  Sizing, sorting and
+spilling read the kind instead of every value's type.
+
 The same immutability lets a long-lived batch carry a :class:`KeyIndex`:
 per-column ``{key: positions}`` tables that hash joins probe instead of
 reading the column.  Base-table images and cached materializations get one
@@ -49,13 +58,21 @@ from __future__ import annotations
 
 import threading
 from array import array
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..evaluate import AmbiguousColumn, ColumnNotFound
 
 __all__ = ["ColumnBatch", "KeyIndex"]
 
 Row = Dict[str, object]
+
+#: A column's kind: the set of its values' types.
+Kind = FrozenSet[type]
+
+
+def one_type_kinds(kinds: Dict[str, Optional[Kind]]) -> Dict[str, Kind]:
+    """The kinds a gather of one row or more inherits: the one-type ones."""
+    return {name: kind for name, kind in kinds.items() if kind and len(kind) == 1}
 
 #: ``(unique, table)``: ``{key: position}`` when the column's non-NULL keys
 #: are pairwise distinct, else ``{key: array('l') of ascending positions}``.
@@ -215,11 +232,13 @@ class ColumnBatch:
         masks: per-column validity (presence) list, or ``None`` for columns
             every row has.  Only heterogeneous inputs ever carry masks.
         length: number of rows in the batch.
+        kinds: per-column kind where known (every column is typed at
+            once when not given); :meth:`kind` types the rest on demand.
         key_index: the :class:`KeyIndex` of the long-lived batch whose
             value lists this one shares, or None (not part of the data).
     """
 
-    __slots__ = ("columns", "masks", "length", "key_index", "__weakref__")
+    __slots__ = ("columns", "masks", "kinds", "length", "key_index", "__weakref__")
 
     def __init__(
         self,
@@ -227,6 +246,7 @@ class ColumnBatch:
         length: int,
         masks: "Optional[Dict[str, Optional[List[bool]]]]" = None,
         key_index: Optional[KeyIndex] = None,
+        kinds: Optional[Dict[str, Optional[Kind]]] = None,
     ):
         self.columns = columns
         self.length = length
@@ -235,6 +255,9 @@ class ColumnBatch:
         self.masks: Dict[str, Optional[List[bool]]] = (
             dict(masks) if masks is not None else {}
         )
+        if kinds is None:
+            kinds = {name: frozenset(map(type, values)) for name, values in columns.items()}
+        self.kinds: Dict[str, Optional[Kind]] = kinds
         self.key_index = key_index
 
     def indexed(self, scans: Optional[Dict[str, int]] = None) -> "ColumnBatch":
@@ -348,6 +371,13 @@ class ColumnBatch:
         """The presence mask of a column (None ⇒ present in every row)."""
         return self.masks.get(name)
 
+    def kind(self, name: str) -> Kind:
+        """The kind of a column, typed here once if it is not known yet."""
+        kind = self.kinds.get(name)
+        if kind is None:
+            kind = self.kinds[name] = frozenset(map(type, self.columns[name]))
+        return kind
+
     # ----------------------------------------------------------------- reshaping
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
@@ -361,7 +391,8 @@ class ColumnBatch:
         for name, mask in self.masks.items():
             if mask is not None:
                 masks[name] = [mask[i] for i in indices]
-        return ColumnBatch(columns, len(indices), masks)
+        kinds = one_type_kinds(self.kinds) if indices else None
+        return ColumnBatch(columns, len(indices), masks, kinds=kinds)
 
     def select(self, names: Iterable[str]) -> "ColumnBatch":
         """A batch with just the named columns, **sharing** the value lists.
@@ -373,7 +404,8 @@ class ColumnBatch:
         masks = {
             name: self.masks[name] for name in columns if self.masks.get(name) is not None
         }
-        return ColumnBatch(columns, self.length, masks, self.key_index)
+        kinds = {name: self.kinds.get(name) for name in columns}
+        return ColumnBatch(columns, self.length, masks, self.key_index, kinds)
 
     # -------------------------------------------------------------------- misc
 

@@ -19,15 +19,16 @@ Three things make this fast where the interpreter is slow:
   materializations carry a :class:`~repro.execution.columnar.batch
   .KeyIndex` that their views share, and a hash join whose larger side is
   such a batch's key column probes the smaller side into that column's
-  ``{value: positions}`` index instead of reading every larger-side row
-  (a join with no index to probe builds its table on the smaller side).
-  On the right an index is built at the first probe; on the left it
-  replaces a C-level scan that costs less than a build, so it is built
-  once the column's scans have paid for it (rent-or-buy).  An index dies
-  with its batch: an image at the next data version, a cache entry when
-  it is invalidated or dropped from RAM without a disk tier.  A spilled
-  entry's non-unique indexes are written to its spill file and come back
-  with it when it is faulted in;
+  ``{value: positions}`` index instead of reading every larger-side row,
+  else the larger side probes the smaller side's index if it has one (a
+  join with no index to probe builds its table on the smaller side).
+  On the right or the smaller side an index is built at the first probe;
+  on a larger left it replaces a C-level scan that costs less than a
+  build, so it is built once the column's scans have paid for it
+  (rent-or-buy).  An index dies with its batch: an image at the next data
+  version, a cache entry when it is invalidated or dropped from RAM
+  without a disk tier.  A spilled entry's non-unique indexes are written
+  to its spill file and come back with it when it is faulted in;
 * **one resolution / compilation pass per batch** instead of per row —
   predicates go through :func:`~repro.execution.columnar.compile
   .filter_indices` (selection vectors), other joins hash the smaller
@@ -65,7 +66,7 @@ from ...obs.metrics import Counter
 from ..data import Database, Row
 from ..evaluate import AmbiguousColumn, ColumnNotFound, total_order_key
 from ..executor import ExecutionError, Executor
-from .batch import ColumnBatch, Index, build_index
+from .batch import ColumnBatch, Index, Kind, build_index
 from .compile import filter_indices
 
 __all__ = ["ColumnarExecutor"]
@@ -218,6 +219,7 @@ class ColumnarExecutor(Executor):
             image.length,
             {name: image.masks[name[cut:]] for name in names if name[cut:] in image.masks},
             image.key_index,
+            {name: image.kinds.get(name[cut:]) for name in names},
         )
 
     @staticmethod
@@ -248,7 +250,7 @@ class ColumnarExecutor(Executor):
             values = batch.column(name)
             mask = batch.mask(name)
             if mask is None:
-                types = set(map(type, values))
+                types = batch.kind(name)
                 if types <= _NUMBERS or types == _TEXT:
                     # Numbers compare with numbers and str with str exactly
                     # as their (0, 0, v) / (0, 1, v) keys do, NaN included.
@@ -319,9 +321,16 @@ class ColumnarExecutor(Executor):
         equi: List[Tuple[ColumnRef, ColumnRef]],
     ) -> Tuple[List[int], List[int]]:
         """Build-and-probe on raw key columns, emitting index pairs only:
-        left-major, ascending right positions within each left row.  The
-        table is the larger side's key index when it has one, else built on
-        the smaller side."""
+        left-major, ascending right positions within each left row.
+
+        The smaller side probes the larger side's key index when the larger
+        side is a long-lived batch (an image or a cached materialization)
+        or a view of one: on the right the index is built at the first
+        probe, on the left the column rents scans until they have paid for
+        it.  Else the larger side probes the smaller side's key index, built
+        at once (it replaces a build); else the table is built afresh on the
+        smaller side (a tie keeps the right), so a handful of rows never
+        waits on a table of thousands."""
         left_refs: List[ColumnRef] = []
         right_refs: List[ColumnRef] = []
         for a, b in equi:
@@ -373,31 +382,23 @@ class ColumnarExecutor(Executor):
                 keys.append(tuple(key) if key is not None else None)
             return keys
 
-        # The smaller side probes the larger side's key index when the larger
-        # side is a long-lived batch (an image or a cached materialization)
-        # or a view of one.  On the right the index is built at the first
-        # probe; on the left the column rents scans until they have paid
-        # for it.
         index: Optional[Index] = None
-        indexed_left = right.length < left.length
-        larger, larger_refs = (left, left_refs) if indexed_left else (right, right_refs)
-        holder = larger.key_index
-        if holder is not None and len(larger_refs) == 1 and left.length != right.length:
-            values = larger.column(larger.resolve(larger_refs[0]))
-            index, built = holder.lookup(values, buy=not indexed_left)
-            if index is not None:
-                self.key_index_probes.inc()
-                if built:
-                    self.key_index_builds.inc()
-        if index is None:
-            # No index to probe: build on the smaller side (a tie keeps the
-            # right), so a handful of rows never waits on a table of
-            # thousands.
-            indexed_left = left.length < right.length
-            if indexed_left:
-                index = build_index(key_rows(left, left_refs))
-            else:
-                index = build_index(key_rows(right, right_refs))
+        smaller_left = left.length < right.length
+        sides = [(smaller_left, True)]  # (indexed side is the left, buy)
+        if left.length != right.length:
+            sides.insert(0, (not smaller_left, smaller_left))
+        for indexed_left, buy in sides:
+            batch, refs = (left, left_refs) if indexed_left else (right, right_refs)
+            if batch.key_index is not None and len(refs) == 1:
+                values = batch.column(batch.resolve(refs[0]))
+                index, built = batch.key_index.lookup(values, buy)
+                if index is not None:
+                    self.key_index_probes.inc()
+                    if built:
+                        self.key_index_builds.inc()
+                    break
+        else:  # no index to probe: a fresh table on the smaller side, tried last
+            index = build_index(key_rows(batch, refs))
         if not indexed_left:
             return _probe(index, key_rows(left, left_refs))
         # Probed right-major: restore left-major order, ascending right
@@ -423,12 +424,16 @@ class ColumnarExecutor(Executor):
         """
         columns: Dict[str, List[object]] = {}
         masks: Dict[str, Optional[List[bool]]] = {}
+        kinds: Dict[str, Kind] = {}
 
         def emit(name: str, source: ColumnBatch, indices: List[int]) -> None:
             if keep is not None and name not in keep:
                 return
             values = source.columns[name]
             columns[name] = [values[i] for i in indices]
+            kind = source.kinds.get(name)
+            if kind and len(kind) == 1 and indices:  # as one_type_kinds
+                kinds[name] = kind
             mask = source.masks.get(name)
             if mask is not None:
                 gathered = [mask[i] for i in indices]
@@ -443,7 +448,7 @@ class ColumnarExecutor(Executor):
         for name in right.columns:
             if name not in left.columns:
                 emit(name, right, right_idx)
-        return ColumnBatch(columns, len(left_idx), masks)
+        return ColumnBatch(columns, len(left_idx), masks, kinds=kinds)
 
     def _aggregate_batch(self, batch: ColumnBatch, plan: PhysicalPlan) -> ColumnBatch:
         n = batch.length

@@ -210,9 +210,6 @@ class NullTracer:
     def current_trace_id(self) -> Optional[str]:
         return None
 
-    def current_span(self) -> _NullSpan:
-        return _NULL_SPAN
-
     def activate(
         self, trace_id: Optional[str] = None, parent_id: Optional[str] = None
     ) -> _NullSpan:
@@ -374,10 +371,6 @@ class Tracer:
     def current_trace_id(self) -> Optional[str]:
         current = self._current()
         return current.trace_id if current is not None else None
-
-    def current_span(self):
-        """The innermost open span/activation on this thread, or None."""
-        return self._current()
 
     def activate(
         self, trace_id: Optional[str] = None, parent_id: Optional[str] = None

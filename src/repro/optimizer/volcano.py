@@ -136,9 +136,6 @@ class BestCostResult:
         """``bestCost``: use cost plus the cost of computing and writing ``S``."""
         return self.use_cost + self.overhead_cost
 
-    def query_cost(self, name: str) -> float:
-        return self.query_plans[name].cost
-
     def __eq__(self, other):
         if not isinstance(other, BestCostResult):
             return NotImplemented

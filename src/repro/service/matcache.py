@@ -107,16 +107,19 @@ def estimate_batch_bytes(batch: ColumnBatch) -> int:
 
     A column whose present values share one plain type is sized without
     visiting them one by one (fixed-width types by count, strings by one
-    join + encode); anything else falls back to the per-value walk.
-    """
+    join + encode); anything else falls back to the per-value walk.  Only
+    a masked column's types are read value by value (its kind counts absent
+    cells)."""
     total = 64 * batch.length
     for name, values in batch.columns.items():
         mask = batch.masks.get(name)
-        if mask is not None:
+        if mask is None:
+            kinds = batch.kind(name)
+        else:
             values = list(compress(values, mask))  # an absent cell is no key
+            kinds = frozenset(map(type, values))
         total += len(name.encode("utf-8")) * len(values)
-        kinds = set(map(type, values))
-        kind = kinds.pop() if len(kinds) == 1 else None
+        kind = next(iter(kinds)) if len(kinds) == 1 else None
         if kind in _FIXED_BYTES:
             total += _FIXED_BYTES[kind] * len(values)
         elif kind is str:

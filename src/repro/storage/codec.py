@@ -48,10 +48,12 @@ exists appends the ones the file lacks.  Each section carries its own
 SHA-256 and the payload checksum it indexes: a torn, flipped or spliced
 section is skipped and its column's index rebuilt, never an error.
 
-The module uses only the standard library and imports nothing from
+Besides the standard library the module imports only the data-version
+token helpers it shares with the feedback store
+(:func:`~repro.adaptive.stats.wire_token`) and nothing from
 :mod:`repro.service` (the ``ColumnBatch`` container is pulled from
-:mod:`repro.execution` lazily), so the feedback store and the cache tier
-can both build on it without import cycles.
+:mod:`repro.execution` lazily), so the cache tier can build on it without
+import cycles.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, BinaryIO, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+from ..adaptive.stats import json_token, wire_token
 
 __all__ = [
     "SPILL_FORMAT_COLUMNAR",
@@ -305,18 +309,11 @@ _COL_PACKED_INT = b"q"
 _COL_PACKED_FLOAT = b"d"  # column-tag namespace, distinct from the value tags
 _COL_PACKED_STR = b"z"
 _COL_GENERIC = b"g"
+_INT_KIND, _FLOAT_KIND, _STR_KIND = frozenset({int}), frozenset({float}), frozenset({str})
 
 #: The packed vectors are big-endian (``struct``'s ``>q`` / ``>d`` bytes);
 #: ``array`` packs natively, so a little-endian host swaps.
 _SWAP = sys.byteorder == "little"
-
-
-def _column_batch_cls():
-    # Imported lazily: the storage layer must stay importable without
-    # pulling the execution package in at import time.
-    from ..execution.columnar.batch import ColumnBatch
-
-    return ColumnBatch
 
 
 def _pack_bitmap(bits: Sequence[bool]) -> bytes:
@@ -335,10 +332,10 @@ def _unpack_bitmap(buf: memoryview, pos: int, count: int) -> Tuple[List[bool], i
     return bits, pos + length
 
 
-def _encode_vector(out: io.BytesIO, values: Sequence[object]) -> None:
+def _encode_vector(out: io.BytesIO, values: Sequence[object], kinds: FrozenSet[type]) -> None:
     """One column's values: a bulk-packed vector when they share a plain
-    type the packing is exact for, else one tagged value each."""
-    kinds = set(map(type, values))
+    type the packing is exact for, else one tagged value each.  ``kinds``
+    is the column's kind, ``set(map(type, values))``."""
     if kinds == {int} or kinds == {float}:
         try:
             packed: Optional[array] = array("q" if int in kinds else "d", values)
@@ -363,7 +360,8 @@ def _encode_vector(out: io.BytesIO, values: Sequence[object]) -> None:
         _encode_value(out, value)
 
 
-def _decode_vector(buf: memoryview, pos: int, n: int) -> Tuple[List[object], int]:
+def _decode_vector(buf: memoryview, pos: int, n: int) -> Tuple[list, FrozenSet[type], int]:
+    """One column's values, their kind and the position after them."""
     if pos >= len(buf):
         raise SpillFormatError("truncated column vector")
     tag = bytes(buf[pos : pos + 1])
@@ -377,7 +375,8 @@ def _decode_vector(buf: memoryview, pos: int, n: int) -> Tuple[List[object], int
         packed.frombytes(buf[pos:end])
         if _SWAP:
             packed.byteswap()
-        return packed.tolist(), end
+        kind = _INT_KIND if tag == _COL_PACKED_INT else _FLOAT_KIND
+        return packed.tolist(), kind if n else frozenset(), end
     if tag == _COL_PACKED_STR:
         blob_bytes, pos = _read_uvarint(buf, pos)
         end = pos + blob_bytes
@@ -389,13 +388,13 @@ def _decode_vector(buf: memoryview, pos: int, n: int) -> Tuple[List[object], int
             raise SpillFormatError(f"corrupt UTF-8 string blob: {exc}") from None
         if len(values) != n:
             raise SpillFormatError("packed strings disagree with the row count")
-        return values, end
+        return values, _STR_KIND, end
     if tag == _COL_GENERIC:
         values = []
         for _ in range(n):
             value, pos = _decode_value(buf, pos)
             values.append(value)
-        return values, pos
+        return values, frozenset(map(type, values)), pos
     raise SpillFormatError(f"unknown column vector tag {tag!r}")
 
 
@@ -423,19 +422,22 @@ def encode_batch(batch) -> bytes:
         else:
             out.write(b"\x01")
             out.write(_pack_bitmap(mask))
-        _encode_vector(out, values)
+        _encode_vector(out, values, batch.kind(name))
     return out.getvalue()
 
 
 def decode_batch(payload: bytes):
     """Decode an :func:`encode_batch` payload back into a ``ColumnBatch`` (exact)."""
-    ColumnBatch = _column_batch_cls()
+    # Imported here: the codec stays importable without the execution package.
+    from ..execution.columnar.batch import ColumnBatch
+
     buf = memoryview(payload)
     pos = 0
     n, pos = _read_uvarint(buf, pos)
     column_count, pos = _read_uvarint(buf, pos)
     columns: Dict[str, List[object]] = {}
     masks: Dict[str, Optional[List[bool]]] = {}
+    kinds: Dict[str, FrozenSet[type]] = {}
     for _ in range(column_count):
         length, pos = _read_uvarint(buf, pos)
         if pos + length > len(buf):
@@ -455,10 +457,10 @@ def decode_batch(payload: bytes):
             masks[name], pos = _unpack_bitmap(buf, pos, n)
         elif presence != 0:
             raise SpillFormatError(f"unknown presence marker {presence!r}")
-        columns[name], pos = _decode_vector(buf, pos, n)
+        columns[name], kinds[name], pos = _decode_vector(buf, pos, n)
     if pos != len(buf):
         raise SpillFormatError(f"{len(buf) - pos} trailing bytes after columns")
-    return ColumnBatch(columns, n, masks)
+    return ColumnBatch(columns, n, masks, kinds=kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -559,38 +561,6 @@ def _decode_index_sections(data: bytes, checksum: str) -> List[IndexSection]:
 
 
 # ---------------------------------------------------------------------------
-# Data-version tokens on the wire.
-# ---------------------------------------------------------------------------
-
-
-def wire_token(token: object) -> object:
-    """A token in its canonical comparable/JSON-safe form.
-
-    Spill files and feedback snapshots carry the data-version token they
-    were written under; after a JSON round trip tuples come back as lists,
-    so both the stored and the live token are normalized through this
-    function before comparison (tuples and lists collapse to tuples,
-    scalars pass through, anything else compares by ``repr`` — which can
-    never accidentally equal a *different* process's token for
-    content-derived tokens, and intentionally never survives a restart for
-    identity-derived ones).
-    """
-    if isinstance(token, (tuple, list)):
-        return tuple(wire_token(item) for item in token)
-    if token is None or isinstance(token, (bool, int, float, str)):
-        return token
-    return repr(token)
-
-
-def _json_token(token: object) -> object:
-    """The JSON-serializable form of a (normalized) token."""
-    normalized = wire_token(token)
-    if isinstance(normalized, tuple):
-        return [_json_token(item) for item in normalized]
-    return normalized
-
-
-# ---------------------------------------------------------------------------
 # Spill files: magic + JSON header + checksummed payload.
 # ---------------------------------------------------------------------------
 
@@ -638,7 +608,7 @@ def write_spill_file(
     header = {
         "format": SPILL_FORMAT_COLUMNAR,
         "key": list(key),
-        "token": _json_token(token),
+        "token": json_token(token),
         "cost": float(cost),
         "rows": batch.length,
         "payload_bytes": len(payload),

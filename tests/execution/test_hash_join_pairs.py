@@ -2,7 +2,9 @@
 
 The join probes the smaller side into the larger side's key index when the
 larger side carries a :class:`~repro.execution.columnar.batch.KeyIndex` (a
-column image, a cached materialization, or a view of either), builds one
+column image, a cached materialization, or a view of either), else the
+larger side into the smaller side's key index when that side carries one,
+else builds one
 dict when the right side's non-NULL keys are unique, and keeps a bucket
 table on the right otherwise.  Every path must emit exactly the pairs, in
 exactly the order, of the plain build-on-the-right-and-probe loop kept below
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.algebra.expressions import col, lt
 from repro.execution import ColumnarExecutor
+from repro.execution.columnar import executor as executor_module
 from repro.execution.columnar import ColumnBatch
 from repro.execution.data import Database
 
@@ -165,14 +168,17 @@ def test_pairs_equal_the_bucket_loop(inputs):
     for _ in range(3):
         assert executor._hash_join_pairs(left, right, equi) == expected
     larger = left if right.length < left.length else right
+    smaller = left if left.length < right.length else right
+    smaller_holds = smaller.key_index is not None and len(equi) == 1
     if larger.key_index is not None and len(equi) == 1 and left.length != right.length:
         # Bought at the first probe on the right; on the left two scans are
-        # paid first, so only the third call probes an index.
-        probes = 1 if larger is left else 3
-        assert executor.key_index_probes.value == probes
-        assert executor.key_index_builds.value <= 1
+        # paid first, so only the third call probes its index, and the
+        # first two probe the smaller side's index when it holds one.
+        probes = 3 if larger is right else 1 + 2 * smaller_holds
     else:
-        assert executor.key_index_probes.value == 0
+        probes = 3 * smaller_holds
+    assert executor.key_index_probes.value == probes
+    assert executor.key_index_builds.value <= 2  # one per holder at most
 
 
 def batch(alias, keys, mask=None):
@@ -279,3 +285,30 @@ def test_take_and_filter_outputs_never_build_an_index():
         )
     assert (executor.key_index_builds.value, executor.key_index_probes.value) == (0, 0)
     assert cached.key_index._built == {} and cached.key_index.scans == {}
+
+
+def test_smaller_side_probes_its_image_index(monkeypatch):
+    """A 40-row dimension image joined to a larger batch without a key
+    index (a join or filter output): every join probes the image's index,
+    built once, instead of building a fresh 40-row table, and the pairs
+    keep the left-major order whichever side the image is on."""
+    db = Database()
+    db.add_table("d", [{"k0": key, "v": f"d{key}"} for key in range(40)])
+    executor = ColumnarExecutor(db)
+    keys = [(7 * i) % 45 for i in range(600)]
+    equi = [(col("l.k0"), col("r.k0"))]
+    fresh = []
+    build = executor_module.build_index
+    monkeypatch.setattr(
+        executor_module, "build_index", lambda keys: fresh.append(keys) or build(keys)
+    )
+    for left, right in (
+        (executor._table_batch("d", "l", None), batch("r", keys)),
+        (batch("l", keys), executor._table_batch("d", "r", None)),
+    ):
+        for _ in range(2):
+            assert executor._hash_join_pairs(left, right, equi) == reference_pairs(
+                left, right, equi
+            )
+    assert (executor.key_index_builds.value, executor.key_index_probes.value) == (1, 4)
+    assert fresh == []

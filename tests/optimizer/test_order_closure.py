@@ -124,7 +124,7 @@ def test_counterexample_is_the_one_described():
 @pytest.mark.xfail(
     strict=True,
     reason="pass-through operators inherit their (group, ANY) input's delivered order: "
-    "the plan DP is not order-closed (ROADMAP items 2a and 7)",
+    "the plan DP is not order-closed (ROADMAP item 1(A))",
 )
 def test_marginal_use_cost_gain_is_bounded_by_uses_times_read_gain():
     gain, bound = counterexample()
