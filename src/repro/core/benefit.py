@@ -25,15 +25,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..optimizer.best_cost import BestCostEngine
-from .decomposition import Decomposition, canonical_decomposition, decomposition_from_parts
-from .set_functions import (
-    AdditiveFunction,
-    Element,
-    LambdaSetFunction,
-    SetFunction,
-    Subset,
-    as_frozenset,
-)
+from .decomposition import Decomposition, canonical_decomposition
+from .set_functions import AdditiveFunction, SetFunction, Subset, as_frozenset
 
 __all__ = [
     "BestCostFunction",

@@ -17,7 +17,6 @@ columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Protocol, Tuple
 

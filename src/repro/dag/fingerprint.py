@@ -33,7 +33,6 @@ __all__ = [
     "SPJSignature",
     "AggregateSignature",
     "FilterSignature",
-    "signature_sources",
     "canonical_key",
 ]
 
@@ -96,13 +95,6 @@ class FilterSignature:
 
 
 Signature = Union[RelationSignature, SPJSignature, AggregateSignature, FilterSignature]
-
-
-def signature_sources(signature: Signature) -> FrozenSet[Tuple[str, Signature]]:
-    """The (alias, signature) sources of an SPJ signature; empty otherwise."""
-    if isinstance(signature, SPJSignature):
-        return signature.sources
-    return frozenset()
 
 
 def canonical_key(signature: Signature) -> str:

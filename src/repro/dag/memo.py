@@ -24,13 +24,7 @@ from ..algebra.expressions import (
     conjuncts,
 )
 from ..algebra.properties import SortOrder
-from .fingerprint import (
-    AggregateSignature,
-    FilterSignature,
-    RelationSignature,
-    Signature,
-    SPJSignature,
-)
+from .fingerprint import RelationSignature, Signature
 
 __all__ = [
     "ScanMExpr",

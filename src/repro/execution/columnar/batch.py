@@ -7,8 +7,12 @@ row-dict representation of the interpreter (:mod:`repro.execution.executor`)
 remains the API of record — every batch converts **losslessly** to and from
 it through :meth:`to_rows` / :meth:`from_rows`, and those conversions happen
 only at the boundaries (query outputs; a row backend reading an entry the
-materialization cache holds as a batch, or the reverse), which is the "late
-materialization" half of the design.
+materialization cache holds as a batch, or the reverse).  That is **late
+materialization**, and operator outputs and cache entries have it too: a
+gather (:meth:`take`, a join) copies no column but leaves a :class:`Gather`,
+built into one list at its first read and shared by every reader, views
+included; a gather of a pending column composes the position vectors, so
+a column nobody reads is never copied.
 
 Semantics mirror the row world exactly:
 
@@ -38,13 +42,11 @@ materialization shares its lists with every read of it, so one mutated
 list would corrupt every later result that reads it.
 
 Every column carries its **kind**, ``batch.kind(name)``: exactly
-``frozenset(map(type, values))`` of its value list, absent cells' ``None``
-included.  It is derived where values are born (:meth:`from_rows`, so
-once per column image and data version; aggregates; the spill decoder's
-packed tags) and inherited by views (:meth:`select`, scan views) and by
-gathers of one row or more (:meth:`take`, joins) from a one-type column;
-any other column is typed at its first read.  Sizing, sorting and
-spilling read the kind instead of every value's type.
+``frozenset(map(type, values))``, absent cells' ``None`` included.  It is
+derived where values are born (:meth:`from_rows`, once per column image and
+data version; aggregates; the spill decoder) and inherited by views and by
+gathers of one row or more from a one-type column, else typed at its first
+read.  Sizing, sorting and spilling read it instead of every value's type.
 
 The same immutability lets a long-lived batch carry a :class:`KeyIndex`:
 per-column ``{key: positions}`` tables that hash joins probe instead of
@@ -58,21 +60,16 @@ from __future__ import annotations
 
 import threading
 from array import array
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..evaluate import AmbiguousColumn, ColumnNotFound
 
-__all__ = ["ColumnBatch", "KeyIndex"]
+__all__ = ["ColumnBatch", "Gather", "KeyIndex"]
 
 Row = Dict[str, object]
 
 #: A column's kind: the set of its values' types.
 Kind = FrozenSet[type]
-
-
-def one_type_kinds(kinds: Dict[str, Optional[Kind]]) -> Dict[str, Kind]:
-    """The kinds a gather of one row or more inherits: the one-type ones."""
-    return {name: kind for name, kind in kinds.items() if kind and len(kind) == 1}
 
 #: ``(unique, table)``: ``{key: position}`` when the column's non-NULL keys
 #: are pairwise distinct, else ``{key: array('l') of ascending positions}``.
@@ -87,6 +84,49 @@ Index = Tuple[bool, Dict[object, object]]
 BUILD_COST_IN_SCANS = 2
 
 _ATTACH = threading.Lock()
+_RESOLVE = threading.Lock()
+
+
+class Gather:
+    """A column not copied yet: ``[source[i] for i in positions]``, built
+    once, at its first read, into the list every reader then shares."""
+
+    __slots__ = ("pending", "values")
+
+    def __init__(self, source: List[object], positions: Sequence[int]):
+        self.pending = (source, positions)  # None once built
+        self.values: Optional[List[object]] = None
+
+    def resolve(self) -> List[object]:
+        if self.values is None:
+            with _RESOLVE:  # two readers of one cell get one list
+                if self.values is None:
+                    source, positions = self.pending
+                    self.values = [source[i] for i in positions]
+                    self.pending = None  # only now: gather() then reads `values`
+        return self.values
+
+
+def values_of(column) -> List[object]:
+    """A stored column's value list, building a pending gather's."""
+    return column.resolve() if type(column) is Gather else column
+
+
+def gather(column, positions: Sequence[int], composed: Dict[Tuple[int, int], list]) -> Gather:
+    """The pending gather of a stored column at ``positions``.  Over a
+    pending column it composes the two position vectors, once per pair of
+    vectors (``composed``, keyed by their ids), so a chain copies no column
+    twice."""
+    if type(column) is Gather:
+        pending = column.pending
+        if pending is None:
+            return Gather(column.values, positions)
+        source, inner = pending
+        pair = (id(inner), id(positions))
+        if pair not in composed:
+            composed[pair] = [inner[i] for i in positions]
+        return Gather(source, composed[pair])
+    return Gather(column, positions)
 
 
 def build_index(keys: Sequence[object]) -> Index:
@@ -134,8 +174,8 @@ class KeyIndex:
 
     Held by a base-table image or a cached materialization and shared by
     every view of it; a column is recognized by the identity of its value
-    list, so an alias-qualified view finds its image's index under a
-    different name.  ``scans`` counts the index-less scans each
+    list or :class:`Gather`, so an alias-qualified view finds its image's
+    index under a different name.  ``scans`` counts the index-less scans each
     column has paid so far; the disk tier keeps that dict beside a spilled
     entry, so an entry faulted back in remembers what it has paid.  Its
     spill file keeps the entry's non-unique indexes (:meth:`storable`), and
@@ -148,21 +188,21 @@ class KeyIndex:
     __slots__ = ("_columns", "_built", "scans", "__weakref__")
 
     def __init__(self, batch: "ColumnBatch", scans: Optional[Dict[str, int]] = None):
-        # Holding each list keeps its id from being reused by another.
+        # Holding each column keeps its id from being reused by another.
         self._columns = {
-            id(values): (name, values, batch.masks.get(name))
-            for name, values in batch.columns.items()
+            id(column): (name, column, batch.masks.get(name))
+            for name, column in batch.columns.items()
         }
         self._built: Dict[str, Index] = {}
         self.scans: Dict[str, int] = scans if scans is not None else {}
 
-    def lookup(self, values: List[object], buy: bool) -> Tuple[Optional[Index], bool]:
-        """``(index, built now)`` for a column of this batch, else ``(None,
-        False)``.  ``buy`` builds a missing index at once; otherwise the
-        caller scans instead (counted as paid) until the column's paid scans
-        reach :data:`BUILD_COST_IN_SCANS`.
+    def lookup(self, column, buy: bool) -> Tuple[Optional[Index], bool]:
+        """``(index, built now)`` for a stored column (``batch.columns[name]``),
+        else ``(None, False)``.  ``buy`` builds a missing
+        index at once; otherwise the caller scans instead (counted as paid)
+        until the column's paid scans reach :data:`BUILD_COST_IN_SCANS`.
         """
-        known = self._columns.get(id(values))
+        known = self._columns.get(id(column))
         if known is None:
             return None, False
         name, _, mask = known
@@ -174,6 +214,7 @@ class KeyIndex:
             if paid < BUILD_COST_IN_SCANS:
                 self.scans[name] = paid + 1
                 return None, False
+        values = values_of(column)
         keys: Sequence[object] = values
         if mask is not None:
             keys = [value if present else None for value, present in zip(values, mask)]
@@ -201,9 +242,10 @@ class KeyIndex:
         order.  A section that cannot be that table (positions out of range,
         an empty bucket, a NULL or repeated key, no repeat at all) is
         refused with False; a join then builds the column's index as usual."""
-        values = next((v for n, v, _ in self._columns.values() if n == name), None)
-        if values is None or name in self._built or len(offsets) < 2:
+        column = next((c for n, c, _ in self._columns.values() if n == name), None)
+        if column is None or name in self._built or len(offsets) < 2:
             return False
+        values = values_of(column)
         total = len(positions)
         if (
             offsets[0] != 0
@@ -228,7 +270,7 @@ class ColumnBatch:
 
     Attributes:
         columns: ordered mapping of column name to its value list (one value
-            per row; ``None`` is a legal value).
+            per row; ``None`` is a legal value) or :class:`Gather` of one.
         masks: per-column validity (presence) list, or ``None`` for columns
             every row has.  Only heterogeneous inputs ever carry masks.
         length: number of rows in the batch.
@@ -242,7 +284,7 @@ class ColumnBatch:
 
     def __init__(
         self,
-        columns: "Dict[str, List[object]]",
+        columns: "Dict[str, Union[List[object], Gather]]",
         length: int,
         masks: "Optional[Dict[str, Optional[List[bool]]]]" = None,
         key_index: Optional[KeyIndex] = None,
@@ -256,7 +298,7 @@ class ColumnBatch:
             dict(masks) if masks is not None else {}
         )
         if kinds is None:
-            kinds = {name: frozenset(map(type, values)) for name, values in columns.items()}
+            kinds = {name: frozenset(map(type, values_of(c))) for name, c in columns.items()}
         self.kinds: Dict[str, Optional[Kind]] = kinds
         self.key_index = key_index
 
@@ -314,12 +356,11 @@ class ColumnBatch:
         if not self.columns:
             return [{} for _ in range(self.length)]
         names = list(self.columns)
+        cols = [self.column(name) for name in names]
         if not self.masks:
-            cols = [self.columns[name] for name in names]
             return [dict(zip(names, values)) for values in zip(*cols)]
         rows: List[Row] = []
         masks = [self.masks.get(name) for name in names]
-        cols = [self.columns[name] for name in names]
         for i in range(self.length):
             row: Row = {}
             for name, col, mask in zip(names, cols, masks):
@@ -365,7 +406,8 @@ class ColumnBatch:
             return False
 
     def column(self, name: str) -> List[object]:
-        return self.columns[name]
+        """A column's value list (a pending gather's is built here, once)."""
+        return values_of(self.columns[name])
 
     def mask(self, name: str) -> Optional[List[bool]]:
         """The presence mask of a column (None ⇒ present in every row)."""
@@ -375,27 +417,41 @@ class ColumnBatch:
         """The kind of a column, typed here once if it is not known yet."""
         kind = self.kinds.get(name)
         if kind is None:
-            kind = self.kinds[name] = frozenset(map(type, self.columns[name]))
+            kind = self.kinds[name] = frozenset(map(type, self.column(name)))
         return kind
 
     # ----------------------------------------------------------------- reshaping
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Gather the given row positions into a new batch (the row order of
-        ``indices`` becomes the output order; duplicates are allowed).  The
-        gathered lists are new, so the result carries no key index."""
-        columns = {
-            name: [values[i] for i in indices] for name, values in self.columns.items()
-        }
+        ``indices`` becomes the output order; duplicates are allowed)."""
+        return ColumnBatch.gathered([(name, self, indices) for name in self.columns], len(indices))
+
+    @classmethod
+    def gathered(cls, cells: Iterable[Tuple[str, "ColumnBatch", Sequence[int]]], length: int):
+        """The one gather path (:meth:`take`, joins): per ``(name, source,
+        positions)`` cell, column ``name`` of ``source`` at ``positions`` as a
+        new :class:`Gather` (so the batch carries no key index), its mask
+        gathered at once and kept if it has a gap, its kind inherited if it
+        has one type and the batch a row."""
+        columns: Dict[str, Gather] = {}
         masks: Dict[str, Optional[List[bool]]] = {}
-        for name, mask in self.masks.items():
+        kinds: Dict[str, Optional[Kind]] = {}
+        composed: Dict[Tuple[int, int], list] = {}
+        for name, source, positions in cells:
+            columns[name] = gather(source.columns[name], positions, composed)
+            kind = source.kinds.get(name)
+            if kind and len(kind) == 1 and length:
+                kinds[name] = kind
+            mask = source.masks.get(name)
             if mask is not None:
-                masks[name] = [mask[i] for i in indices]
-        kinds = one_type_kinds(self.kinds) if indices else None
-        return ColumnBatch(columns, len(indices), masks, kinds=kinds)
+                mask = [mask[i] for i in positions]
+                if not all(mask):
+                    masks[name] = mask
+        return cls(columns, length, masks, kinds=kinds)
 
     def select(self, names: Iterable[str]) -> "ColumnBatch":
-        """A batch with just the named columns, **sharing** the value lists.
+        """A batch with just the named columns, **sharing** their cells.
 
         Used for column pruning: dropping unused columns costs nothing
         because nothing is copied — the :class:`KeyIndex` included.

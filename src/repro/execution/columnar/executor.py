@@ -10,37 +10,25 @@ materialization step of a *query* plan — a materialization stays a batch in
 the store and goes to ``fill_listener`` as one), where
 :meth:`ColumnBatch.to_rows` reproduces the row executor's output bit for bit.
 
-Three things make this fast where the interpreter is slow:
+What makes it fast (the README's columnar section has the measurements):
 
-* **one transposition per table and data version, and key indexes on
-  every batch that outlives a call**: a scan is a zero-copy,
-  alias-qualified view of the table's column image
-  (:meth:`~repro.execution.data.Database.column_image`).  Images and cached
-  materializations carry a :class:`~repro.execution.columnar.batch
-  .KeyIndex` that their views share, and a hash join whose larger side is
-  such a batch's key column probes the smaller side into that column's
-  ``{value: positions}`` index instead of reading every larger-side row,
-  else the larger side probes the smaller side's index if it has one (a
-  join with no index to probe builds its table on the smaller side).
-  On the right or the smaller side an index is built at the first probe;
-  on a larger left it replaces a C-level scan that costs less than a
-  build, so it is built once the column's scans have paid for it
-  (rent-or-buy).  An index dies with its batch: an image at the next data
-  version, a cache entry when it is invalidated or dropped from RAM
-  without a disk tier.  A spilled entry's non-unique indexes are written
-  to its spill file and come back with it when it is faulted in;
-* **one resolution / compilation pass per batch** instead of per row —
-  predicates go through :func:`~repro.execution.columnar.compile
-  .filter_indices` (selection vectors), other joins hash the smaller
-  side's raw key columns (one dict when its keys are unique) and emit
-  index pairs before gathering any payload, sorts compare a column's raw
-  values when it holds only numbers or only ``str`` (the order
-  :func:`~repro.execution.evaluate.total_order_key` gives them), and
+* a scan is a zero-copy, alias-qualified view of the table's column image
+  (:meth:`~repro.execution.data.Database.column_image`), transposed once per
+  data version;
+* a join hashes raw key columns and emits index pairs before touching any
+  payload.  It probes the :class:`~repro.execution.columnar.batch.KeyIndex`
+  an image or a cached materialization carries (built at the first probe
+  on the right or the smaller side, and on a larger left once the column's
+  scans have paid for it: rent-or-buy), else builds its table on the
+  smaller side; its output's columns are pending gathers, copied only
+  when first read;
+* predicates compile once per batch into selection vectors
+  (:func:`~repro.execution.columnar.compile.filter_indices`), sorts compare
+  raw values when a column holds only numbers or only ``str``, and
   aggregates extract each input column once;
-* **column pruning**: every operator tells its child which columns it
-  actually needs (``needed``), so scans under an aggregate never expose the
-  columns the aggregate will not read, and ``READ_MATERIALIZED`` serves a
-  zero-copy column subset of the cached batch.
+* column pruning: every operator tells its child which columns it needs
+  (``needed``), and ``READ_MATERIALIZED`` serves a zero-copy column subset
+  of the cached batch.
 
 The row executor stays the differential oracle: for every supported plan the
 two backends must return identical rows (see
@@ -66,7 +54,7 @@ from ...obs.metrics import Counter
 from ..data import Database, Row
 from ..evaluate import AmbiguousColumn, ColumnNotFound, total_order_key
 from ..executor import ExecutionError, Executor
-from .batch import ColumnBatch, Index, Kind, build_index
+from .batch import ColumnBatch, Index, build_index
 from .compile import filter_indices
 
 __all__ = ["ColumnarExecutor"]
@@ -390,8 +378,8 @@ class ColumnarExecutor(Executor):
         for indexed_left, buy in sides:
             batch, refs = (left, left_refs) if indexed_left else (right, right_refs)
             if batch.key_index is not None and len(refs) == 1:
-                values = batch.column(batch.resolve(refs[0]))
-                index, built = batch.key_index.lookup(values, buy)
+                column = batch.columns[batch.resolve(refs[0])]
+                index, built = batch.key_index.lookup(column, buy)
                 if index is not None:
                     self.key_index_probes.inc()
                     if built:
@@ -422,33 +410,13 @@ class ColumnarExecutor(Executor):
         ``keep`` (when given) restricts to a name subset (the residual
         mini-batch), preserving merged order.
         """
-        columns: Dict[str, List[object]] = {}
-        masks: Dict[str, Optional[List[bool]]] = {}
-        kinds: Dict[str, Kind] = {}
-
-        def emit(name: str, source: ColumnBatch, indices: List[int]) -> None:
-            if keep is not None and name not in keep:
-                return
-            values = source.columns[name]
-            columns[name] = [values[i] for i in indices]
-            kind = source.kinds.get(name)
-            if kind and len(kind) == 1 and indices:  # as one_type_kinds
-                kinds[name] = kind
-            mask = source.masks.get(name)
-            if mask is not None:
-                gathered = [mask[i] for i in indices]
-                if not all(gathered):
-                    masks[name] = gathered
-
-        for name in left.columns:
-            if name in right.columns:
-                emit(name, right, right_idx)
-            else:
-                emit(name, left, left_idx)
-        for name in right.columns:
-            if name not in left.columns:
-                emit(name, right, right_idx)
-        return ColumnBatch(columns, len(left_idx), masks, kinds=kinds)
+        cells = [
+            (name, right, right_idx) if name in right.columns else (name, left, left_idx)
+            for name in left.columns
+        ] + [(name, right, right_idx) for name in right.columns if name not in left.columns]
+        if keep is not None:
+            cells = [cell for cell in cells if cell[0] in keep]
+        return ColumnBatch.gathered(cells, len(left_idx))
 
     def _aggregate_batch(self, batch: ColumnBatch, plan: PhysicalPlan) -> ColumnBatch:
         n = batch.length

@@ -43,12 +43,6 @@ class TheoryRow:
         return self.greedy_value / self.optimum
 
     @property
-    def bound_ratio(self) -> float:
-        if self.optimum <= 0:
-            return 0.0
-        return self.theorem1_guarantee / self.optimum
-
-    @property
     def bound_satisfied(self) -> bool:
         return self.greedy_value >= self.theorem1_guarantee - 1e-9
 

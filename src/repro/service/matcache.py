@@ -106,23 +106,27 @@ def estimate_batch_bytes(batch: ColumnBatch) -> int:
     """Exactly ``estimate_rows_bytes(batch.to_rows())``, sized per column.
 
     A column whose present values share one plain type is sized without
-    visiting them one by one (fixed-width types by count, strings by one
-    join + encode); anything else falls back to the per-value walk.  Only
-    a masked column's types are read value by value (its kind counts absent
-    cells)."""
+    visiting them one by one (fixed-width types by count, so a pending
+    :class:`~repro.execution.columnar.batch.Gather` stays unbuilt; strings
+    by one join + encode); anything else falls back to the per-value walk.
+    Only a masked column's types are read value by value (its kind counts
+    absent cells)."""
     total = 64 * batch.length
-    for name, values in batch.columns.items():
+    for name in batch.columns:
         mask = batch.masks.get(name)
         if mask is None:
-            kinds = batch.kind(name)
+            kinds, count = batch.kind(name), batch.length
         else:
-            values = list(compress(values, mask))  # an absent cell is no key
-            kinds = frozenset(map(type, values))
-        total += len(name.encode("utf-8")) * len(values)
+            values = list(compress(batch.column(name), mask))  # an absent cell is no key
+            kinds, count = frozenset(map(type, values)), len(values)
+        total += len(name.encode("utf-8")) * count
         kind = next(iter(kinds)) if len(kinds) == 1 else None
         if kind in _FIXED_BYTES:
-            total += _FIXED_BYTES[kind] * len(values)
-        elif kind is str:
+            total += _FIXED_BYTES[kind] * count
+            continue
+        if mask is None:
+            values = batch.column(name)
+        if kind is str:
             total += len("".join(values).encode("utf-8"))
         else:
             total += sum(map(_value_bytes, values))
@@ -355,14 +359,17 @@ class MaterializationCache:
         *,
         cost: float = 0.0,
         token: Optional[Hashable] = None,
+        size: Optional[int] = None,
     ) -> bool:
         """:meth:`put` for an executor's ``ColumnBatch``.
 
         Same checks and counters; the batch is kept as handed in (shared and
         immutable by convention, like what :meth:`get_batch` returns) and
-        accounted at exactly the size :meth:`put` would give its rows.
+        accounted at exactly the size :meth:`put` would give its rows
+        (``size``, when the caller already has :func:`estimate_batch_bytes`).
         """
-        return self._fill(key, batch, estimate_batch_bytes(batch), cost, token)
+        size = estimate_batch_bytes(batch) if size is None else size
+        return self._fill(key, batch, size, cost, token)
 
     def _fill(self, key: CacheKey, batch: ColumnBatch, size: int, cost: float, token) -> bool:
         """Admit and store one entry, sized by the caller outside the lock."""

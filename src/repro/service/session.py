@@ -748,10 +748,12 @@ class OptimizerSession:
                 hits[gid] = cached
 
         fills = [0]
+        sized: Dict[int, int] = {}  # batch id -> size, when the observer sized it
 
         def publish(gid: int, mat_plan, batch: ColumnBatch) -> None:
             fills[0] += 1
-            self.matcache.put_batch(keys[gid], batch, cost=mat_plan.cost, token=token)
+            size = sized.pop(id(batch), None)
+            self.matcache.put_batch(keys[gid], batch, cost=mat_plan.cost, token=token, size=size)
 
         # Runtime feedback: buffer observations outside the stats store and
         # absorb them only after the whole batch executed — an operator error
@@ -777,12 +779,11 @@ class OptimizerSession:
                         if node_plan.op is PhysicalOp.READ_MATERIALIZED
                         else node_elapsed
                     )
-                    sized = (
-                        estimate_rows_bytes if isinstance(node_rows, list) else estimate_batch_bytes
-                    )
-                    observations.append(
-                        (node_plan.group, len(node_rows), sized(node_rows), measured)
-                    )
+                    if isinstance(node_rows, list):
+                        size = estimate_rows_bytes(node_rows)
+                    else:  # a materialization: publish() fills it next
+                        size = sized[id(node_rows)] = estimate_batch_bytes(node_rows)
+                    observations.append((node_plan.group, len(node_rows), size, measured))
                 if trace_on:
                     # The executor times each plan node; file it as a proper
                     # span of the current trace after the fact.

@@ -412,7 +412,7 @@ def encode_batch(batch) -> bytes:
     n = batch.length
     _write_uvarint(out, n)
     _write_uvarint(out, len(batch.columns))
-    for name, values in batch.columns.items():
+    for name in batch.columns:
         encoded_name = name.encode("utf-8")
         _write_uvarint(out, len(encoded_name))
         out.write(encoded_name)
@@ -422,7 +422,7 @@ def encode_batch(batch) -> bytes:
         else:
             out.write(b"\x01")
             out.write(_pack_bitmap(mask))
-        _encode_vector(out, values, batch.kind(name))
+        _encode_vector(out, batch.column(name), batch.kind(name))
     return out.getvalue()
 
 

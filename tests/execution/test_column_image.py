@@ -185,7 +185,7 @@ def test_self_join_aliases_share_the_image_lists():
     assert lookup(x, x.columns["x.a"]) is lookup(y, y.columns["y.a"])
     # A gathered copy holds equal values but is no image column.
     copied = x.take(range(x.length))
-    assert copied.columns["x.a"] == image.columns["a"]
+    assert copied.column("x.a") == image.columns["a"]
     assert copied.key_index is None
     assert lookup(image, copied.columns["x.a"]) is None
     assert set(image.key_index._built) == {"a"}

@@ -58,7 +58,7 @@ def carried_kinds_are_true(batch: ColumnBatch) -> bool:
     """Every kind the batch carries equals its column's types (read without
     :meth:`ColumnBatch.kind`, which would fill in the ones it lacks)."""
     return all(
-        kind is None or kind == set(map(type, batch.columns[name]))
+        kind is None or kind == set(map(type, batch.column(name)))
         for name, kind in batch.kinds.items()
     )
 
@@ -71,8 +71,8 @@ def assert_kinds(batch: ColumnBatch) -> None:
     assert carried_kinds_are_true(decoded)
     assert estimate_batch_bytes(batch) == estimate_batch_bytes(decoded)
     assert estimate_batch_bytes(batch) == estimate_rows_bytes(batch.to_rows())
-    for name, values in batch.columns.items():
-        assert batch.kind(name) == set(map(type, values))
+    for name in batch.columns:
+        assert batch.kind(name) == set(map(type, batch.column(name)))
 
 
 @st.composite

@@ -408,7 +408,7 @@ def test_sort_permutation_equals_total_order_key_sort(batch):
         )
 
     expected = sorted(range(batch.length), key=key)
-    assert ColumnarExecutor._sort_batch(batch, node).columns["t.i"] == expected
+    assert ColumnarExecutor._sort_batch(batch, node).column("t.i") == expected
 
 
 # ------------------------------------------------------------- falsy masks

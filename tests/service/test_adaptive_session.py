@@ -17,15 +17,20 @@ import random
 
 import pytest
 
+import repro.service.matcache as matcache_module
+import repro.service.session as session_module
 from repro.adaptive import AdaptiveConfig, BenefitAwarePolicy, CostLRUPolicy
 from repro.algebra import builder as qb
 from repro.algebra.expressions import col, eq
 from repro.algebra.logical import QueryBatch
+from repro.catalog.tpcd import tpcd_catalog
 from repro.dag.fingerprint import canonical_key
-from repro.execution import ColumnBatch, Executor
+from repro.execution import ColumnBatch, Executor, tiny_tpcd_database
 from repro.execution.data import example1_database
 from repro.obs import InMemorySink, Observability, Tracer
 from repro.service import MaterializationCache, OptimizerSession
+from repro.service.matcache import estimate_batch_bytes
+from repro.workloads.batches import composite_batch
 from repro.workloads.synthetic import example1_batch, example1_catalog
 
 LARGE, SMALL = 2000, 200
@@ -351,6 +356,31 @@ class TestObservationHygiene:
         assert session.statistics.observations_recorded == 0
         assert len(session.feedback) == 0
         assert session.statistics.drift_events == 0
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_each_fill_is_sized_once(self, monkeypatch, adaptive):
+        """The feedback observer sizes a materialization and its fill reuses
+        that size: one ``estimate_batch_bytes`` call per computed
+        materialization, adaptive or not, at the entry's accounted bytes."""
+        sizes = []
+
+        def counting(batch):
+            sizes.append(estimate_batch_bytes(batch))
+            return sizes[-1]
+
+        session = OptimizerSession(
+            tpcd_catalog(1.0),
+            database=tiny_tpcd_database(seed=3, orders=400),
+            adaptive=adaptive,
+        )
+        batch = composite_batch(2)
+        session.optimize(batch)
+        monkeypatch.setattr(session_module, "estimate_batch_bytes", counting)
+        monkeypatch.setattr(matcache_module, "estimate_batch_bytes", counting)
+        cold = session.execute_batch(batch)
+        assert cold.materializations == 2
+        assert len(sizes) == 2
+        assert sum(sizes) == session.matcache.current_bytes
 
 
 class TestExecutorObserverContract:
